@@ -6,8 +6,9 @@ lam) is the coefficient of  prod_V s_{mu(V)}(x_V) prod_W s_{nu(W)}(y_W)  in
 
     prod_U s_{lam(U)}(x_U, y_U, (+)_{V,W} (x_V y_W)^{(+) N_{V,W}^U})
 
-computed by plethystic substitution at the symmetric-function layer.  All
-constants for a given total degree are extracted in one sweep per lam and
+computed by plethystic substitution at the symmetric-function layer, in
+integers over the common denominator prod_U |lam(U)|! (see ProductTable).
+All constants for a given total degree are extracted in one sweep per lam and
 cached on the ring, so repeated products are dictionary lookups.
 
 The module also hosts the generator family e_r(U)/h_n(W), the recursive
@@ -19,6 +20,7 @@ generated in bounded degree.
 
 from fractions import Fraction
 from functools import cache
+from math import factorial, gcd
 
 from . import symfun as sf
 from .errors import DomainError, IntegralityError
@@ -32,7 +34,6 @@ from .partitions import (
     multipartitions_upto,
 )
 from .ring import BaseRing, RingElement
-from .symfun import SymSeries
 
 
 class GrothElement:
@@ -175,7 +176,14 @@ def _substitution_plan(ring: BaseRing) -> dict:
 
 class ProductTable:
     """Per-ring cache of structure constants, complete for all pairs with
-    |mu| + |nu| <= degree."""
+    |mu| + |nu| <= degree.
+
+    ``pairs[(mu, nu)]`` maps lam to the coefficient of Z_lam in Z_mu Z_nu.
+    ``ensure`` builds them on the integer cores of ``symfun``: per lam it
+    substitutes |kappa|! s_kappa for each slot kappa = lam(U), multiplies,
+    converts to Schur and divides every coefficient exactly by
+    prod_U |lam(U)|!; a remainder raises IntegralityError.
+    """
 
     def __init__(self, ring: BaseRing):
         self.ring = ring
@@ -192,28 +200,30 @@ class ProductTable:
         pairs: dict[tuple, dict[MultiPartition, int]] = {}
 
         @cache
-        def factor(u: int, kappa) -> SymSeries:
-            base = SymSeries.generator(
-                ring.labels, ring.labels[u], "s", kappa, degree
-            )
-            return sf.substitute_variable_sets(base, plan, out_labels)
+        def factor(u: int, kappa) -> dict:
+            row = sf.scaled_schur_to_p_row(kappa)
+            terms = {mp_single(k, u, mu): c for mu, c in row.items()}
+            return sf._substitute_int(terms, ring.labels, plan, out_labels, degree)
 
         for lam in multipartitions_upto(k, degree):
-            series = None
+            series = {mp_empty(2 * k): 1}
+            scale = 1
             for u, kappa in enumerate(lam):
-                if not kappa:
-                    continue
-                f = factor(u, kappa)
-                series = f if series is None else sf.multiply(series, f)
-            if series is None:
-                series = SymSeries.one(out_labels, "p", degree)
-            schur = sf.power_to_schur(series)
-            for key, coeff in schur.terms.items():
-                if coeff.denominator != 1:
+                if kappa:
+                    series = sf._multiply_int(series, factor(u, kappa), degree)
+                    scale *= factorial(sum(kappa))
+            for key, coeff in sf._convert_int(series, sf.p_to_schur_row).items():
+                mu, nu = key[:k], key[k:]
+                c, r = divmod(coeff, scale)
+                if r:
+                    g = gcd(coeff, scale)
                     raise IntegralityError(
-                        f"structure constant at {lam} is not an integer"
+                        f"coefficient of Z{format_multipartition(lam, ring.labels)}"
+                        f" in Z{format_multipartition(mu, ring.labels)}"
+                        f" * Z{format_multipartition(nu, ring.labels)}"
+                        f" is {coeff // g}/{scale // g}, not an integer"
                     )
-                pairs.setdefault((key[:k], key[k:]), {})[lam] = int(coeff)
+                pairs.setdefault((mu, nu), {})[lam] = c
         self.pairs = pairs
         self.degree = degree
 
@@ -261,6 +271,7 @@ def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
 def e_generator(ring: BaseRing, r: int, W: RingElement) -> GrothElement:
     """e_r(W).  For W in the basis this is the single-column key at W;
     any other W goes through decompose_e."""
+    _check_degree(r)
     if r == 0:
         return GrothElement.one(ring)
     if W.is_zero():
@@ -269,6 +280,11 @@ def e_generator(ring: BaseRing, r: int, W: RingElement) -> GrothElement:
     if u is not None:
         return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * r))
     return decompose_e(ring, r, W)
+
+
+def _check_degree(n: int):
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
 
 
 def _memo(ring, key, build):
@@ -342,6 +358,7 @@ def _f_coefficient(ring, V: RingElement, n: int, skip_top=False) -> GrothElement
 
 def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """e_n(W) for arbitrary W, expanded in the Z basis."""
+    _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
     if W.is_zero():
@@ -373,6 +390,7 @@ def decompose_e(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
 
 def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """h_n(W): the Jacobi-Trudi determinant det(e_{1+j-i}(W)) of size n."""
+    _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
     memo = _memo(ring, "h_of", dict)

@@ -138,7 +138,7 @@ def multipartitions_upto(num_labels: int, n: int) -> list[MultiPartition]:
 
 
 def mp_total(mp: MultiPartition) -> int:
-    return sum(sum(p) for p in mp)
+    return sum(map(sum, mp))
 
 
 def mp_empty(num_labels: int) -> MultiPartition:

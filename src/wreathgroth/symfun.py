@@ -3,9 +3,16 @@
 A SymSeries is a sparse linear combination of basis monomials indexed by
 multipartitions over its label list, held either in the Schur basis ('s') or
 the power-sum basis ('p'), with every key of total degree <= the truncation
-degree.  All coefficients are exact Fractions; internal arithmetic happens in
-the power-sum basis where products are key merges and the standard plethystic
-substitutions are diagonal.
+degree.  Coefficients are exact Fractions at the interface; products are key
+merges in the power-sum basis, where the standard plethystic substitutions
+are diagonal.
+
+The inner loops (basis change, product, substitution) are private cores on
+integer numerators, ``{key: int}`` dicts.  A public function clears its
+input's denominators with their lcm, runs the cores and builds one Fraction
+per output term.  Schur keys enter the cores as |kappa|! s_kappa, whose
+power-sum coefficients are integers because z_mu divides |mu|! (Macdonald,
+I.7); ``scaled_schur_to_p_row`` asserts that division.
 
 Truncation is strict: operations discard keys above the degree and refuse to
 mix operands with different truncations, since silently combining series
@@ -15,7 +22,7 @@ hazard in this layer.
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm, prod
 
 from .errors import DomainError
 from .partitions import (
@@ -41,6 +48,18 @@ def schur_to_p_row(kappa: Partition) -> dict[Partition, Fraction]:
 
 
 @cache
+def scaled_schur_to_p_row(kappa: Partition) -> dict[Partition, int]:
+    """|kappa|! s_kappa = sum_mu (|kappa|! chi^kappa_mu / z_mu) p_mu, all integers."""
+    n = factorial(sum(kappa))
+    out = {}
+    for mu, c in schur_to_p_row(kappa).items():
+        q, r = divmod(n * c.numerator, c.denominator)
+        assert not r, (kappa, mu)
+        out[mu] = q
+    return out
+
+
+@cache
 def p_to_schur_row(mu: Partition) -> dict[Partition, int]:
     """p_mu = sum_kappa chi^kappa_mu s_kappa."""
     out = {}
@@ -52,6 +71,8 @@ def p_to_schur_row(mu: Partition) -> dict[Partition, int]:
 
 
 def merge_parts(a: Partition, b: Partition) -> Partition:
+    if not a or not b:
+        return a or b
     return tuple(sorted(a + b, reverse=True))
 
 
@@ -152,42 +173,14 @@ class SymSeries:
 def schur_to_power(f: SymSeries) -> SymSeries:
     if f.basis != "s":
         raise DomainError("schur_to_power wants a Schur-basis series")
-    return _convert(f, schur_to_p_row, "p")
+    return _from_numerators(f.labels, "p", f.degree, *_power_numerators(f))
 
 
 def power_to_schur(f: SymSeries) -> SymSeries:
     if f.basis != "p":
         raise DomainError("power_to_schur wants a power-sum series")
-    return _convert(f, p_to_schur_row, "s")
-
-
-def _convert(f: SymSeries, row, target: str) -> SymSeries:
-    terms: dict[MultiPartition, Fraction] = {}
-    for key, coeff in f.terms.items():
-        # per-label conversion rows tensor together
-        partial = [((), Fraction(1))]
-        for p in key:
-            if not p:
-                continue
-            r = row(p)
-            partial = [
-                (pref + (q,), c * rc)
-                for pref, c in partial
-                for q, rc in r.items()
-            ]
-        # re-attach empty slots in position
-        slots = [i for i, p in enumerate(key) if p]
-        for seq, c in partial:
-            out = [()] * len(key)
-            for i, q in zip(slots, seq):
-                out[i] = q
-            k = tuple(out)
-            new = terms.get(k, Fraction(0)) + coeff * c
-            if new:
-                terms[k] = new
-            else:
-                terms.pop(k, None)
-    return SymSeries(f.labels, target, f.degree, terms)
+    nums, den = _power_numerators(f)
+    return _from_numerators(f.labels, "s", f.degree, _convert_int(nums, p_to_schur_row), den)
 
 
 def as_power(f: SymSeries) -> SymSeries:
@@ -205,26 +198,96 @@ def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
     the power-sum route and convert back.
     """
     a._check_compatible(b)
-    want_schur = a.basis == "s" and b.basis == "s"
     if a.basis != b.basis:
         raise DomainError("operands must be held in the same basis")
-    pa, pb = as_power(a), as_power(b)
-    D = a.degree
-    terms: dict[MultiPartition, Fraction] = {}
-    bk = [(key, mp_total(key), coeff) for key, coeff in pb.terms.items()]
-    for ka, ca in pa.terms.items():
-        da = mp_total(ka)
-        for kb, db, cb in bk:
-            if da + db > D:
+    na, da = _power_numerators(a)
+    nb, db = _power_numerators(b)
+    nums = _multiply_int(na, nb, a.degree)
+    if a.basis == "s":
+        nums = _convert_int(nums, p_to_schur_row)
+    return _from_numerators(a.labels, a.basis, a.degree, nums, da * db)
+
+
+# -- between Fraction series and integer numerators ------------------------
+
+def _power_numerators(f: SymSeries) -> tuple[dict, int]:
+    """f in power sums, as integers over one common denominator: the lcm of
+    its denominators times, for Schur keys, that of their prod |kappa|!."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    nums = {k: c.numerator * (den // c.denominator) for k, c in f.terms.items()}
+    if f.basis == "p":
+        return nums, den
+    scale = {k: prod(factorial(sum(p)) for p in k) for k in nums}
+    m = lcm(*scale.values())
+    nums = {k: c * (m // scale[k]) for k, c in nums.items()}
+    return _convert_int(nums, scaled_schur_to_p_row), den * m
+
+
+def _from_numerators(labels, basis, degree, nums: dict, den: int) -> SymSeries:
+    out = SymSeries(labels, basis, degree)
+    out.terms = {k: Fraction(c, den) for k, c in nums.items()}
+    return out
+
+
+# -- integer cores: {key: int} dicts, zero coefficients dropped -------------
+
+def _convert_int(terms: dict, row) -> dict:
+    """Change basis one slot at a time; row(p) is {q: int} for a partition."""
+    for slot in range(len(next(iter(terms), ()))):
+        out: dict[MultiPartition, int] = {}
+        for key, coeff in terms.items():
+            if not key[slot]:
+                out[key] = out.get(key, 0) + coeff
                 continue
-            key = tuple(merge_parts(x, y) for x, y in zip(ka, kb))
-            new = terms.get(key, Fraction(0)) + ca * cb
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-    out = SymSeries(a.labels, "p", D, terms)
-    return power_to_schur(out) if want_schur else out
+            head, tail = key[:slot], key[slot + 1:]
+            for q, rc in row(key[slot]).items():
+                k = head + (q,) + tail
+                out[k] = out.get(k, 0) + coeff * rc
+        terms = {k: c for k, c in out.items() if c}
+    return terms
+
+
+def _multiply_int(a: dict, b: dict, degree: int) -> dict:
+    """Power-sum product of two integer series, truncated at ``degree``."""
+    out: dict[MultiPartition, int] = {}
+    bk = [(key, mp_total(key), coeff) for key, coeff in b.items()]
+    for ka, ca in a.items():
+        room = degree - mp_total(ka)
+        for kb, db, cb in bk:
+            if db <= room:
+                key = tuple(map(merge_parts, ka, kb))
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _substitute_int(terms: dict, labels, plan: dict, out_labels, degree: int) -> dict:
+    """The plethystic substitution of ``substitute_variable_sets`` on a
+    power-sum integer series over ``labels``."""
+    index = {lab: i for i, lab in enumerate(out_labels)}
+    nout = len(out_labels)
+
+    @cache
+    def level_factor(label: str, l: int) -> dict:
+        if label not in plan and label not in index:
+            raise DomainError(f"label {label!r} absent from plan and output labels")
+        expanded: dict[MultiPartition, int] = {}
+        for monomial, mult in plan.get(label, [((label,), 1)]):
+            key = [()] * nout
+            for lab in monomial:
+                key[index[lab]] = merge_parts(key[index[lab]], (l,))
+            k = tuple(key)
+            expanded[k] = expanded.get(k, 0) + mult
+        return {k: c for k, c in expanded.items() if c}
+
+    out: dict[MultiPartition, int] = {}
+    for key, coeff in terms.items():
+        partial = {((),) * nout: coeff}
+        for label, p in zip(labels, key):
+            for l in p:
+                partial = _multiply_int(partial, level_factor(label, l), degree)
+        for k, c in partial.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 @cache
@@ -233,9 +296,8 @@ def schur_product_row(mu: Partition, nu: Partition) -> dict[Partition, int]:
     n = sum(mu) + sum(nu)
     f = SymSeries.generator(("x",), "x", "s", mu, n)
     g = SymSeries.generator(("x",), "x", "s", nu, n)
-    prod = as_schur(multiply(schur_to_power(f), schur_to_power(g)))
     out = {}
-    for key, coeff in prod.terms.items():
+    for key, coeff in multiply(f, g).terms.items():
         assert coeff.denominator == 1
         out[key[0]] = int(coeff)
     return out
@@ -277,65 +339,9 @@ def substitute_variable_sets(f: SymSeries, plan: dict, out_labels) -> SymSeries:
     the output labels.  The result is in the power-sum basis.
     """
     out_labels = tuple(out_labels)
-    f = as_power(f)
-    D = f.degree
-    index = {lab: i for i, lab in enumerate(out_labels)}
-    nout = len(out_labels)
-
-    factor_cache: dict[tuple[str, int], list] = {}
-
-    def level_factor(label: str, l: int):
-        got = factor_cache.get((label, l))
-        if got is not None:
-            return got
-        expanded: dict[MultiPartition, int] = {}
-        if label in plan:
-            for monomial, mult in plan[label]:
-                key = [()] * nout
-                for lab in monomial:
-                    key[index[lab]] = merge_parts(key[index[lab]], (l,))
-                k = tuple(key)
-                expanded[k] = expanded.get(k, 0) + mult
-        else:
-            if label not in index:
-                raise DomainError(
-                    f"label {label!r} absent from plan and output labels"
-                )
-            key = [()] * nout
-            key[index[label]] = (l,)
-            expanded[tuple(key)] = 1
-        got = [(k, c) for k, c in expanded.items() if c]
-        factor_cache[(label, l)] = got
-        return got
-
-    terms: dict[MultiPartition, Fraction] = {}
-    for key, coeff in f.terms.items():
-        partial: dict[MultiPartition, Fraction] = {((),) * nout: coeff}
-        for slot, p in enumerate(key):
-            label = f.labels[slot]
-            for l in p:
-                nxt: dict[MultiPartition, Fraction] = {}
-                for k1, c1 in partial.items():
-                    d1 = mp_total(k1)
-                    for k2, c2 in level_factor(label, l):
-                        if d1 + mp_total(k2) > D:
-                            continue
-                        k = tuple(merge_parts(x, y) for x, y in zip(k1, k2))
-                        new = nxt.get(k, Fraction(0)) + c1 * c2
-                        if new:
-                            nxt[k] = new
-                        else:
-                            nxt.pop(k, None)
-                partial = nxt
-                if not partial:
-                    break
-        for k, c in partial.items():
-            new = terms.get(k, Fraction(0)) + c
-            if new:
-                terms[k] = new
-            else:
-                terms.pop(k, None)
-    return SymSeries(out_labels, "p", D, terms)
+    nums, den = _power_numerators(f)
+    nums = _substitute_int(nums, f.labels, plan, out_labels, f.degree)
+    return _from_numerators(out_labels, "p", f.degree, nums, den)
 
 
 def omega(f: SymSeries, label: str) -> SymSeries:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from wreathgroth import cli
 
 
@@ -206,3 +208,13 @@ def test_cross_process_byte_determinism():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("action", ["e", "h", "decompose"])
+def test_groth_negative_n_is_a_usage_error(capsys, action):
+    code, out, err = run(
+        capsys, "groth", action, "--n", "-1", "--ring", "builtin:integers", "--elem", "2*1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -251,3 +252,25 @@ def test_format_groth():
     assert gr.format_groth(x) == "Z{1:[1]} - 2*Z{1:[2]}"
     assert gr.format_groth(GrothElement.zero(Z)) == "0"
     assert gr.format_groth(GrothElement.one(Z)) == "Z{}"
+
+
+# sha256 over repr(sorted (mu, nu, lam, c) entries) of the whole table, taken
+# from the Fraction-coefficient build that preceded the integer cores
+TABLE_SHA256 = [
+    (Z, 8, "563cf4432ccfb9207926663964d114b4d979a18a4dfe5ec893cba7108742bd9c"),
+    (C2, 6, "0b46ceb29b929f4a2b571243067d5469fc23378d39ad803cd0dca2f9a58e5c3d"),
+    (rg.golden_ring(), 6, "276d6e306b92166917e6d68ce00679a4bedb3ee1391ca2424bebb9ad8299144d"),
+    (M2, 5, "3bb73ffad897018a73a6b8b158eb577e86d720c4f71dc7eec093998dff64035b"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,degree,digest", TABLE_SHA256, ids=[f"{r.name}-{d}" for r, d, _ in TABLE_SHA256]
+)
+def test_product_table_contents_are_pinned(ring, degree, digest):
+    table = gr.ProductTable(ring)
+    table.ensure(degree)
+    entries = sorted(
+        (mu, nu, lam, c) for (mu, nu), row in table.pairs.items() for lam, c in row.items()
+    )
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest

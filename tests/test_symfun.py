@@ -240,6 +240,41 @@ def test_substitute_negative_multiplicity_cancels():
     assert out.terms == {((3, 1), ()): 1}
 
 
+def test_mixed_denominators_by_hand():
+    # every public entry point clears denominators with their lcm; check the
+    # results against expansions worked out by hand
+    F = Fraction
+    f = SymSeries(("x",), "p", 4, {((1,),): F(1, 3), ((2,),): F(2, 5)})
+    # (p1/3 + 2 p2/5)^2
+    assert sf.multiply(f, f).terms == {
+        ((1, 1),): F(1, 9), ((2, 1),): F(4, 15), ((2, 2),): F(4, 25),
+    }
+    # p1 = s1, p2 = s2 - s11
+    assert sf.power_to_schur(f).terms == {
+        ((1,),): F(1, 3), ((2,),): F(2, 5), ((1, 1),): F(-2, 5),
+    }
+    # p_l(x) -> p_l(y) p_l(z)
+    out = sf.substitute_variable_sets(f, {"x": [(("y", "z"), 1)]}, ("y", "z"))
+    assert out.terms == {((1,), (1,)): F(1, 3), ((2,), (2,)): F(2, 5)}
+    # Schur input of mixed degrees: s1/3 + 2 s11/5 = p1/3 + p11/5 - p2/5
+    g = SymSeries(("x",), "s", 4, {((1,),): F(1, 3), ((1, 1),): F(2, 5)})
+    assert sf.schur_to_power(g).terms == {
+        ((1,),): F(1, 3), ((1, 1),): F(1, 5), ((2,),): F(-1, 5),
+    }
+    out = sf.substitute_variable_sets(g, {"x": [(("y",), 1), (("z",), 1)]}, ("y", "z"))
+    assert out.terms == {
+        ((1,), ()): F(1, 3), ((), (1,)): F(1, 3),
+        ((1, 1), ()): F(1, 5), ((1,), (1,)): F(2, 5), ((), (1, 1)): F(1, 5),
+        ((2,), ()): F(-1, 5), ((), (2,)): F(-1, 5),
+    }
+    # (s1/3 + 2 s11/5) (2 s1/5) = 2 (s2 + s11)/15 + 4 (s21 + s111)/25
+    h = SymSeries(("x",), "s", 4, {((1,),): F(2, 5)})
+    assert sf.multiply(g, h).terms == {
+        ((2,),): F(2, 15), ((1, 1),): F(2, 15),
+        ((2, 1),): F(4, 25), ((1, 1, 1),): F(4, 25),
+    }
+
+
 def test_omega():
     for n in range(1, 6):
         en = sf.e_series(("x",), "x", n, n)

@@ -1,8 +1,10 @@
 import pytest
 
+from wreathgroth import groth as gr
 from wreathgroth import ring as rg
+from wreathgroth import symfun as sf
 from wreathgroth import verify
-from wreathgroth.errors import MissingDataError
+from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
 
 
 Z = rg.integers()
@@ -68,3 +70,47 @@ def test_determinant_helper():
     assert verify._determinant(rows) == 1
     rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     assert verify._determinant(rows) == -1
+
+
+def test_report_records_a_raising_check_and_runs_the_rest():
+    rep = verify.Report("demo", "-", 1, 0)
+
+    def raises():
+        raise DomainError("outside the domain")
+
+    rep.run("raises", raises)
+    rep.run("after", lambda: True)
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("raises", False, "DomainError: outside the domain"),
+        ("after", True, ""),
+    ]
+
+    def missing():
+        raise MissingDataError("no lambda data")
+
+    with pytest.raises(MissingDataError):
+        rep.run("missing", missing)
+
+
+def test_integrality_check_catches_a_bad_schur_row(monkeypatch):
+    # 2! s_(2) = p_(1,1) + p_(2); an off-by-one p_(2) coefficient makes the
+    # s_(2) coefficient 3/2, which the exact division by 2! must reject
+    row = sf.scaled_schur_to_p_row
+
+    def off_by_one(kappa):
+        out = dict(row(kappa))
+        if kappa == (2,):
+            out[(2,)] += 1
+        return out
+
+    monkeypatch.setattr(sf, "scaled_schur_to_p_row", off_by_one)
+    ring = rg.integers.__wrapped__()  # a private instance: shared caches stay clean
+    witness = "coefficient of Z{1:[2]} in Z{1:[2]} * Z{} is 3/2, not an integer"
+    with pytest.raises(IntegralityError) as exc:
+        gr.ProductTable(ring).ensure(2)
+    assert str(exc.value) == witness
+
+    report = verify.run_suite("oracle-crosscheck", ring, 2, 0)
+    check = next(c for c in report.checks if c.name == "all structure constants are integers")
+    assert not check.passed
+    assert check.detail == f"IntegralityError: {witness}"

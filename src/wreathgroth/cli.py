@@ -95,7 +95,7 @@ def cmd_groth(args) -> int:
         _emit_element(args, gr.h_element(ring, args.n, W))
     elif args.action == "decompose":
         W = parse_element(ring, args.elem)
-        _emit_element(args, gr.decompose_e(ring, args.n, W))
+        _emit_element(args, gr.e_of(ring, args.n, W))
     elif args.action == "xbasis":
         lam = _parse_groth_literal(ring, args.operands[0])
         _emit_element(args, gr.x_basis_element(ring, lam))
@@ -251,15 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
 
-    def add_common(p, ring=True):
+    def add_common(p, ring=True, degree=False, seed=False):
         if ring:
             p.add_argument(
                 "--ring",
                 default="builtin:integers",
                 help="ring config path or builtin:{integers,cyclic(n),matrix(n),golden}",
             )
-        p.add_argument("--degree", type=int, default=4, help="truncation degree")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if degree:
+            p.add_argument("--degree", type=int, default=4, help="truncation degree")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     law_p = sub.add_parser("law", help="the formal group law on e-coordinates")
     law_sub = law_p.add_subparsers(dest="action", required=True)
     dump = law_sub.add_parser("dump", help="print the law components")
-    add_common(dump)
+    add_common(dump, degree=True)
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
     verify_p.add_argument(
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="builtin:integers",
         help="one ring spec, or a comma-separated list to verify in turn",
     )
-    add_common(verify_p, ring=False)
+    add_common(verify_p, ring=False, degree=True, seed=True)
     return parser
 
 

@@ -32,6 +32,7 @@ from .partitions import (
     mp_sort_key,
     mp_total,
     multipartitions_upto,
+    partitions,
 )
 from .ring import BaseRing, RingElement
 
@@ -270,7 +271,7 @@ def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
 
 def e_generator(ring: BaseRing, r: int, W: RingElement) -> GrothElement:
     """e_r(W).  For W in the basis this is the single-column key at W;
-    any other W goes through decompose_e."""
+    any other W goes through e_of."""
     _check_degree(r)
     if r == 0:
         return GrothElement.one(ring)
@@ -279,7 +280,7 @@ def e_generator(ring: BaseRing, r: int, W: RingElement) -> GrothElement:
     u = W.basis_index()
     if u is not None:
         return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * r))
-    return decompose_e(ring, r, W)
+    return e_of(ring, r, W)
 
 
 def _check_degree(n: int):
@@ -383,11 +384,6 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     return result
 
 
-def decompose_e(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
-    """Expansion of e_n(W) over the basis generators, as a Z-basis element."""
-    return e_of(ring, n, W)
-
-
 def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """h_n(W): the Jacobi-Trudi determinant det(e_{1+j-i}(W)) of size n."""
     _check_degree(n)
@@ -486,7 +482,7 @@ def x_basis_element(ring: BaseRing, lam: MultiPartition) -> GrothElement:
     target = lam[one]
     terms: dict[MultiPartition, Fraction] = {}
     for r in range(sum(target) + 1):
-        for mu_size_part in _partitions_of(sum(target) - r):
+        for mu_size_part in partitions(sum(target) - r):
             c = sf.lr_coefficient((1,) * r, mu_size_part, target)
             if not c:
                 continue
@@ -499,12 +495,6 @@ def x_basis_element(ring: BaseRing, lam: MultiPartition) -> GrothElement:
             else:
                 terms.pop(key, None)
     return GrothElement(ring, terms)
-
-
-def _partitions_of(n):
-    from .partitions import partitions
-
-    return partitions(n)
 
 
 # ---------------------------------------------------------------------------

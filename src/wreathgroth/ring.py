@@ -419,14 +419,26 @@ def format_element(a: RingElement) -> str:
 # ---------------------------------------------------------------------------
 # JSON configuration
 
-def _parse_vec(labels, data, where) -> Vec:
+def _expect_object(data, where, what) -> dict:
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object of label -> integer")
+        raise ConfigError(f"{where}: expected an object of {what}")
+    return data
+
+
+def _parse_int_key(key: str, where) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"{where}: key {key!r} must be an integer") from None
+
+
+def _parse_vec(labels, data, where) -> Vec:
+    _expect_object(data, where, "label -> integer")
     out: Vec = {}
     for k, v in data.items():
         if k not in labels:
             raise ConfigError(f"{where}: unknown label {k!r}")
-        if not isinstance(v, int):
+        if type(v) is not int:  # bool is an int subclass; true is not a coefficient
             raise ConfigError(f"{where}: coefficient of {k!r} must be an integer")
         if v:
             out[labels.index(k)] = v
@@ -453,7 +465,10 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
         raise ConfigError("'basis' must be a non-empty list of labels")
     labels = tuple(labels)
     tensor: dict[tuple[int, int], Vec] = {}
-    for row in data.get("mult", []):
+    mult = data.get("mult", [])
+    if not isinstance(mult, list):
+        raise ConfigError("'mult' must be a list of rows")
+    for row in mult:
         try:
             left, right, out = row["left"], row["right"], row["out"]
         except (TypeError, KeyError) as exc:
@@ -477,8 +492,10 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
     adams = None
     if "adams" in data:
         adams = {}
-        for dkey, table in data["adams"].items():
-            d = int(dkey)
+        tables = _expect_object(data["adams"], "adams", "degree -> table")
+        for dkey, table in tables.items():
+            d = _parse_int_key(dkey, "adams")
+            _expect_object(table, f"adams[{d}]", "label -> image")
             cols: list[Vec] = []
             for lab in labels:
                 if lab not in table:
@@ -489,12 +506,14 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
     rmax = 0
     if "lambda" in data:
         lam = {}
-        for lab, table in data["lambda"].items():
+        tables = _expect_object(data["lambda"], "lambda", "label -> table")
+        for lab, table in tables.items():
             if lab not in labels:
                 raise ConfigError(f"lambda table uses unknown label {lab!r}")
             u = labels.index(lab)
+            _expect_object(table, f"lambda[{lab}]", "r -> vector")
             for rkey, vec in table.items():
-                r = int(rkey)
+                r = _parse_int_key(rkey, f"lambda[{lab}]")
                 lam[(u, r)] = _parse_vec(labels, vec, f"lambda[{lab}][{r}]")
                 rmax = max(rmax, r)
     return BaseRing(labels, tensor, unit=unit, adams=adams, lambda_ops=lam,
@@ -604,19 +623,6 @@ def golden_ring() -> BaseRing:
         (1, 1): {0: 1, 1: 1},
     }
     return BaseRing(("1", "x"), tensor, unit={0: 1}, name="golden")
-
-
-def builtin(name: str, params=None) -> BaseRing:
-    if name == "integers":
-        return integers()
-    if name == "group_algebra":
-        labels, table = params
-        return group_algebra(labels, table)
-    if name == "matrix_ring":
-        return matrix_ring(int(params))
-    if name == "golden":
-        return golden_ring()
-    raise ConfigError(f"unknown builtin ring {name!r}")
 
 
 def resolve_ring(spec: str) -> BaseRing:

@@ -168,14 +168,3 @@ class WittVector:
     def ghosts(self) -> tuple[int, ...]:
         return tuple(self.ghost(n) for n in range(1, len(self.comps) + 1))
 
-
-def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    return a + b
-
-
-def witt_mul(a: WittVector, b: WittVector) -> WittVector:
-    return a * b
-
-
-def ghost(a: WittVector, n: int) -> int:
-    return a.ghost(n)

@@ -66,7 +66,8 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_integrality():
     t0 = time.monotonic()
     for ring in RINGS:
-        table = gr.product_table(ring)
+        # a fresh table, so the exact division by prod_U |lam(U)|! runs here
+        table = gr.ProductTable(ring)
         table.ensure(DEGREE)
         for row in table.pairs.values():
             for c in row.values():

@@ -97,6 +97,54 @@ def test_ring_validate_config_and_failure(tmp_path, capsys):
     assert code == 2
 
 
+C2_CONFIG = {
+    "basis": ["e", "g"],
+    "unit": {"e": 1},
+    "mult": [
+        {"left": "e", "right": "e", "out": {"e": 1}},
+        {"left": "e", "right": "g", "out": {"g": 1}},
+        {"left": "g", "right": "e", "out": {"g": 1}},
+        {"left": "g", "right": "g", "out": {"e": 1}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"adams": {"x": {"e": {"e": 1}, "g": {"e": 1}}}},
+        {"lambda": {"e": {"two": {}}}},
+        {"adams": [1]},
+        {"adams": {"2": "e"}},
+        {"lambda": {"e": [1]}},
+        {"mult": 5},
+        {"unit": {"e": True}},
+    ],
+    ids=[
+        "adams-key", "lambda-key", "adams-list", "adams-table-string",
+        "lambda-table-list", "mult-int", "bool-coefficient",
+    ],
+)
+def test_malformed_ring_config_is_a_usage_error(tmp_path, capsys, override):
+    p = tmp_path / "ring.json"
+    p.write_text(json.dumps({**C2_CONFIG, **override}))
+    code, out, err = run(capsys, "ring", "validate", "--ring", str(p))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.strip()
+    ]
+
+
+def test_flags_a_command_does_not_read_are_rejected(capsys):
+    code, _, _ = run(capsys, "groth", "mul", "Z{1:[1]}", "Z{1:[1]}", "--degree", "3")
+    assert code == 2
+    code, _, _ = run(
+        capsys, "witt", "add", "--length", "3", "--a", "1,2,3", "--b", "4,5,6", "--seed", "1"
+    )
+    assert code == 2
+
+
 def test_oracle_mul_matches_groth(capsys):
     _, a, _ = run(capsys, "groth", "mul", "Z{1:[1]}", "Z{1:[1]}")
     _, b, _ = run(capsys, "oracle", "mul", "Z{1:[1]}", "Z{1:[1]}")

@@ -106,7 +106,7 @@ def test_e_linear_in_degree_one():
     assert gr.e_of(Z, 1, 2 * Z.one()) == gr.e_of(Z, 1, Z.one()).scale(2)
 
 
-def test_decompose_e2_matches_sum_formula():
+def test_e_of_e2_matches_sum_formula():
     # e_2(U1+U2) = e_1(U1)e_1(U2) - e_1(U1 U2) + e_2(U1) + e_2(U2)
     e, g = C2.basis_element(0), C2.basis_element(1)
     lhs = gr.e_of(C2, 2, e + g)

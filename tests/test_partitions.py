@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+import wreathgroth
 from wreathgroth import partitions as pt
 from wreathgroth.errors import ConfigError, DomainError
 
@@ -177,3 +178,12 @@ def test_text_forms():
         pt.parse_partition("[2,3]")
     with pytest.raises(ConfigError):
         pt.parse_multipartition("{W:[1]}", labels)
+
+
+def test_partition_counts_match_known_values():
+    counts = [len(pt.partitions(n)) for n in range(11)]
+    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def test_backend_is_pure():
+    assert wreathgroth.backend() == "pure"

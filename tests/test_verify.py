@@ -1,6 +1,7 @@
 import pytest
 
 from wreathgroth import groth as gr
+from wreathgroth import pbw
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
 from wreathgroth import verify
@@ -114,3 +115,31 @@ def test_integrality_check_catches_a_bad_schur_row(monkeypatch):
     check = next(c for c in report.checks if c.name == "all structure constants are integers")
     assert not check.passed
     assert check.detail == f"IntegralityError: {witness}"
+
+
+def test_f_series_disagreement_names_degree_word_and_coefficients(monkeypatch):
+    # add T_2(e) t^2 to the Moebius/log path for W = e, so the two paths
+    # first differ at t^2 on the word T2(e): 1 against 2
+    mobius = pbw.f_series_mobius
+
+    def perturbed(ring, W, degree):
+        out = mobius(ring, W, degree)
+        if W.basis_index() == 0:
+            extra = pbw.PBWElement.generator(ring, degree, 2, W)
+            out = out + pbw.TSeries(ring, degree, {2: extra})
+        return out
+
+    monkeypatch.setattr(pbw, "f_series_mobius", perturbed)
+    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
+    witness = (
+        "F-series of <e> differs at t^2, word T2(e): "
+        "sum_i T_i(W) t^i gives 1, the Moebius/log form gives 2"
+    )
+    with pytest.raises(AssertionError) as exc:
+        pbw.f_series(ring, ring.basis_element(0), 2)
+    assert str(exc.value) == witness
+
+    report = verify.run_suite("presentation", ring, 2, 0)
+    check = next(c for c in report.checks if c.name.startswith("F_U(t) from the Moebius/log"))
+    assert not check.passed
+    assert check.detail == f"AssertionError: {witness}"

@@ -23,6 +23,7 @@ from functools import cache
 from math import factorial, gcd
 
 from . import symfun as sf
+from ._exact import Combination, PowerSeries, accumulate, format_terms, log1p
 from .errors import DomainError, IntegralityError
 from .partitions import (
     MultiPartition,
@@ -37,18 +38,16 @@ from .partitions import (
 from .ring import BaseRing, RingElement
 
 
-class GrothElement:
+class GrothElement(Combination):
     """Finite combination of Z-basis keys with exact coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+    _context = ("ring",)
+    _compared = _context
 
     def __init__(self, ring: BaseRing, terms=None):
         self.ring = ring
-        self.terms: dict[MultiPartition, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = Fraction(coeff)
+        super().__init__(terms)
 
     @classmethod
     def zero(cls, ring):
@@ -66,15 +65,6 @@ class GrothElement:
         """Filtration degree: largest total key size (0 for zero/scalars)."""
         return max((mp_total(k) for k in self.terms), default=0)
 
-    def coefficient(self, key) -> Fraction:
-        return self.terms.get(tuple(key), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
     def assert_integral(self, where="element") -> "GrothElement":
         if not self.is_integral():
             bad = next(c for c in self.terms.values() if c.denominator != 1)
@@ -87,38 +77,8 @@ class GrothElement:
             self.ring, {k: c for k, c in self.terms.items() if mp_total(k) == d}
         )
 
-    def __add__(self, other: "GrothElement") -> "GrothElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            n = terms.get(k, Fraction(0)) + c
-            if n:
-                terms[k] = n
-            else:
-                terms.pop(k, None)
-        return GrothElement(self.ring, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GrothElement":
-        c = Fraction(c)
-        if not c:
-            return GrothElement(self.ring)
-        return GrothElement(self.ring, {k: v * c for k, v in self.terms.items()})
-
     def __mul__(self, other: "GrothElement") -> "GrothElement":
         return z_multiply(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrothElement)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def _check(self, other):
         if not isinstance(other, GrothElement) or other.ring is not self.ring:
@@ -129,25 +89,10 @@ class GrothElement:
 
 
 def format_groth(x: GrothElement) -> str:
-    if not x.terms:
-        return "0"
-    bits = []
-    for key in sorted(x.terms, key=mp_sort_key):
-        coeff = x.terms[key]
-        body = "Z" + format_multipartition(key, x.ring.labels)
-        if coeff == 1:
-            bits.append(("+", body))
-        elif coeff == -1:
-            bits.append(("-", body))
-        elif coeff > 0:
-            bits.append(("+", f"{coeff}*{body}"))
-        else:
-            bits.append(("-", f"{-coeff}*{body}"))
-    sign, first = bits[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, chunk in bits[1:]:
-        out += f" {sign} {chunk}"
-    return out
+    return format_terms(
+        ("Z" + format_multipartition(key, x.ring.labels), x.terms[key])
+        for key in sorted(x.terms, key=mp_sort_key)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +201,8 @@ def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
     terms: dict[MultiPartition, Fraction] = {}
     for mu, ca in a.terms.items():
         for nu, cb in b.terms.items():
-            c = ca * cb
-            for lam, n in table.constants(mu, nu).items():
-                new = terms.get(lam, Fraction(0)) + c * n
-                if new:
-                    terms[lam] = new
-                else:
-                    terms.pop(lam, None)
-    return GrothElement(a.ring, terms)
+            accumulate(terms, table.constants(mu, nu), ca * cb)
+    return a._like(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -312,33 +251,13 @@ def mobius(n: int) -> int:
     return out
 
 
-def _log_coefficient(coeffs: list[GrothElement], n: int) -> GrothElement:
-    """[t^n] log(1 + sum_{k>=1} coeffs[k] t^k) via log(1+x) = sum (-1)^(m-1) x^m / m."""
-    ring = coeffs[0].ring if coeffs else None
-    total = GrothElement.zero(ring)
-    # compositions of n into parts >= 1 grouped by length, sharing prefix products
-    def walk(remaining, length, prod):
-        nonlocal total
-        if remaining == 0:
-            total = total + prod.scale(Fraction((-1) ** (length - 1), length))
-            return
-        for k in range(1, remaining + 1):
-            c = coeffs[k] if k < len(coeffs) else None
-            if c is None or c.is_zero():
-                continue
-            walk(remaining - k, length + 1, z_multiply(prod, c))
-
-    walk(n, 0, GrothElement.one(ring))
-    return total
-
-
 def _f_coefficient(ring, V: RingElement, n: int, skip_top=False) -> GrothElement:
     """[t^n] F_V(t) where F_V(t) = -sum_{r>=1} mu(r)/r log(E_{V^r}(-t^r)).
 
     With skip_top the e_n(V) slot is zeroed, leaving the part of the
     coefficient that only involves lower data (used to solve for e_n(V)).
     """
-    total = GrothElement.zero(ring)
+    zero = total = GrothElement.zero(ring)
     for r in range(1, n + 1):
         if n % r:
             continue
@@ -347,13 +266,14 @@ def _f_coefficient(ring, V: RingElement, n: int, skip_top=False) -> GrothElement
             continue
         q = n // r
         Vr = V ** r
-        coeffs = [GrothElement.one(ring)]
-        for kk in range(1, q + 1):
-            if r == 1 and kk == n and skip_top:
-                coeffs.append(GrothElement.zero(ring))
-            else:
-                coeffs.append(e_of(ring, kk, Vr).scale((-1) ** kk))
-        total = total + _log_coefficient(coeffs, q).scale(Fraction(-m, r))
+        # E_{V^r}(-t) - 1, with the unknown e_n(V) left out under skip_top
+        x = PowerSeries(zero, q, {
+            kk: e_of(ring, kk, Vr).scale((-1) ** kk)
+            for kk in range(1, q + 1)
+            if not (skip_top and r == 1 and kk == n)
+        })
+        one = PowerSeries(zero, q, {0: GrothElement.one(ring)})
+        total = total + log1p(x, one, q).coefficient(q).scale(Fraction(-m, r))
     return total
 
 
@@ -488,12 +408,7 @@ def x_basis_element(ring: BaseRing, lam: MultiPartition) -> GrothElement:
                 continue
             key = list(lam)
             key[one] = mu_size_part
-            key = tuple(key)
-            new = terms.get(key, Fraction(0)) + Fraction((-1) ** r * c)
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
+            accumulate(terms, {tuple(key): Fraction((-1) ** r * c)})
     return GrothElement(ring, terms)
 
 

@@ -19,6 +19,7 @@ from functools import cache
 
 from . import pbw
 from . import symfun as sf
+from ._exact import Combination, accumulate, monomial_product
 from .errors import DomainError, IntegralityError
 from .groth import GrothElement, _substitution_plan, _doubled_labels, product_table
 from .partitions import (
@@ -45,18 +46,16 @@ def lr_splits(kappa: Partition) -> tuple:
     return tuple(out)
 
 
-class TensorGroth:
+class TensorGroth(Combination):
     """Element of the tensor square, sparse over pairs of multipartitions."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+    _context = ("ring",)
+    _compared = _context
 
     def __init__(self, ring: BaseRing, terms=None):
         self.ring = ring
-        self.terms: dict[tuple, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = Fraction(c)
+        super().__init__(terms)
 
     @classmethod
     def of(cls, a: GrothElement, b: GrothElement):
@@ -67,30 +66,7 @@ class TensorGroth:
         return cls(a.ring, out)
 
     def coefficient(self, mu, nu) -> Fraction:
-        return self.terms.get((tuple(mu), tuple(nu)), Fraction(0))
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            n = terms.get(k, Fraction(0)) + c
-            if n:
-                terms[k] = n
-            else:
-                terms.pop(k, None)
-        return TensorGroth(self.ring, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TensorGroth(self.ring, {k: v * c for k, v in self.terms.items()})
+        return super().coefficient((tuple(mu), tuple(nu)))
 
     def __mul__(self, other: "TensorGroth") -> "TensorGroth":
         table = product_table(self.ring)
@@ -98,27 +74,10 @@ class TensorGroth:
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
                 c = c1 * c2
-                left = table.constants(m1, m2)
                 right = table.constants(n1, n2)
-                for lm, cl in left.items():
-                    for ln, cr in right.items():
-                        key = (lm, ln)
-                        n = terms.get(key, Fraction(0)) + c * cl * cr
-                        if n:
-                            terms[key] = n
-                        else:
-                            terms.pop(key, None)
-        return TensorGroth(self.ring, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorGroth)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+                for lm, cl in table.constants(m1, m2).items():
+                    accumulate(terms, {(lm, ln): cr for ln, cr in right.items()}, c * cl)
+        return self._like(terms)
 
 
 def comultiply(x: GrothElement) -> TensorGroth:
@@ -127,25 +86,20 @@ def comultiply(x: GrothElement) -> TensorGroth:
     rank = ring.rank()
     terms: dict[tuple, Fraction] = {}
     for lam, coeff in x.terms.items():
-        splits = [((mp_empty(rank), mp_empty(rank)), 1)]
+        splits = {(mp_empty(rank), mp_empty(rank)): 1}
         for slot in range(rank):
             if not lam[slot]:
                 continue
-            nxt = []
-            for (mu, nu), c in splits:
+            nxt = {}
+            for (mu, nu), c in splits.items():
                 for alpha, beta, k in lr_splits(lam[slot]):
                     m2 = list(mu)
                     n2 = list(nu)
                     m2[slot] = alpha
                     n2[slot] = beta
-                    nxt.append(((tuple(m2), tuple(n2)), c * k))
+                    nxt[(tuple(m2), tuple(n2))] = c * k
             splits = nxt
-        for key, c in splits:
-            n = terms.get(key, Fraction(0)) + coeff * c
-            if n:
-                terms[key] = n
-            else:
-                terms.pop(key, None)
+        accumulate(terms, splits, coeff)
     return TensorGroth(ring, terms)
 
 
@@ -282,12 +236,7 @@ def theta_twist(f: SymSeries, ring: BaseRing, inverse: bool = False) -> SymSerie
         for parts, c in expansions:
             k2 = list(key)
             k2[slot] = tuple(sorted(parts, reverse=True))
-            k2 = tuple(k2)
-            n = terms.get(k2, Fraction(0)) + coeff * c
-            if n:
-                terms[k2] = n
-            else:
-                terms.pop(k2, None)
+            accumulate(terms, {tuple(k2): c}, coeff)
     return SymSeries(f.labels, "p", f.degree, terms)
 
 
@@ -303,19 +252,19 @@ def _mono_degree(m: Monomial) -> int:
     return sum(s[2] for s in m)
 
 
+def _merge_symbols(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(sorted(a + b))
+
+
 def poly_mul(a: Poly, b: Poly, degree: int) -> Poly:
     out: Poly = {}
-    for ka, ca in a.items():
-        da = _mono_degree(ka)
-        for kb, cb in b.items():
-            if da + _mono_degree(kb) > degree:
-                continue
-            k = tuple(sorted(ka + kb))
-            n = out.get(k, Fraction(0)) + ca * cb
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
+    for kb, cb in b.items():
+        room = degree - _mono_degree(kb)
+        accumulate(
+            out,
+            {_merge_symbols(ka, kb): ca for ka, ca in a.items() if _mono_degree(ka) <= room},
+            cb,
+        )
     return out
 
 
@@ -329,12 +278,7 @@ def poly_substitute(p: Poly, mapping, degree: int) -> Poly:
             acc = poly_mul(acc, mapping(s), degree)
             if not acc:
                 break
-        for k, c in acc.items():
-            n = out.get(k, Fraction(0)) + coeff * c
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
+        accumulate(out, acc, coeff)
     return out
 
 
@@ -345,17 +289,7 @@ def _p_in_e_row(rho: Partition) -> dict[Partition, Fraction]:
 
     out: dict[Partition, Fraction] = {(): Fraction(1)}
     for l in rho:
-        row = power_in_e(l)
-        nxt: dict[Partition, Fraction] = {}
-        for ka, ca in out.items():
-            for kb, cb in row.items():
-                k = tuple(sorted(ka + kb, reverse=True))
-                n = nxt.get(k, Fraction(0)) + ca * cb
-                if n:
-                    nxt[k] = n
-                else:
-                    nxt.pop(k, None)
-        out = nxt
+        out = monomial_product(out, power_in_e(l), sf.merge_parts)
     return out
 
 
@@ -389,27 +323,14 @@ def formal_group_law(ring: BaseRing, degree: int) -> GroupLaw:
                     if not rho:
                         continue
                     family, v = (0, slot) if slot < k else (1, slot - k)
-                    row = _p_in_e_row(rho)
-                    nxt: Poly = {}
-                    for mono, c in acc.items():
-                        for kappa, c2 in row.items():
-                            sym_mono = tuple(
-                                sorted(mono + tuple((family, v, j) for j in kappa))
-                            )
-                            n = nxt.get(sym_mono, Fraction(0)) + c * c2
-                            if n:
-                                nxt[sym_mono] = n
-                            else:
-                                nxt.pop(sym_mono, None)
-                    acc = nxt
-                for mono, c in acc.items():
-                    if _mono_degree(mono) > degree:
-                        continue
-                    n = poly.get(mono, Fraction(0)) + c
-                    if n:
-                        poly[mono] = n
-                    else:
-                        poly.pop(mono, None)
+                    row = {
+                        tuple((family, v, j) for j in kappa): c
+                        for kappa, c in _p_in_e_row(rho).items()
+                    }
+                    acc = monomial_product(acc, row, _merge_symbols)
+                accumulate(
+                    poly, {m: c for m, c in acc.items() if _mono_degree(m) <= degree}
+                )
             for mono, c in poly.items():
                 if c.denominator != 1:
                     raise IntegralityError(

@@ -110,13 +110,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(kernels.partitions_of(n))
 
 
-def partitions_upto(n: int) -> list[Partition]:
-    out: list[Partition] = []
-    for k in range(n + 1):
-        out.extend(partitions(k))
-    return out
-
-
 @cache
 def multipartitions(num_labels: int, n: int) -> tuple[MultiPartition, ...]:
     """All assignments of partitions to the labels with total size exactly n."""

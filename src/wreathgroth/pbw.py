@@ -19,14 +19,24 @@ the combinatorial layer in ``groth``.
 """
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 from . import kernels
+from ._exact import (
+    Combination,
+    PowerSeries,
+    accumulate,
+    exp,
+    format_terms,
+    log1p,
+    row_reduce,
+)
 from .errors import DomainError, IntegralityError, MissingDataError
 from .groth import GrothElement, mobius
 from .partitions import (
     MultiPartition,
     mp_empty,
+    mp_single,
     mp_total,
     multipartitions,
 )
@@ -58,13 +68,6 @@ def word_for_mp(mp: MultiPartition) -> tuple:
     return tuple(sorted(out))
 
 
-def mp_for_word(w: tuple, rank: int) -> MultiPartition:
-    slots = [[] for _ in range(rank)]
-    for s in w:
-        slots[sym_index(s)].append(sym_level(s))
-    return tuple(tuple(sorted(p, reverse=True)) for p in slots)
-
-
 def format_word(w: tuple, ring: BaseRing) -> str:
     if not w:
         return "1"
@@ -79,19 +82,22 @@ def normal_order(ring: BaseRing, word) -> "PBWElement":
     return PBWElement(ring, word_degree(encoded), {w: Fraction(c) for w, c in got.items()})
 
 
-class PBWElement:
-    """Sparse rational combination of normal words, truncated by filtration."""
+class PBWElement(Combination):
+    """Sparse rational combination of normal words, truncated by filtration.
 
-    __slots__ = ("ring", "degree", "terms")
+    Equality ignores the truncation degree."""
+
+    __slots__ = ("ring", "degree")
+    _context = ("ring", "degree")
+    _compared = ("ring",)
 
     def __init__(self, ring: BaseRing, degree: int, terms=None):
         self.ring = ring
         self.degree = degree
-        self.terms: dict[tuple, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                if c and word_degree(w) <= degree:
-                    self.terms[w] = Fraction(c)
+        super().__init__(terms)
+
+    def _fits(self, w) -> bool:
+        return word_degree(w) <= self.degree
 
     @classmethod
     def zero(cls, ring, degree):
@@ -107,30 +113,6 @@ class PBWElement:
             ring, degree, {(sym(l, u),): Fraction(c) for u, c in element.coeffs.items()}
         )
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            n = terms.get(w, Fraction(0)) + c
-            if n:
-                terms[w] = n
-            else:
-                terms.pop(w, None)
-        return PBWElement(self.ring, self.degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return PBWElement(self.ring, self.degree)
-        return PBWElement(
-            self.ring, self.degree, {w: v * c for w, v in self.terms.items()}
-        )
-
     def __mul__(self, other: "PBWElement") -> "PBWElement":
         comm = self.ring.commutator_table()
         D = self.degree
@@ -139,42 +121,14 @@ class PBWElement:
         for w1, c1 in self.terms.items():
             d1 = word_degree(w1)
             for w2, d2, c2 in bw:
-                if d1 + d2 > D:
-                    continue
-                c = c1 * c2
-                for w, n in kernels.normalize_product(w1, w2, comm).items():
-                    new = terms.get(w, Fraction(0)) + c * n
-                    if new:
-                        terms[w] = new
-                    else:
-                        terms.pop(w, None)
-        return PBWElement(self.ring, D, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWElement)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def top_part(self) -> "PBWElement":
-        d = max((word_degree(w) for w in self.terms), default=0)
-        return PBWElement(
-            self.ring, self.degree,
-            {w: c for w, c in self.terms.items() if word_degree(w) == d},
-        )
+                if d1 + d2 <= D:
+                    accumulate(terms, kernels.normalize_product(w1, w2, comm), c1 * c2)
+        return self._like(terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "PBW(0)"
-        bits = [
-            f"{c}*{format_word(w, self.ring)}"
-            for w, c in sorted(self.terms.items())
-        ]
-        return "PBW(" + " + ".join(bits) + ")"
+        return "PBW(" + format_terms(
+            (format_word(w, self.ring), c) for w, c in sorted(self.terms.items())
+        ) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +147,11 @@ class RingSeries:
         if terms:
             for k, vec in terms.items():
                 if mp_total(k) <= degree:
-                    vec = {u: Fraction(c) for u, c in vec.items() if c}
+                    vec = {
+                        u: c if type(c) is Fraction else Fraction(c)
+                        for u, c in vec.items()
+                        if c
+                    }
                     if vec:
                         self.terms[k] = vec
 
@@ -203,19 +161,17 @@ class RingSeries:
             raise DomainError("ring has no unit")
         return cls(ring, degree, {mp_empty(ring.rank()): dict(ring.unit)})
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
     def __add__(self, other):
         terms = {k: dict(v) for k, v in self.terms.items()}
         for k, vec in other.terms.items():
-            tv = terms.setdefault(k, {})
-            for u, c in vec.items():
-                n = tv.get(u, Fraction(0)) + c
-                if n:
-                    tv[u] = n
-                else:
-                    tv.pop(u, None)
-            if not tv:
-                terms.pop(k)
+            accumulate(terms.setdefault(k, {}), vec)
         return RingSeries(self.ring, self.degree, terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
@@ -232,79 +188,35 @@ class RingSeries:
             for k2, v2 in other.terms.items():
                 if d1 + mp_total(k2) > D:
                     continue
-                key = tuple(merge_parts(a, b) for a, b in zip(k1, k2))
-                tv = terms.setdefault(key, {})
+                tv = terms.setdefault(tuple(map(merge_parts, k1, k2)), {})
                 for i, c1 in v1.items():
                     for j, c2 in v2.items():
-                        c12 = c1 * c2
-                        for u, n in ring.tensor[(i, j)].items():
-                            new = tv.get(u, Fraction(0)) + c12 * n
-                            if new:
-                                tv[u] = new
-                            else:
-                                tv.pop(u, None)
-                if not tv:
-                    terms.pop(key)
+                        accumulate(tv, ring.tensor[(i, j)], c1 * c2)
         return RingSeries(ring, D, terms)
 
-    def minus_one(self) -> "RingSeries":
-        one = RingSeries.one(self.ring, self.degree)
-        out = self + one.scale(-1)
-        key = mp_empty(self.ring.rank())
-        if key in out.terms:
-            raise DomainError("series must have constant term 1")
-        return out
 
-    def log(self) -> "RingSeries":
-        """log(self) for constant term 1, by the alternating power series."""
-        n = self.minus_one()
-        out = RingSeries(self.ring, self.degree)
-        power = RingSeries.one(self.ring, self.degree)
-        for k in range(1, self.degree + 1):
-            power = power * n
-            if not power.terms:
-                break
-            out = out + power.scale(Fraction((-1) ** (k - 1), k))
-        return out
-
-
-class MixedSeries:
+class MixedSeries(Combination):
     """Sparse map (power-sum multipartition key, PBW word) -> coefficient."""
 
-    __slots__ = ("ring", "degree", "terms")
+    __slots__ = ("ring", "degree")
+    _context = ("ring", "degree")
+    _compared = _context
 
     def __init__(self, ring, degree, terms=None):
         self.ring = ring
         self.degree = degree
-        self.terms: dict[tuple, Fraction] = {}
-        if terms:
-            for (k, w), c in terms.items():
-                if c and mp_total(k) <= degree:
-                    self.terms[(k, w)] = Fraction(c)
+        super().__init__(terms)
+
+    def _fits(self, key) -> bool:
+        return mp_total(key[0]) <= self.degree
 
     @classmethod
     def one(cls, ring, degree):
         return cls(ring, degree, {(mp_empty(ring.rank()), ()): Fraction(1)})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            n = terms.get(key, Fraction(0)) + c
-            if n:
-                terms[key] = n
-            else:
-                terms.pop(key, None)
-        return MixedSeries(self.ring, self.degree, terms)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return MixedSeries(
-            self.ring, self.degree, {k: v * c for k, v in self.terms.items()}
-        )
-
     def __mul__(self, other: "MixedSeries") -> "MixedSeries":
-        ring, D = self.ring, self.degree
-        comm = ring.commutator_table()
+        D = self.degree
+        comm = self.ring.commutator_table()
         terms: dict[tuple, Fraction] = {}
         bw = [(k, w, mp_total(k), c) for (k, w), c in other.terms.items()]
         for (k1, w1), c1 in self.terms.items():
@@ -312,29 +224,10 @@ class MixedSeries:
             for k2, w2, d2, c2 in bw:
                 if d1 + d2 > D:
                     continue
-                key = tuple(merge_parts(a, b) for a, b in zip(k1, k2))
-                c = c1 * c2
-                for w, n in kernels.normalize_product(w1, w2, comm).items():
-                    kk = (key, w)
-                    new = terms.get(kk, Fraction(0)) + c * n
-                    if new:
-                        terms[kk] = new
-                    else:
-                        terms.pop(kk, None)
-        return MixedSeries(ring, D, terms)
-
-    def exp(self) -> "MixedSeries":
-        """exp of a series with no constant term."""
-        if any(not k and not w for (k, w) in self.terms):
-            raise DomainError("exp needs a series without constant term")
-        out = MixedSeries.one(self.ring, self.degree)
-        power = MixedSeries.one(self.ring, self.degree)
-        for k in range(1, self.degree + 1):
-            power = power * self
-            if not power.terms:
-                break
-            out = out + power.scale(Fraction(1, factorial(k)))
-        return out
+                key = tuple(map(merge_parts, k1, k2))
+                product = kernels.normalize_product(w1, w2, comm)
+                accumulate(terms, {(key, w): n for w, n in product.items()}, c1 * c2)
+        return self._like(terms)
 
 
 def apply_t(l: int, x: RingSeries, degree: int) -> MixedSeries:
@@ -348,22 +241,23 @@ def apply_t(l: int, x: RingSeries, degree: int) -> MixedSeries:
 
 def theta(l: int, x: RingSeries, degree: int) -> MixedSeries:
     """Theta_l(x) = exp(T_l(log x)) for a series with constant term 1."""
-    return apply_t(l, x.log(), degree).exp()
+    one = RingSeries.one(x.ring, x.degree)
+    n = x - one
+    if mp_empty(x.ring.rank()) in n.terms:
+        raise DomainError("series must have constant term 1")
+    logx = log1p(n, one, x.degree)
+    return exp(apply_t(l, logx, degree), MixedSeries.one(x.ring, degree), degree)
 
 
 def generating_series(ring: BaseRing, degree: int) -> MixedSeries:
     """prod_{l<=degree} Theta_l(1 + sum_U p_l(x_U) U); levels above the
     truncation cannot reach degree <= D since T_l has filtration degree l."""
+    rank = ring.rank()
     out = MixedSeries.one(ring, degree)
     for l in range(1, degree + 1):
-        arg = RingSeries.one(ring, degree)
-        key = list(mp_empty(ring.rank()))
-        for u in range(ring.rank()):
-            key[u] = (l,)
-            arg = arg + RingSeries(
-                ring, degree, {tuple(key): {u: 1}}
-            )
-            key[u] = ()
+        arg = RingSeries.one(ring, degree) + RingSeries(
+            ring, degree, {mp_single(rank, u, (l,)): {u: 1} for u in range(rank)}
+        )
         out = out * theta(l, arg, degree)
     return out
 
@@ -390,35 +284,24 @@ def schur_coefficients(series: MixedSeries) -> dict[MultiPartition, PBWElement]:
     """Re-expand the power-sum symmetric side of a mixed series in Schur
     keys, giving each key's PBW coefficient."""
     ring = series.ring
-    degree = series.degree
     rank = ring.rank()
-    table: dict[MultiPartition, dict[tuple, Fraction]] = {}
+    flat: dict[tuple, Fraction] = {}
     for (pkey, w), coeff in series.terms.items():
         # expand the power-sum key into Schur keys slot by slot
-        expansions = [((), Fraction(1))]
-        slots = [i for i in range(rank) if pkey[i]]
-        for i in slots:
-            row = p_to_schur_row(pkey[i])
-            expansions = [
-                (pref + (kappa,), c * n)
-                for pref, c in expansions
-                for kappa, n in row.items()
-            ]
-        for seq, c in expansions:
-            skey = [()] * rank
-            for i, kappa in zip(slots, seq):
-                skey[i] = kappa
-            entry = table.setdefault(tuple(skey), {})
-            new = entry.get(w, Fraction(0)) + coeff * c
-            if new:
-                entry[w] = new
-            else:
-                entry.pop(w, None)
-    return {
-        mp: PBWElement(ring, degree, terms)
-        for mp, terms in table.items()
-        if terms
-    }
+        expansions = {mp_empty(rank): 1}
+        for i in range(rank):
+            if pkey[i]:
+                row = p_to_schur_row(pkey[i])
+                expansions = {
+                    key[:i] + (kappa,) + key[i + 1:]: c * n
+                    for key, c in expansions.items()
+                    for kappa, n in row.items()
+                }
+        accumulate(flat, {(skey, w): c for skey, c in expansions.items()}, coeff)
+    table: dict[MultiPartition, dict[tuple, Fraction]] = {}
+    for (skey, w), c in flat.items():
+        table.setdefault(skey, {})[w] = c
+    return {mp: PBWElement(ring, series.degree, terms) for mp, terms in table.items()}
 
 
 def _build_ztable(ring, degree) -> dict[MultiPartition, PBWElement]:
@@ -430,63 +313,33 @@ def _invert_ztable(ring, ztable, degree):
 
     Per filtration degree n the top parts of the Z elements form a square
     invertible block against the words of degree n (both are counted by
-    multipartitions of n), solved by Gaussian elimination; the sub-top
+    multipartitions of n), solved by exact row reduction; the sub-top
     remainder is pushed onto already-inverted lower degrees.
     """
     word_to_z: dict[tuple, dict[MultiPartition, Fraction]] = {(): {mp_empty(ring.rank()): Fraction(1)}}
     for n in range(1, degree + 1):
-        mps = list(multipartitions(ring.rank(), n))
-        words = [word_for_mp(mp) for mp in mps]
-        index = {w: i for i, w in enumerate(words)}
-        m = len(mps)
-        # rows: words, columns: lam, augmented with identity over words
-        matrix = [[Fraction(0)] * m for _ in range(m)]
-        for j, lam in enumerate(mps):
+        mps = multipartitions(ring.rank(), n)
+        top = {lam: {} for lam in mps}
+        lower = {lam: {} for lam in mps}
+        for lam in mps:
             for w, c in ztable[lam].terms.items():
-                if word_degree(w) == n:
-                    matrix[index[w]][j] = c
-        inverse = _invert_matrix(matrix)
-        for i, w in enumerate(words):
-            coeffs = {
-                mps[j]: inverse[j][i] for j in range(m) if inverse[j][i]
-            }
-            # subtract the lower-degree tail of sum_j c_j Z_j to land on w
+                (top if word_degree(w) == n else lower)[lam][w] = c
+        # the reduced row at pivot word w is sum_lam c_lam Z_lam with top part w
+        pivots, _ = row_reduce((top[lam], {lam: 1}) for lam in mps)
+        if len(pivots) < len(mps):
+            raise IntegralityError("degenerate leading-term block; bug in the series")
+        for lam in mps:
+            w = word_for_mp(lam)
+            coeffs = pivots[w][1]
+            # subtract the lower-degree tail of sum_lam c_lam Z_lam to land on w
             remainder: dict[tuple, Fraction] = {}
-            for lam, c in coeffs.items():
-                for ww, cc in ztable[lam].terms.items():
-                    if word_degree(ww) < n:
-                        nn = remainder.get(ww, Fraction(0)) + c * cc
-                        if nn:
-                            remainder[ww] = nn
-                        else:
-                            remainder.pop(ww, None)
+            for mu, c in coeffs.items():
+                accumulate(remainder, lower[mu], c)
             out = dict(coeffs)
-            for ww, cc in remainder.items():
-                for lam, c in word_to_z[ww].items():
-                    nn = out.get(lam, Fraction(0)) - cc * c
-                    if nn:
-                        out[lam] = nn
-                    else:
-                        out.pop(lam, None)
+            for ww, c in remainder.items():
+                accumulate(out, word_to_z[ww], -c)
             word_to_z[w] = out
     return word_to_z
-
-
-def _invert_matrix(matrix):
-    m = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col]), None)
-        if pivot is None:
-            raise IntegralityError("degenerate leading-term block; bug in the series")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
 
 
 def z_element_pbw(ring: BaseRing, mp: MultiPartition, degree=None) -> PBWElement:
@@ -506,12 +359,7 @@ def to_z_basis(x: PBWElement) -> GrothElement:
     data = _zdata(x.ring, max((word_degree(w) for w in x.terms), default=0))
     terms: dict[MultiPartition, Fraction] = {}
     for w, c in x.terms.items():
-        for lam, v in data.word_to_z[w].items():
-            n = terms.get(lam, Fraction(0)) + c * v
-            if n:
-                terms[lam] = n
-            else:
-                terms.pop(lam, None)
+        accumulate(terms, data.word_to_z[w], c)
     return GrothElement(x.ring, terms)
 
 
@@ -531,158 +379,41 @@ def oracle_multiply(ring: BaseRing, mu, nu, degree=None) -> GrothElement:
 # ---------------------------------------------------------------------------
 # univariate series in t with PBW coefficients
 
-class TSeries:
-    __slots__ = ("ring", "degree", "coeffs")
+class TSeries(PowerSeries):
+    """A t-series with PBW coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, ring, degree, coeffs=None):
-        self.ring = ring
-        self.degree = degree
-        self.coeffs: dict[int, PBWElement] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if k <= degree and not v.is_zero():
-                    self.coeffs[k] = v
+        super().__init__(PBWElement.zero(ring, degree), degree, coeffs)
+
+    @property
+    def ring(self) -> BaseRing:
+        return self.zero.ring
 
     @classmethod
     def one(cls, ring, degree):
         return cls(ring, degree, {0: PBWElement.one(ring, degree)})
 
-    def coefficient(self, k: int) -> PBWElement:
-        return self.coeffs.get(k, PBWElement.zero(self.ring, self.degree))
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return TSeries(self.ring, self.degree, out)
+def theta_t(l: int, arg: dict[int, dict[int, int]], ring, degree) -> TSeries:
+    """Theta_l of a t-series with ring coefficients (constant term 1).
 
-    def scale(self, c):
-        return TSeries(
-            self.ring, self.degree, {k: v.scale(c) for k, v in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out: dict[int, PBWElement] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                if k1 + k2 > self.degree:
-                    continue
-                prod = v1 * v2
-                s = out.get(k1 + k2)
-                out[k1 + k2] = prod if s is None else s + prod
-        return TSeries(self.ring, self.degree, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TSeries)
-            and self.degree == other.degree
-            and {k: v.terms for k, v in self.coeffs.items() if not v.is_zero()}
-            == {k: v.terms for k, v in other.coeffs.items() if not v.is_zero()}
-        )
-
-    def log(self) -> "TSeries":
-        n = self + TSeries.one(self.ring, self.degree).scale(-1)
-        if 0 in n.coeffs:
-            raise DomainError("log needs constant term 1")
-        out = TSeries(self.ring, self.degree)
-        power = TSeries.one(self.ring, self.degree)
-        for k in range(1, self.degree + 1):
-            power = power * n
-            if not power.coeffs:
-                break
-            out = out + power.scale(Fraction((-1) ** (k - 1), k))
-        return out
-
-    def exp(self) -> "TSeries":
-        if 0 in self.coeffs:
-            raise DomainError("exp needs vanishing constant term")
-        out = TSeries.one(self.ring, self.degree)
-        power = TSeries.one(self.ring, self.degree)
-        for k in range(1, self.degree + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            out = out + power.scale(Fraction(1, factorial(k)))
-        return out
-
-    def inverse(self) -> "TSeries":
-        c0 = self.coeffs.get(0)
-        if c0 is None or c0.terms != {(): Fraction(1)}:
-            raise DomainError("series inverse needs constant term 1")
-        inv = {0: PBWElement.one(self.ring, self.degree)}
-        for k in range(1, self.degree + 1):
-            acc = PBWElement.zero(self.ring, self.degree)
-            for i in range(1, k + 1):
-                ci = self.coeffs.get(i)
-                if ci is not None and (k - i) in inv:
-                    acc = acc + ci * inv[k - i]
-            inv[k] = acc.scale(-1)
-        return TSeries(self.ring, self.degree, inv)
-
-
-def theta_t(l: int, arg: dict[int, dict[int, Fraction]], ring, degree) -> TSeries:
-    """Theta_l of a t-series with ring coefficients (constant term 1)."""
-    if ring.unit is None:
-        raise DomainError("ring has no unit")
-    one = {0: {u: Fraction(c) for u, c in ring.unit.items()}}
-    # log of the argument within the t-series algebra over the ring
-    n: dict[int, dict[int, Fraction]] = {}
-    for k, vec in arg.items():
-        vec = {u: Fraction(c) for u, c in vec.items() if c}
-        if k == 0:
-            if vec != one[0]:
-                raise DomainError("theta argument needs constant term 1")
-            continue
-        if vec and k <= degree:
-            n[k] = vec
-
-    def rmul(a, b):
-        out: dict[int, dict[int, Fraction]] = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                if k1 + k2 > degree:
-                    continue
-                tv = out.setdefault(k1 + k2, {})
-                for i, c1 in v1.items():
-                    for j, c2 in v2.items():
-                        c12 = c1 * c2
-                        for u, m in ring.tensor[(i, j)].items():
-                            nn = tv.get(u, Fraction(0)) + c12 * m
-                            if nn:
-                                tv[u] = nn
-                            else:
-                                tv.pop(u, None)
-        return {k: v for k, v in out.items() if v}
-
-    logx: dict[int, dict[int, Fraction]] = {}
-    power = {0: dict(one[0])}
-    for k in range(1, degree + 1):
-        power = rmul(power, n)
-        if not power:
-            break
-        scale = Fraction((-1) ** (k - 1), k)
-        for e, vec in power.items():
-            tv = logx.setdefault(e, {})
-            for u, c in vec.items():
-                nn = tv.get(u, Fraction(0)) + c * scale
-                if nn:
-                    tv[u] = nn
-                else:
-                    tv.pop(u, None)
-    # apply T_l and exponentiate
-    lin = TSeries(
-        ring, degree,
-        {
-            e: PBWElement(ring, degree, {(sym(l, u),): c for u, c in vec.items()})
-            for e, vec in logx.items()
-            if vec
-        },
-    )
-    return lin.exp()
+    The argument is held as a t-series whose coefficients are constant
+    RingSeries (elements of R (x) Q), so the one truncated log applies."""
+    empty = mp_empty(ring.rank())
+    one = RingSeries.one(ring, 0)
+    unit = PowerSeries(one.scale(0), degree, {0: one})
+    x = PowerSeries(
+        unit.zero, degree, {k: RingSeries(ring, 0, {empty: vec}) for k, vec in arg.items()}
+    ) - unit
+    if 0 in x.coeffs:
+        raise DomainError("theta argument needs constant term 1")
+    lin = TSeries(ring, degree, {
+        k: PBWElement(ring, degree, {(sym(l, u),): c for u, c in v.terms[empty].items()})
+        for k, v in log1p(x, unit, degree).coeffs.items()
+    })
+    return exp(lin, TSeries.one(ring, degree), degree)
 
 
 def e_series_pbw(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
@@ -718,7 +449,8 @@ def f_series_mobius(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
                 for k, v in e.coeffs.items()
             },
         )
-        total = total + sub.log().scale(Fraction(-m, r))
+        one = TSeries.one(ring, degree)
+        total = total + log1p(sub - one, one, degree).scale(Fraction(-m, r))
     return total
 
 
@@ -801,9 +533,8 @@ def antipode_pbw(x: PBWElement) -> PBWElement:
     """The anti-automorphism with S(T_l(U)) = -T_l(U): reverse each word,
     flip the sign per letter, renormalize."""
     comm = x.ring.commutator_table()
-    out = PBWElement.zero(x.ring, x.degree)
+    terms: dict[tuple, Fraction] = {}
     for w, c in x.terms.items():
-        sign = -1 if len(w) & 1 else 1
         got = kernels.normalize_product(tuple(reversed(w)), (), comm)
-        out = out + PBWElement(x.ring, x.degree, got).scale(c * sign)
-    return out
+        accumulate(terms, got, -c if len(w) & 1 else c)
+    return PBWElement(x.ring, x.degree, terms)

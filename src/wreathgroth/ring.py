@@ -11,20 +11,10 @@ import json
 import re
 from functools import cache
 
+from ._exact import accumulate, format_terms
 from .errors import ConfigError, DomainError, MissingDataError
 
 Vec = dict[int, int]  # sparse integer vector over basis indices
-
-
-def _vec_add(a: Vec, b: Vec, scale: int = 1) -> Vec:
-    out = dict(a)
-    for i, c in b.items():
-        n = out.get(i, 0) + scale * c
-        if n:
-            out[i] = n
-        else:
-            out.pop(i, None)
-    return out
 
 
 def _vec_scale(a: Vec, c: int) -> Vec:
@@ -56,11 +46,11 @@ class RingElement:
 
     def __add__(self, other):
         self._check(other)
-        return RingElement(self.ring, _vec_add(self.coeffs, other.coeffs))
+        return RingElement(self.ring, accumulate(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
         self._check(other)
-        return RingElement(self.ring, _vec_add(self.coeffs, other.coeffs, -1))
+        return RingElement(self.ring, accumulate(dict(self.coeffs), other.coeffs, -1))
 
     def __neg__(self):
         return RingElement(self.ring, _vec_scale(self.coeffs, -1))
@@ -169,12 +159,7 @@ class BaseRing:
         out: Vec = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                for k, c in self.tensor[(i, j)].items():
-                    n = out.get(k, 0) + ca * cb * c
-                    if n:
-                        out[k] = n
-                    else:
-                        out.pop(k, None)
+                accumulate(out, self.tensor[(i, j)], ca * cb)
         return out
 
     def commutator_table(self) -> dict[tuple[int, int], tuple]:
@@ -184,7 +169,7 @@ class BaseRing:
             got = {}
             for u in range(self.rank()):
                 for v in range(u):
-                    diff = _vec_add(self.tensor[(u, v)], self.tensor[(v, u)], -1)
+                    diff = accumulate(dict(self.tensor[(u, v)]), self.tensor[(v, u)], -1)
                     if diff:
                         got[(u, v)] = tuple(sorted(diff.items()))
             self._caches["comm"] = got
@@ -214,7 +199,7 @@ class BaseRing:
         cols = self.adams[d]
         out: Vec = {}
         for i, c in a.coeffs.items():
-            out = _vec_add(out, cols[i], c)
+            accumulate(out, cols[i], c)
         return RingElement(self, out)
 
     def has_lambda(self) -> bool:
@@ -384,36 +369,14 @@ def parse_element(ring: BaseRing, text: str) -> RingElement:
             raise ConfigError(
                 f"unknown basis label {label!r}; ring has {list(ring.labels)}"
             )
-        k = ring.labels.index(label)
-        n = out.get(k, 0) + sign * coeff
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
+        accumulate(out, {ring.labels.index(label): coeff}, sign)
         sign = 1
         i = j
     return RingElement(ring, out)
 
 
 def format_element(a: RingElement) -> str:
-    if not a.coeffs:
-        return "0"
-    bits = []
-    for i, c in a.coeffs.items():
-        label = a.ring.labels[i]
-        if c == 1:
-            bits.append(("+", label))
-        elif c == -1:
-            bits.append(("-", label))
-        elif c > 0:
-            bits.append(("+", f"{c}*{label}"))
-        else:
-            bits.append(("-", f"{-c}*{label}"))
-    sign, first = bits[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, chunk in bits[1:]:
-        out += f" {sign} {chunk}"
-    return out
+    return format_terms((a.ring.labels[i], c) for i, c in a.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +458,8 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
         tables = _expect_object(data["adams"], "adams", "degree -> table")
         for dkey, table in tables.items():
             d = _parse_int_key(dkey, "adams")
+            if d < 1:
+                raise ConfigError(f"adams: degree {d} must be positive")
             _expect_object(table, f"adams[{d}]", "label -> image")
             cols: list[Vec] = []
             for lab in labels:
@@ -514,6 +479,8 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
             _expect_object(table, f"lambda[{lab}]", "r -> vector")
             for rkey, vec in table.items():
                 r = _parse_int_key(rkey, f"lambda[{lab}]")
+                if r < 0:
+                    raise ConfigError(f"lambda[{lab}]: degree {r} must be non-negative")
                 lam[(u, r)] = _parse_vec(labels, vec, f"lambda[{lab}][{r}]")
                 rmax = max(rmax, r)
     return BaseRing(labels, tensor, unit=unit, adams=adams, lambda_ops=lam,

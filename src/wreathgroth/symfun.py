@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
+from ._exact import Combination, accumulate, exp, format_terms
 from .errors import DomainError
 from .partitions import (
     MultiPartition,
@@ -76,19 +77,20 @@ def merge_parts(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
-class SymSeries:
-    __slots__ = ("labels", "basis", "degree", "terms")
+class SymSeries(Combination):
+    __slots__ = ("labels", "basis", "degree")
+    _context = ("labels", "basis", "degree")
+    _compared = _context
 
     def __init__(self, labels, basis, degree, terms=None):
         assert basis in ("p", "s")
         self.labels = tuple(labels)
         self.basis = basis
         self.degree = degree
-        self.terms: dict[MultiPartition, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff and mp_total(key) <= degree:
-                    self.terms[key] = Fraction(coeff)
+        super().__init__(terms)
+
+    def _fits(self, key) -> bool:
+        return mp_total(key) <= self.degree
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -116,55 +118,13 @@ class SymSeries:
                 f"truncation mismatch: {self.degree} vs {other.degree}"
             )
 
-    def coefficient(self, key: MultiPartition) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymSeries)
-            and self.labels == other.labels
-            and self.basis == other.basis
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.basis, self.degree, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"SymSeries({self.basis}, D={self.degree}, {format_series(self)})"
-
-    # -- linear structure ----------------------------------------------------
-    def __add__(self, other: "SymSeries") -> "SymSeries":
+    def _check(self, other: "SymSeries"):
         self._check_compatible(other)
         if self.basis != other.basis:
             raise DomainError("cannot add series held in different bases")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, Fraction(0)) + coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        return SymSeries(self.labels, self.basis, self.degree, terms)
 
-    def __sub__(self, other: "SymSeries") -> "SymSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymSeries":
-        c = Fraction(c)
-        if not c:
-            return SymSeries.zero(self.labels, self.basis, self.degree)
-        return SymSeries(
-            self.labels, self.basis, self.degree,
-            {key: coeff * c for key, coeff in self.terms.items()},
-        )
+    def __repr__(self):
+        return f"SymSeries({self.basis}, D={self.degree}, {format_series(self)})"
 
     def __mul__(self, other: "SymSeries") -> "SymSeries":
         return multiply(self, other)
@@ -377,12 +337,7 @@ def evaluate_geometric(f: SymSeries, label: str, r: int) -> dict[int, Fraction]:
                 raise DomainError(
                     "evaluate_geometric needs a series in the named set only"
                 )
-        e = r * sum(key[slot])
-        new = out.get(e, Fraction(0)) + coeff
-        if new:
-            out[e] = new
-        else:
-            out.pop(e, None)
+        accumulate(out, {r * sum(key[slot]): coeff})
     return out
 
 
@@ -423,42 +378,19 @@ def cauchy_kernel(degree: int) -> SymSeries:
     whenever 2n <= degree.
     """
     labels = ("x", "y")
-    arg = SymSeries.zero(labels, "p", degree)
-    for l in range(1, degree // 2 + 1):
-        arg = arg + SymSeries(labels, "p", degree, {((l,), (l,)): Fraction(1, l)})
-    out = SymSeries.one(labels, "p", degree)
-    power = SymSeries.one(labels, "p", degree)
-    k = 1
-    while True:
-        power = multiply(power, arg)
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1, factorial(k)))
-        k += 1
-    return out
+    arg = SymSeries(
+        labels, "p", degree,
+        {((l,), (l,)): Fraction(1, l) for l in range(1, degree // 2 + 1)},
+    )
+    return exp(arg, SymSeries.one(labels, "p", degree), degree)
 
 
 def format_series(f: SymSeries) -> str:
     """Sorted `coeff * s{...}`/`coeff * p{...}` rendering used by --dump."""
-    if not f.terms:
-        return "0"
-    bits = []
-    for key in sorted(f.terms, key=mp_sort_key):
-        coeff = f.terms[key]
-        body = f.basis + _format_mp(key, f.labels)
-        if coeff == 1:
-            bits.append(("+", body))
-        elif coeff == -1:
-            bits.append(("-", body))
-        elif coeff > 0:
-            bits.append(("+", f"{coeff}*{body}"))
-        else:
-            bits.append(("-", f"{-coeff}*{body}"))
-    sign, first = bits[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, chunk in bits[1:]:
-        text += f" {sign} {chunk}"
-    return text
+    return format_terms(
+        (f.basis + _format_mp(key, f.labels), f.terms[key])
+        for key in sorted(f.terms, key=mp_sort_key)
+    )
 
 
 def _format_mp(key: MultiPartition, labels) -> str:

@@ -15,6 +15,7 @@ from . import groth as gr
 from . import hopf
 from . import pbw
 from . import symfun as sf
+from ._exact import accumulate, reduce, row_reduce
 from .errors import MissingDataError
 from .groth import GrothElement
 from .partitions import (
@@ -308,53 +309,34 @@ def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
 def _change_basis(ring: BaseRing, mat: list[list[int]]) -> BaseRing:
     """Ring presented on the new basis b_i = sum_j mat[i][j] u_j (mat unimodular)."""
     n = ring.rank()
-    inv = _integer_inverse(mat)
+    pivots, det = row_reduce(
+        ({j: c for j, c in enumerate(row) if c}, {i: 1}) for i, row in enumerate(mat)
+    )
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+
+    def in_new_basis(vec):
+        # u_p = sum_k inverse[p][k] b_k, the tags of pivot p
+        out = {}
+        for p, c in vec.items():
+            accumulate(out, pivots[p][1], c)
+        return out
+
     tensor = {}
     for i in range(n):
         for j in range(n):
             bi = RingElement(ring, {p: mat[i][p] for p in range(n)})
             bj = RingElement(ring, {q: mat[j][q] for q in range(n)})
-            prod = (bi * bj).coeffs
-            vec = {}
-            for k in range(n):
-                c = sum(prod.get(p, 0) * inv[p][k] for p in range(n))
-                if c:
-                    vec[k] = c
-            tensor[(i, j)] = vec
-    unit = None
-    if ring.unit is not None:
-        unit = {}
-        for k in range(n):
-            c = sum(ring.unit.get(p, 0) * inv[p][k] for p in range(n))
-            if c:
-                unit[k] = c
+            tensor[(i, j)] = in_new_basis((bi * bj).coeffs)
+    unit = None if ring.unit is None else in_new_basis(ring.unit)
     labels = tuple(f"b{i}" for i in range(n))
     return BaseRing(labels, tensor, unit=unit, name=f"{ring.name}'")
 
 
-def _integer_inverse(mat):
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                g = aug[r][col]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
-
-
 def basis_independence_matrix(ring: BaseRing, degree: int):
     """Coordinates of the alternative-basis Z elements in the original Z
-    basis, as a square matrix over all keys of size <= degree."""
+    basis: one sparse row {key: coefficient} per key of size <= degree, a
+    square matrix over those keys."""
     n = ring.rank()
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 1:
@@ -362,10 +344,8 @@ def basis_independence_matrix(ring: BaseRing, degree: int):
     else:
         mat[1][0] = 1  # b_1 = u_0 + u_1, the rest unchanged
     other = _change_basis(ring, mat)
-    keys = multipartitions_upto(n, degree)
-    index = {k: i for i, k in enumerate(keys)}
     rows = []
-    for lam in keys:
+    for lam in multipartitions_upto(n, degree):
         z_prime = pbw.z_element_pbw(other, lam, degree)
         transported = pbw.PBWElement.zero(ring, degree)
         for word, c in z_prime.terms.items():
@@ -378,33 +358,8 @@ def basis_independence_matrix(ring: BaseRing, degree: int):
                 )
                 acc = acc * gen
             transported = transported + acc.scale(c)
-        vec = pbw.to_z_basis(transported)
-        row = [Fraction(0)] * len(keys)
-        for key, c in vec.terms.items():
-            row[index[key]] = c
-        rows.append(row)
+        rows.append(pbw.to_z_basis(transported).terms)
     return rows
-
-
-def _determinant(rows) -> Fraction:
-    m = [row[:] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        f = m[col][col]
-        m[col] = [x / f for x in m[col]]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                g = m[r][col]
-                m[r] = [x - g * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def suite_presentation(ring: BaseRing, degree: int, seed: int) -> Report:
@@ -462,10 +417,10 @@ def suite_presentation(ring: BaseRing, degree: int, seed: int) -> Report:
         d = min(degree, 3)
         rows = basis_independence_matrix(ring, d)
         for row in rows:
-            for x in row:
+            for x in row.values():
                 if x.denominator != 1:
                     return False, "transported basis has fractional coordinates"
-        det = _determinant(rows)
+        _, det = row_reduce((row, {}) for row in rows)
         if det not in (1, -1):
             return False, f"change of basis has determinant {det}"
         return True, ""
@@ -488,17 +443,14 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
     def coassociativity():
         for lam in keys3:
             x = GrothElement.basis(ring, lam)
-            dlt = hopf.comultiply(x)
             left: dict = {}
             right: dict = {}
-            for (mu, nu), c in dlt.terms.items():
-                for (a, b), c2 in hopf.comultiply(GrothElement.basis(ring, mu)).terms.items():
-                    key = (a, b, nu)
-                    left[key] = left.get(key, Fraction(0)) + c * c2
-                for (a, b), c2 in hopf.comultiply(GrothElement.basis(ring, nu)).terms.items():
-                    key = (mu, a, b)
-                    right[key] = right.get(key, Fraction(0)) + c * c2
-            if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
+            for (mu, nu), c in hopf.comultiply(x).terms.items():
+                d_mu = hopf.comultiply(GrothElement.basis(ring, mu)).terms
+                accumulate(left, {(a, b, nu): c2 for (a, b), c2 in d_mu.items()}, c)
+                d_nu = hopf.comultiply(GrothElement.basis(ring, nu)).terms
+                accumulate(right, {(mu, a, b): c2 for (a, b), c2 in d_nu.items()}, c)
+            if left != right:
                 return False, f"fails at {format_multipartition(lam, ring.labels)}"
         return True, ""
 
@@ -508,16 +460,12 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
         empty = mp_empty(ring.rank())
         for lam in keys3:
             dlt = hopf.comultiply(GrothElement.basis(ring, lam))
-            left: dict = {}
-            right: dict = {}
-            for (mu, nu), c in dlt.terms.items():
-                if mu == empty:
-                    left[nu] = left.get(nu, Fraction(0)) + c
-                if nu == empty:
-                    right[mu] = right.get(mu, Fraction(0)) + c
-            if {k: v for k, v in left.items() if v} != {lam: Fraction(1)}:
+            # the (empty, nu) keys are distinct, so nothing needs summing
+            left = {nu: c for (mu, nu), c in dlt.terms.items() if mu == empty}
+            right = {mu: c for (mu, nu), c in dlt.terms.items() if nu == empty}
+            if left != {lam: Fraction(1)}:
                 return False, f"(eps (x) id) Delta fails at {lam}"
-            if {k: v for k, v in right.items() if v} != {lam: Fraction(1)}:
+            if right != {lam: Fraction(1)}:
                 return False, f"(id (x) eps) Delta fails at {lam}"
         return True, ""
 
@@ -577,13 +525,14 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
 
     def dual_mult_vs_delta():
         keys2 = multipartitions_upto(ring.rank(), min(2, degree))
+        delta = {}
         for mu in keys2:
             for nu in keys2:
                 prod = hopf.dual_multiply(ring, mu, nu)
                 for lam in multipartitions_upto(ring.rank(), mp_total(mu) + mp_total(nu)):
-                    if prod.get(lam, 0) != hopf.comultiply(
-                        GrothElement.basis(ring, lam)
-                    ).coefficient(mu, nu):
+                    if lam not in delta:
+                        delta[lam] = hopf.comultiply(GrothElement.basis(ring, lam))
+                    if prod.get(lam, 0) != delta[lam].coefficient(mu, nu):
                         return False, f"fails at ({mu},{nu},{lam})"
         return True, ""
 
@@ -604,30 +553,17 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
     def sub_hopf_closure():
         k, D = 2, min(3, degree)
         span = gr.gk_spanning_set(ring, k, D)
-        keys = multipartitions_upto(ring.rank(), D)
-        index = {key: i for i, key in enumerate(keys)}
-        vectors = []
+        echelon, _ = row_reduce((el.terms, {}) for _, el in span)
         for _, el in span:
-            row = [Fraction(0)] * len(keys)
-            for key, c in el.terms.items():
-                row[index[key]] = c
-            vectors.append(row)
-        echelon = _echelonize(vectors)
-
-        def in_span(vec):
-            return _reduces_to_zero(vec, echelon)
-
-        for _, el in span:
-            dlt = hopf.comultiply(el)
             # matrix over (key1, key2); membership in span (x) span means
             # both the column space and the row space lie in the span
             rows: dict = {}
             cols: dict = {}
-            for (mu, nu), c in dlt.terms.items():
-                rows.setdefault(mu, [Fraction(0)] * len(keys))[index[nu]] += c
-                cols.setdefault(nu, [Fraction(0)] * len(keys))[index[mu]] += c
+            for (mu, nu), c in hopf.comultiply(el).terms.items():
+                rows.setdefault(mu, {})[nu] = c
+                cols.setdefault(nu, {})[mu] = c
             for vec in list(rows.values()) + list(cols.values()):
-                if not in_span(vec):
+                if reduce(vec, echelon):
                     return False, "coproduct leaves the bounded-degree subalgebra"
         return True, ""
 
@@ -637,31 +573,6 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
         sub_hopf_closure,
     )
     return rep
-
-
-def _echelonize(vectors):
-    echelon: list = []
-    for vec in vectors:
-        vec = _reduce(vec, echelon)
-        if any(vec):
-            lead = next(i for i, x in enumerate(vec) if x)
-            inv = Fraction(1) / vec[lead]
-            echelon.append((lead, [x * inv for x in vec]))
-            echelon.sort(key=lambda t: t[0])
-    return echelon
-
-
-def _reduce(vec, echelon):
-    vec = vec[:]
-    for lead, row in echelon:
-        if vec[lead]:
-            f = vec[lead]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return vec
-
-
-def _reduces_to_zero(vec, echelon):
-    return not any(_reduce(vec, echelon))
 
 
 # ---------------------------------------------------------------------------

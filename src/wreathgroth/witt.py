@@ -13,34 +13,12 @@ story, the formal group law on the e-coordinates, lives in ``hopf``.
 from functools import cache
 from itertools import permutations
 
+from ._exact import accumulate, monomial_product
 from .errors import DomainError
 from .partitions import Partition, conjugate, partitions
+from .symfun import merge_parts
 
 EPoly = dict[Partition, int]  # integer polynomial in e_1, e_2, ...; key = index multiset
-
-
-def _epoly_add(a: EPoly, b: EPoly, scale: int = 1) -> EPoly:
-    out = dict(a)
-    for k, c in b.items():
-        n = out.get(k, 0) + scale * c
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _epoly_mul(a: EPoly, b: EPoly) -> EPoly:
-    out: EPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = tuple(sorted(ka + kb, reverse=True))
-            n = out.get(k, 0) + ca * cb
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-    return out
 
 
 @cache
@@ -69,12 +47,8 @@ def schur_in_e(lam: Partition) -> EPoly:
         if dead:
             continue
         k = tuple(sorted(key, reverse=True))
-        n = out.get(k, 0) + sign
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
+        out[k] = out.get(k, 0) + sign
+    return {k: c for k, c in out.items() if c}
 
 
 @cache
@@ -85,8 +59,8 @@ def power_in_e(n: int) -> EPoly:
         return {(): 1}
     out: EPoly = {(n,): (-1) ** (n - 1) * n}
     for k in range(1, n):
-        term = _epoly_mul({(k,): (-1) ** (k - 1)}, power_in_e(n - k))
-        out = _epoly_add(out, term)
+        e_k_p = monomial_product(power_in_e(n - k), {(k,): 1}, merge_parts)
+        accumulate(out, e_k_p, (-1) ** (k - 1))
     return out
 
 

@@ -119,10 +119,14 @@ C2_CONFIG = {
         {"lambda": {"e": [1]}},
         {"mult": 5},
         {"unit": {"e": True}},
+        {"adams": {"0": {"e": {"e": 1}, "g": {"e": 1}}}},
+        {"adams": {"-2": {"e": {"e": 1}, "g": {"e": 1}}}},
+        {"lambda": {"e": {"-1": {}}}},
     ],
     ids=[
         "adams-key", "lambda-key", "adams-list", "adams-table-string",
         "lambda-table-list", "mult-int", "bool-coefficient",
+        "adams-degree-zero", "adams-degree-negative", "lambda-degree-negative",
     ],
 )
 def test_malformed_ring_config_is_a_usage_error(tmp_path, capsys, override):

@@ -5,6 +5,7 @@ from wreathgroth import pbw
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
 from wreathgroth import verify
+from wreathgroth._exact import row_reduce
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
 
 
@@ -59,18 +60,18 @@ def test_run_suite_rejects_unknown_name():
 def test_basis_independence_matrix_is_unimodular():
     rows = verify.basis_independence_matrix(C2, 2)
     for row in rows:
-        for x in row:
+        for x in row.values():
             assert x.denominator == 1
-    assert verify._determinant(rows) in (1, -1)
+    assert row_reduce((row, {}) for row in rows)[1] in (1, -1)
 
 
 def test_determinant_helper():
     from fractions import Fraction
 
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert verify._determinant(rows) == 1
-    rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    assert verify._determinant(rows) == -1
+    rows = [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    assert row_reduce((row, {}) for row in rows)[1] == 1
+    rows = [{1: Fraction(1)}, {0: Fraction(1)}]
+    assert row_reduce((row, {}) for row in rows)[1] == -1
 
 
 def test_report_records_a_raising_check_and_runs_the_rest():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wreathgroth import witt
+from wreathgroth._exact import monomial_product
 from wreathgroth.errors import DomainError
 from wreathgroth.partitions import partitions
+from wreathgroth.symfun import merge_parts
 from wreathgroth.witt import WittVector
 
 
@@ -124,7 +126,7 @@ def test_schur_in_e_matches_character_route():
                 coeff = Fraction(chi, z_factor(mu))
                 row = {(): 1}
                 for part in mu:
-                    row = witt._epoly_mul(row, witt.power_in_e(part))
+                    row = monomial_product(row, witt.power_in_e(part), merge_parts)
                 for key, c in row.items():
                     via_p[key] = via_p.get(key, Fraction(0)) + coeff * c
             via_p = {k: v for k, v in via_p.items() if v}

@@ -9,7 +9,8 @@ every decision about such dicts that more than one layer needs:
 - ``Combination`` is the base of the flat element classes (linear structure,
   equality, integrality), ``PowerSeries`` the truncated t-series over any of
   them;
-- ``exp`` and ``log1p`` are the one truncated exponential and logarithm;
+- ``exp`` and ``log1p`` are the one truncated exponential and logarithm,
+  both instances of ``power_sum``;
 - ``row_reduce`` and ``reduce`` are the one exact linear solver (inverse,
   determinant, echelon form and span membership);
 - ``format_terms`` is the one sign-aware printed form.
@@ -177,15 +178,15 @@ class PowerSeries:
             and self.coeffs == other.coeffs
         )
 
-    __hash__ = None
-
 
 # ---------------------------------------------------------------------------
-# truncated exponential and logarithm
+# truncated power series: the one loop, exp and log
 
-def _power_sum(x, one, degree: int, coefficient, out):
+def power_sum(x, one, degree: int, coefficient, out):
     """out + sum_{k>=1} coefficient(k) x^k, stopping after k = degree or at
-    the first power of x that vanishes."""
+    the first power of x that vanishes: the one loop behind every truncated
+    power series of a series x (with *, +, scale and is_zero; ``one`` its
+    unit)."""
     power = one
     for k in range(1, degree + 1):
         power = power * x
@@ -196,15 +197,14 @@ def _power_sum(x, one, degree: int, coefficient, out):
 
 
 def exp(x, one, degree: int):
-    """exp(x) for x without constant term, truncated (see ``_power_sum``);
-    x is any series with *, +, scale and is_zero, ``one`` its unit."""
-    return _power_sum(x, one, degree, lambda k: Fraction(1, factorial(k)), one)
+    """exp(x) for x without constant term, truncated as in ``power_sum``."""
+    return power_sum(x, one, degree, lambda k: Fraction(1, factorial(k)), one)
 
 
 def log1p(x, one, degree: int):
     """log(one + x) for x without constant term, truncated like ``exp``."""
     zero = one.scale(0)
-    return _power_sum(x, one, degree, lambda k: Fraction((-1) ** (k - 1), k), zero)
+    return power_sum(x, one, degree, lambda k: Fraction((-1) ** (k - 1), k), zero)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import cache
 
 from . import pbw
 from . import symfun as sf
-from ._exact import Combination, accumulate, monomial_product
+from ._exact import Combination, accumulate, monomial_product, power_sum
 from .errors import DomainError, IntegralityError
 from .groth import GrothElement, _substitution_plan, _doubled_labels, product_table
 from .partitions import (
@@ -88,17 +88,15 @@ def comultiply(x: GrothElement) -> TensorGroth:
     for lam, coeff in x.terms.items():
         splits = {(mp_empty(rank), mp_empty(rank)): 1}
         for slot in range(rank):
-            if not lam[slot]:
-                continue
-            nxt = {}
-            for (mu, nu), c in splits.items():
-                for alpha, beta, k in lr_splits(lam[slot]):
-                    m2 = list(mu)
-                    n2 = list(nu)
-                    m2[slot] = alpha
-                    n2[slot] = beta
-                    nxt[(tuple(m2), tuple(n2))] = c * k
-            splits = nxt
+            if lam[slot]:
+                splits = {
+                    (
+                        mu[:slot] + (alpha,) + mu[slot + 1:],
+                        nu[:slot] + (beta,) + nu[slot + 1:],
+                    ): c * k
+                    for (mu, nu), c in splits.items()
+                    for alpha, beta, k in lr_splits(lam[slot])
+                }
         accumulate(terms, splits, coeff)
     return TensorGroth(ring, terms)
 
@@ -130,14 +128,11 @@ def dual_multiply(ring: BaseRing, mu: MultiPartition, nu: MultiPartition) -> dic
     out: dict[MultiPartition, int] = {mp_empty(ring.rank()): 1}
     for slot in range(ring.rank()):
         row = sf.schur_product_row(mu[slot], nu[slot])
-        nxt: dict[MultiPartition, int] = {}
-        for key, c in out.items():
-            for kappa, k in row.items():
-                key2 = list(key)
-                key2[slot] = kappa
-                key2 = tuple(key2)
-                nxt[key2] = nxt.get(key2, 0) + c * k
-        out = nxt
+        out = {
+            key[:slot] + (kappa,) + key[slot + 1:]: c * k
+            for key, c in out.items()
+            for kappa, k in row.items()
+        }
     return out
 
 
@@ -159,22 +154,17 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
             for u in range(ring.rank())
         },
     )
-    total = pbw.RingSeries(ring, degree)
-    power = pbw.RingSeries.one(ring, degree)
-    for r in range(1, degree // l + 1):
-        power = power * base
-        if not power.terms:
-            break
-        total = total + power.scale((-1) ** r)
-    out = {}
-    for u in range(ring.rank()):
-        terms = {}
-        for key, vec in total.terms.items():
-            c = vec.get(u)
-            if c:
-                terms[key] = c
-        out[u] = SymSeries(ring.labels, "p", degree, terms)
-    return out
+    total = power_sum(
+        base, pbw.RingSeries.one(ring, degree), degree // l, lambda r: (-1) ** r,
+        pbw.RingSeries(ring, degree),
+    )
+    return {
+        u: SymSeries(
+            ring.labels, "p", degree,
+            {key: vec.get(u, 0) for key, vec in total.terms.items()},
+        )
+        for u in range(ring.rank())
+    }
 
 
 def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> SymSeries:

@@ -402,16 +402,16 @@ def theta_t(l: int, arg: dict[int, dict[int, int]], ring, degree) -> TSeries:
     The argument is held as a t-series whose coefficients are constant
     RingSeries (elements of R (x) Q), so the one truncated log applies."""
     empty = mp_empty(ring.rank())
-    one = RingSeries.one(ring, 0)
-    unit = PowerSeries(one.scale(0), degree, {0: one})
+    const = RingSeries.one(ring, 0)  # 1 in R (x) Q
+    one = PowerSeries(const.scale(0), degree, {0: const})
     x = PowerSeries(
-        unit.zero, degree, {k: RingSeries(ring, 0, {empty: vec}) for k, vec in arg.items()}
-    ) - unit
+        one.zero, degree, {k: RingSeries(ring, 0, {empty: vec}) for k, vec in arg.items()}
+    ) - one
     if 0 in x.coeffs:
         raise DomainError("theta argument needs constant term 1")
     lin = TSeries(ring, degree, {
         k: PBWElement(ring, degree, {(sym(l, u),): c for u, c in v.terms[empty].items()})
-        for k, v in log1p(x, unit, degree).coeffs.items()
+        for k, v in log1p(x, one, degree).coeffs.items()
     })
     return exp(lin, TSeries.one(ring, degree), degree)
 

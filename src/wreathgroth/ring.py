@@ -11,7 +11,7 @@ import json
 import re
 from functools import cache
 
-from ._exact import accumulate, format_terms
+from ._exact import PowerSeries, accumulate, format_terms, power_sum
 from .errors import ConfigError, DomainError, MissingDataError
 
 Vec = dict[int, int]  # sparse integer vector over basis indices
@@ -55,8 +55,10 @@ class RingElement:
     def __neg__(self):
         return RingElement(self.ring, _vec_scale(self.coeffs, -1))
 
-    def __rmul__(self, c: int):
+    def scale(self, c: int):
         return RingElement(self.ring, _vec_scale(self.coeffs, int(c)))
+
+    __rmul__ = scale
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -232,17 +234,18 @@ class BaseRing:
             raise MissingDataError(
                 f"lambda^{n} exceeds the declared bound r_max={self.lambda_rmax}"
             )
-        series = [self.one()] + [self.zero()] * n  # lambda_t(a) coefficients
+        one = PowerSeries(self.zero(), n, {0: self.one()})
+        series = one  # lambda_t(a)
         for u, c in a.coeffs.items():
-            col = [self.lambda_basis(u, r) for r in range(n + 1)]
-            if c > 0:
-                for _ in range(c):
-                    series = _series_mul(series, col, n)
-            else:
-                inv = _series_inverse(col, n, self)
-                for _ in range(-c):
-                    series = _series_mul(series, inv, n)
-        return series[n]
+            col = PowerSeries(
+                one.zero, n, {r: self.lambda_basis(u, r) for r in range(n + 1)}
+            )
+            if c < 0:
+                # lambda_t(U)^(-1) = sum_k (-x)^k for x = lambda_t(U) - 1
+                col = power_sum(col - one, one, n, lambda k: (-1) ** k, one)
+            for _ in range(abs(c)):
+                series = series * col
+        return series.coefficient(n)
 
     # -- validation ------------------------------------------------------------
     def validate(self) -> list[str]:
@@ -308,30 +311,6 @@ class BaseRing:
 
     def __repr__(self):
         return f"BaseRing({self.name}, basis={list(self.labels)})"
-
-
-def _series_mul(a, b, n):
-    out = []
-    for k in range(n + 1):
-        acc = None
-        for i in range(k + 1):
-            term = a[i] * b[k - i]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def _series_inverse(a, n, ring):
-    # a[0] must be the unit
-    if a[0] != ring.one():
-        raise DomainError("series inverse needs constant term 1")
-    inv = [ring.one()] + [ring.zero()] * n
-    for k in range(1, n + 1):
-        acc = ring.zero()
-        for i in range(1, k + 1):
-            acc = acc + a[i] * inv[k - i]
-        inv[k] = -acc
-    return inv
 
 
 # ---------------------------------------------------------------------------

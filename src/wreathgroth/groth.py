@@ -305,7 +305,11 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
 
 
 def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
-    """h_n(W): the Jacobi-Trudi determinant det(e_{1+j-i}(W)) of size n."""
+    """h_n(W) = sum_{k=1..n} (-1)^(k-1) e_k(W) h_{n-k}(W), from H(t) E(-t) = 1.
+
+    This is the first-row expansion of the row-ordered Jacobi-Trudi determinant
+    det(e_{1+j-i}(W)), so e_k stays on the left for noncommutative R; no
+    product exceeds degree n."""
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
@@ -314,31 +318,10 @@ def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     got = memo.get(key)
     if got is not None:
         return got
-    from itertools import permutations
-
-    def entry(i, j):
-        r = 1 + j - i
-        if r < 0:
-            return None
-        return e_of(ring, r, W)
-
     total = GrothElement.zero(ring)
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = GrothElement.one(ring)
-        ok = True
-        for i in range(n):
-            cell = entry(i, perm[i])
-            if cell is None or cell.is_zero():
-                ok = False
-                break
-            prod = z_multiply(prod, cell)
-        if ok:
-            total = total + prod.scale(sign)
+    for k in range(1, n + 1):
+        term = z_multiply(e_of(ring, k, W), h_element(ring, n - k, W))
+        total = total + term.scale((-1) ** (k - 1))
     memo[key] = total
     return total
 

@@ -147,16 +147,46 @@ def test_h_small_cases():
 
 
 def test_h_inverts_e_series():
-    # (sum h_n(W) t^n) * E_W(-t) = 1 up to degree 4, W in the basis of ZC2
-    D = 4
-    for u in range(2):
-        W = C2.basis_element(u)
+    # (sum h_n(W) t^n) * E_W(-t) = 1, with h on the left: h_element recurses
+    # with e on the left, so this is the other-sided identity.  W runs over
+    # the basis of ZC2, non-basis elements of Mat2 and of the golden ring
+    # (noncommutative, and a ring whose structure constants are not 0/1),
+    # and the integers up to degree 6
+    G = rg.golden_ring()
+    cases = [(C2, C2.basis_element(u), 4) for u in range(2)] + [
+        (M2, M2.element("E11 + E12"), 4),
+        (M2, M2.element("E11 - E21"), 3),
+        (G, G.element("1 + x"), 5),
+        (G, G.element("2*1 - x"), 3),
+        (Z, Z.basis_element(0), 6),
+        (Z, Z.element("2*1"), 6),
+        (Z, Z.element("-1"), 6),
+    ]
+    for ring, W, D in cases:
         for n in range(1, D + 1):
-            acc = GrothElement.zero(C2)
+            acc = GrothElement.zero(ring)
             for k in range(n + 1):
-                term = gr.h_element(C2, n - k, W) * gr.e_of(C2, k, W)
+                term = gr.h_element(ring, n - k, W) * gr.e_of(ring, k, W)
                 acc = acc + term.scale((-1) ** k)
-            assert acc.is_zero()
+            assert acc.is_zero(), (ring.name, W, n)
+
+
+def test_h_keeps_the_table_at_degree_n():
+    # no partial product of h_n(W) exceeds degree n, so a fresh ring's
+    # product table grows no further than n
+    one = {"basis": ["1"], "unit": {"1": 1}, "mult": [{"left": "1", "right": "1", "out": {"1": 1}}]}
+    c2 = {
+        "basis": ["e", "g"],
+        "unit": {"e": 1},
+        "mult": [
+            {"left": a, "right": b, "out": {"e" if a == b else "g": 1}}
+            for a in "eg" for b in "eg"
+        ],
+    }
+    for config, elem, n in ((one, "1", 4), (one, "2*1", 4), (c2, "g", 3), (c2, "e+g", 3)):
+        ring = rg.ring_from_config(config)
+        gr.h_element(ring, n, ring.element(elem))
+        assert gr.product_table(ring).degree <= n, (elem, n)
 
 
 def test_commutation_degree_one():

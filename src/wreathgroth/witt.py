@@ -3,8 +3,9 @@
 A length-n Witt vector over a commutative coefficient ring stores the images
 of e_1..e_n under an algebra map out of symmetric functions.  Addition is
 dual to the coproduct e_n -> sum e_i (x) e_{n-i}; multiplication is dual to
-the Kronecker coproduct e_n -> sum_{lam} s_lam (x) s_lam'; ghost components
-are the images of the power sums and diagonalize both operations.
+the Kronecker coproduct e_n -> sum_{lam} s_lam (x) s_lam'.  Ghost components,
+the images of the power sums, diagonalize both, so a product is taken on the
+ghosts and brought back by Newton's identity (Macdonald, I.2).
 
 Components here are plain Python ints (exact); the symbolic side of the
 story, the formal group law on the e-coordinates, lives in ``hopf``.
@@ -14,8 +15,8 @@ from functools import cache
 from itertools import permutations
 
 from ._exact import accumulate, monomial_product
-from .errors import DomainError
-from .partitions import Partition, conjugate, partitions
+from .errors import DomainError, IntegralityError
+from .partitions import Partition, conjugate
 from .symfun import merge_parts
 
 EPoly = dict[Partition, int]  # integer polynomial in e_1, e_2, ...; key = index multiset
@@ -121,17 +122,20 @@ class WittVector:
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        out = []
-        for n in range(1, len(self.comps) + 1):
-            total = 0
-            for lam in partitions(n):
-                sa = evaluate_epoly(schur_in_e(lam), self.comps)
-                if not sa:
-                    continue
-                sb = evaluate_epoly(schur_in_e(conjugate(lam)), other.comps)
-                total += sa * sb
-            out.append(total)
-        return WittVector(out)
+        ks = range(1, len(self.comps) + 1)
+        return WittVector.from_ghosts([self.ghost(k) * other.ghost(k) for k in ks])
+
+    @classmethod
+    def from_ghosts(cls, ghosts) -> "WittVector":
+        """Inverse of the ghost map, by n e_n = sum_{k=1..n} (-1)^(k-1) e_{n-k} p_k."""
+        e = [1]
+        for n in range(1, len(ghosts) + 1):
+            total = sum((-1) ** (k - 1) * e[n - k] * ghosts[k - 1] for k in range(1, n + 1))
+            q, r = divmod(total, n)
+            if r:
+                raise IntegralityError(f"ghosts not integral: {n}*e_{n} = {total}, remainder {r}")
+            e.append(q)
+        return cls(e[1:])
 
     def ghost(self, n: int) -> int:
         """Image of p_n: the n-th ghost component."""

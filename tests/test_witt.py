@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wreathgroth import witt
 from wreathgroth._exact import monomial_product
-from wreathgroth.errors import DomainError
+from wreathgroth.errors import DomainError, IntegralityError
 from wreathgroth.partitions import partitions
 from wreathgroth.symfun import merge_parts
 from wreathgroth.witt import WittVector
@@ -131,3 +131,36 @@ def test_schur_in_e_matches_character_route():
                     via_p[key] = via_p.get(key, Fraction(0)) + coeff * c
             via_p = {k: v for k, v in via_p.items() if v}
             assert {k: Fraction(v) for k, v in direct.items()} == via_p
+
+
+def test_mul_matches_kronecker_coproduct_sum():
+    # the product is defined through ghosts; this is the definition it must
+    # agree with: [a*b]_n = sum_{lam |- n} s_lam(a) s_lam'(b), the dual of the
+    # Kronecker coproduct e_n -> sum s_lam (x) s_lam'
+    from wreathgroth.partitions import conjugate
+
+    rng = random.Random(11)
+    for length in range(1, 8):
+        for _ in range(6):
+            a = WittVector([rng.randint(-7, 7) for _ in range(length)])
+            b = WittVector([rng.randint(-7, 7) for _ in range(length)])
+            want = [
+                sum(
+                    witt.evaluate_epoly(witt.schur_in_e(lam), a.comps)
+                    * witt.evaluate_epoly(witt.schur_in_e(conjugate(lam)), b.comps)
+                    for lam in partitions(n)
+                )
+                for n in range(1, length + 1)
+            ]
+            assert (a * b).comps == tuple(want), (a, b)
+    misses = witt.schur_in_e.cache_info().misses
+    a = WittVector([rng.randint(-9, 9) for _ in range(10)])
+    b = WittVector([rng.randint(-9, 9) for _ in range(10)])
+    assert (a * b).ghosts() == tuple(x * y for x, y in zip(a.ghosts(), b.ghosts()))
+    assert witt.schur_in_e.cache_info().misses == misses
+
+
+def test_from_ghosts_rejects_non_integral_ghosts():
+    assert WittVector.from_ghosts((2, -2, 5)) == WittVector((2, 3, 5))
+    with pytest.raises(IntegralityError, match=r"2\*e_2 = -1, remainder 1"):
+        WittVector.from_ghosts((1, 2))

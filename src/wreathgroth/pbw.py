@@ -45,6 +45,8 @@ from .symfun import merge_parts, p_to_schur_row
 
 
 def sym(l: int, u: int) -> int:
+    if not 0 <= u <= 0xFFFF:
+        raise DomainError(f"basis index {u} does not fit the 16-bit symbol field")
     return (l << 16) | u
 
 

@@ -6,7 +6,7 @@ import pytest
 from wreathgroth import groth as gr
 from wreathgroth import pbw
 from wreathgroth import ring as rg
-from wreathgroth.errors import MissingDataError
+from wreathgroth.errors import DomainError, MissingDataError
 from wreathgroth.groth import GrothElement, mobius
 from wreathgroth.partitions import mp_total, multipartitions_upto
 from wreathgroth.pbw import PBWElement, RingSeries, sym
@@ -348,3 +348,13 @@ def test_antipode_pbw():
     a = PBWElement(M2, 2, words(M2, ([(1, 2)], 1)))
     b = PBWElement(M2, 2, words(M2, ([(1, 1)], 1)))
     assert sy == pbw.antipode_pbw(b) * pbw.antipode_pbw(a)
+
+
+def test_symbol_packing_rejects_indices_past_16_bits():
+    # the basis index lives in the low 16 bits of a symbol: a wider index
+    # would alias another (level, index) pair, so it must be refused
+    top = sym(3, 0xFFFF)
+    assert (pbw.sym_level(top), pbw.sym_index(top)) == (3, 0xFFFF)
+    for u in (0x10000, 0x10001, -1):
+        with pytest.raises(DomainError):
+            sym(1, u)

@@ -334,6 +334,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:  # argparse stores [] for an option whose value is "--" (--elem=--)
+            raise ConfigError(f"--{empty[0]} needs a value")
         if args.command == "ring":
             return cmd_ring_validate(args)
         if args.command == "groth":

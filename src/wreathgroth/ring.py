@@ -472,7 +472,7 @@ def load_ring(path: str) -> BaseRing:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read ring config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep or too long
         raise ConfigError(f"ring config is not valid JSON: {exc}") from exc
     name = path.rsplit("/", 1)[-1].removesuffix(".json")
     return ring_from_config(data, name=name)

@@ -270,3 +270,32 @@ def test_groth_negative_n_is_a_usage_error(capsys, action):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\x80", b'{"basis": ["\xff"]}', b"[" * 100000, b'{"basis": [' + b"9" * 5000 + b"]}"],
+    ids=["not-utf8", "not-utf8-in-string", "nested-too-deep", "integer-too-long"],
+)
+def test_unreadable_ring_file_is_a_usage_error(tmp_path, capsys, content):
+    p = tmp_path / "ring.json"
+    p.write_bytes(content)
+    code, out, err = run(capsys, "ring", "validate", "--ring", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groth", "h", "--elem=--", "--n", "1"],
+        ["hopf", "delta", "--elem=--"],
+        ["groth", "e", "--elem", "1", "--n=--"],
+    ],
+)
+def test_double_dash_as_an_option_value_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -112,19 +112,16 @@ def test_cli_survives_generated_rings_and_literals(ring, elem, mp, n, command):
         path = os.path.join(tmp, "ring.json")
         with open(path, "wb") as fh:
             fh.write(ring)
-        argv = {
-            "validate": ["ring", "validate"],
-            "e": ["groth", "e", f"--elem={elem}", "--n", str(n)],
-            "h": ["groth", "h", f"--elem={elem}", "--n", str(n)],
-            "decompose": ["groth", "decompose", f"--elem={elem}", "--n", str(n)],
-            "xbasis": ["groth", "xbasis", "--", mp],
-            "delta": ["hopf", "delta", f"--elem={mp}"],
-            "oracle": ["oracle", "mul", "--", mp, "{}"],
-        }[command] + [f"--ring={path}"]
-        # options after "--" would be operands: put the ring first there
-        if "--" in argv:
-            argv.remove(f"--ring={path}")
-            argv.insert(2, f"--ring={path}")
+        cmd, rest = {
+            "validate": (["ring", "validate"], []),
+            "e": (["groth", "e"], [f"--elem={elem}", "--n", str(n)]),
+            "h": (["groth", "h"], [f"--elem={elem}", "--n", str(n)]),
+            "decompose": (["groth", "decompose"], [f"--elem={elem}", "--n", str(n)]),
+            "xbasis": (["groth", "xbasis"], ["--", mp]),
+            "delta": (["hopf", "delta"], [f"--elem={mp}"]),
+            "oracle": (["oracle", "mul"], ["--", mp, "{}"]),
+        }[command]
+        argv = [*cmd, f"--ring={path}", *rest]
         code, err = run(argv)
     assert_clean(code, err, argv)
 

@@ -149,9 +149,8 @@ def test_h_small_cases():
 def test_h_inverts_e_series():
     # (sum h_n(W) t^n) * E_W(-t) = 1, with h on the left: h_element recurses
     # with e on the left, so this is the other-sided identity.  W runs over
-    # the basis of ZC2, non-basis elements of Mat2 and of the golden ring
-    # (noncommutative, and a ring whose structure constants are not 0/1),
-    # and the integers up to degree 6
+    # the basis of ZC2, non-basis elements of Mat2 (noncommutative) and of
+    # the golden ring (x^2 = 1 + x), and the integers up to degree 6
     G = rg.golden_ring()
     cases = [(C2, C2.basis_element(u), 4) for u in range(2)] + [
         (M2, M2.element("E11 + E12"), 4),

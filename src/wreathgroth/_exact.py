@@ -6,6 +6,9 @@ coefficients are Fractions (ints in the integer cores).  This module owns
 every decision about such dicts that more than one layer needs:
 
 - ``accumulate`` adds one combination into another and drops what cancels;
+- ``to_numerators`` and ``from_numerators`` are the one conversion between
+  Fraction coefficients and the integer numerators over one common
+  denominator that the integer cores of ``symfun`` and ``pbw`` compute on;
 - ``Combination`` is the base of the flat element classes (linear structure,
   equality, integrality), ``PowerSeries`` the truncated t-series over any of
   them;
@@ -17,7 +20,7 @@ every decision about such dicts that more than one layer needs:
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 def accumulate(dst: dict, src: dict, c=1) -> dict:
@@ -39,6 +42,19 @@ def accumulate(dst: dict, src: dict, c=1) -> dict:
             else:
                 dst.pop(k, None)
     return dst
+
+
+def to_numerators(terms: dict) -> tuple[dict, int]:
+    """terms as ({key: int}, den) with terms[key] == int / den, den being
+    the lcm of the denominators (1 for no terms)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def from_numerators(nums: dict, den: int) -> dict:
+    """{key: Fraction(n, den)} for the nonzero numerators: the one Fraction
+    per output term an integer core builds."""
+    return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
 def monomial_product(a: dict, b: dict, merge) -> dict:

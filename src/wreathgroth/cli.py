@@ -241,8 +241,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors (unknown flag, missing value,
+    bad choice, missing positional) print one ``error:`` line, as every
+    other malformed input does, instead of the usage line and the error.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wreathgroth",
         description=(
             "Exact computations in the limiting Grothendieck ring of wreath "

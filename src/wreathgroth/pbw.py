@@ -16,10 +16,22 @@ degree cannot contribute (T_l alone has degree l), so the product over l is
 finite by a proven cutoff, not a tolerance.  Everything this module computes
 is derived from that series and serves as the independent cross-check for
 the combinatorial layer in ``groth``.
+
+The products (``PBWElement``, ``MixedSeries``) and the change to the Z basis
+are integer cores: each operand's Fractions are cleared once with their lcm
+(``_exact.to_numerators``), the loops multiply and add ints, and one Fraction
+is built per output term.  The product of two normal words comes from the
+kernel once per ring and word pair and is kept in ``ring._caches`` under
+``pbw_products``: the oracle revisits a few thousand pairs many times over.
+The inverse of the Z-table, ``word_to_z``, holds each row as integer
+numerators over one denominator.  It is triangular by degree and the block of
+degree n depends only on Z_lam with |lam| <= n, which a larger truncation
+does not change, so asking for a larger degree solves only the new blocks;
+the generating series itself is still built whole at the new degree.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import kernels
 from ._exact import (
@@ -28,8 +40,10 @@ from ._exact import (
     accumulate,
     exp,
     format_terms,
+    from_numerators,
     log1p,
     row_reduce,
+    to_numerators,
 )
 from .errors import DomainError, IntegralityError, MissingDataError
 from .groth import GrothElement, mobius
@@ -76,12 +90,23 @@ def format_word(w: tuple, ring: BaseRing) -> str:
     return "*".join(f"T{sym_level(s)}({ring.labels[sym_index(s)]})" for s in w)
 
 
-def normal_order(ring: BaseRing, word) -> "PBWElement":
-    """Rewrite an arbitrary word of (level, basis index) pairs into the
-    normal-ordered basis."""
-    encoded = tuple(sym(l, u) for l, u in word)
-    got = kernels.normalize_product(encoded, (), ring.commutator_table())
-    return PBWElement(ring, word_degree(encoded), {w: Fraction(c) for w, c in got.items()})
+def _word_products(ring: BaseRing):
+    """The function (w1, w2) -> product of two words in normal order, as a
+    tuple of (normal word, int) items.  Each pair goes to the kernel once per
+    ring; the ring's ``pbw_products`` memo keeps the items as a tuple, which
+    holds less memory than a dict."""
+    memo = ring._caches.get("pbw_products")
+    if memo is None:
+        memo = ring._caches["pbw_products"] = {}
+    comm = ring.commutator_table()
+
+    def product(w1: tuple, w2: tuple) -> tuple:
+        items = memo.get((w1, w2))
+        if items is None:
+            items = memo[w1, w2] = tuple(kernels.normalize_product(w1, w2, comm).items())
+        return items
+
+    return product
 
 
 class PBWElement(Combination):
@@ -116,16 +141,21 @@ class PBWElement(Combination):
         )
 
     def __mul__(self, other: "PBWElement") -> "PBWElement":
-        comm = self.ring.commutator_table()
+        product = _word_products(self.ring)
         D = self.degree
-        terms: dict[tuple, Fraction] = {}
-        bw = [(w, word_degree(w), c) for w, c in other.terms.items()]
-        for w1, c1 in self.terms.items():
-            d1 = word_degree(w1)
+        na, da = to_numerators(self.terms)
+        nb, db = to_numerators(other.terms)
+        bw = [(w, word_degree(w), c) for w, c in nb.items()]
+        out: dict[tuple, int] = {}
+        get = out.get
+        for w1, c1 in na.items():
+            room = D - word_degree(w1)
             for w2, d2, c2 in bw:
-                if d1 + d2 <= D:
-                    accumulate(terms, kernels.normalize_product(w1, w2, comm), c1 * c2)
-        return self._like(terms)
+                if d2 <= room:
+                    c = c1 * c2
+                    for w, n in product(w1, w2):
+                        out[w] = get(w, 0) + c * n
+        return self._like(from_numerators(out, da * db))
 
     def __repr__(self):
         return "PBW(" + format_terms(
@@ -217,19 +247,24 @@ class MixedSeries(Combination):
         return cls(ring, degree, {(mp_empty(ring.rank()), ()): Fraction(1)})
 
     def __mul__(self, other: "MixedSeries") -> "MixedSeries":
+        product = _word_products(self.ring)
         D = self.degree
-        comm = self.ring.commutator_table()
-        terms: dict[tuple, Fraction] = {}
-        bw = [(k, w, mp_total(k), c) for (k, w), c in other.terms.items()]
-        for (k1, w1), c1 in self.terms.items():
-            d1 = mp_total(k1)
+        na, da = to_numerators(self.terms)
+        nb, db = to_numerators(other.terms)
+        bw = [(k, w, mp_total(k), c) for (k, w), c in nb.items()]
+        out: dict[tuple, int] = {}
+        get = out.get
+        for (k1, w1), c1 in na.items():
+            room = D - mp_total(k1)
             for k2, w2, d2, c2 in bw:
-                if d1 + d2 > D:
+                if d2 > room:
                     continue
                 key = tuple(map(merge_parts, k1, k2))
-                product = kernels.normalize_product(w1, w2, comm)
-                accumulate(terms, {(key, w): n for w, n in product.items()}, c1 * c2)
-        return self._like(terms)
+                c = c1 * c2
+                for w, n in product(w1, w2):
+                    kw = (key, w)
+                    out[kw] = get(kw, 0) + c * n
+        return self._like(from_numerators(out, da * db))
 
 
 def apply_t(l: int, x: RingSeries, degree: int) -> MixedSeries:
@@ -265,19 +300,22 @@ def generating_series(ring: BaseRing, degree: int) -> MixedSeries:
 
 
 class _ZData:
-    def __init__(self):
-        self.degree = -1
-        self.ztable: dict[MultiPartition, PBWElement] = {}
-        self.word_to_z: dict[tuple, dict[MultiPartition, Fraction]] = {}
+    """The Z-table to ``degree`` and its inverse, ``word_to_z``: each normal
+    word of degree <= ``degree`` -> its Z-basis row ({mp: int}, den)."""
+
+    def __init__(self, degree: int, ztable: dict, word_to_z: dict):
+        self.degree = degree
+        self.ztable: dict[MultiPartition, PBWElement] = ztable
+        self.word_to_z: dict[tuple, tuple[dict[MultiPartition, int], int]] = word_to_z
 
 
 def _zdata(ring: BaseRing, degree: int) -> _ZData:
     data = ring._caches.get("pbw_zdata")
     if data is None or data.degree < degree:
-        data = _ZData()
-        data.degree = degree
-        data.ztable = _build_ztable(ring, degree)
-        data.word_to_z = _invert_ztable(ring, data.ztable, degree)
+        ztable = _build_ztable(ring, degree)
+        # a new object: the smaller one stays whole for whoever holds it, and
+        # perfbench counts a build as a change of the cached object
+        data = _ZData(degree, ztable, _invert_ztable(ring, ztable, degree, data))
         ring._caches["pbw_zdata"] = data
     return data
 
@@ -310,38 +348,63 @@ def _build_ztable(ring, degree) -> dict[MultiPartition, PBWElement]:
     return schur_coefficients(generating_series(ring, degree))
 
 
-def _invert_ztable(ring, ztable, degree):
+def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
     """Triangular inversion: expansion of every normal word in the Z basis.
 
     Per filtration degree n the top parts of the Z elements form a square
     invertible block against the words of degree n (both are counted by
-    multipartitions of n), solved by exact row reduction; the sub-top
-    remainder is pushed onto already-inverted lower degrees.
+    multipartitions of n), solved by exact row reduction.  The top part of
+    each Z_lam is Z_lam minus its lower-degree tail, which the rows of lower
+    degrees already expand, so each word's row is an integer combination of
+    those top parts.  The rows of an earlier inversion ``done`` are kept and
+    only the blocks above its degree are solved.
     """
-    word_to_z: dict[tuple, dict[MultiPartition, Fraction]] = {(): {mp_empty(ring.rank()): Fraction(1)}}
-    for n in range(1, degree + 1):
+    if done is None:
+        word_to_z = {(): ({mp_empty(ring.rank()): 1}, 1)}
+        start = 1
+    else:
+        word_to_z = dict(done.word_to_z)
+        start = done.degree + 1
+    for n in range(start, degree + 1):
         mps = multipartitions(ring.rank(), n)
-        top = {lam: {} for lam in mps}
-        lower = {lam: {} for lam in mps}
+        top, tops = {}, {}
         for lam in mps:
-            for w, c in ztable[lam].terms.items():
-                (top if word_degree(w) == n else lower)[lam][w] = c
+            terms = ztable[lam].terms
+            top[lam] = {w: c for w, c in terms.items() if word_degree(w) == n}
+            # the top part of Z_lam in the Z basis: Z_lam minus its
+            # lower-degree tail, whose rows are already known
+            tail = {w: c for w, c in terms.items() if word_degree(w) < n}
+            nums, den = _z_numerators(word_to_z, tail)
+            nums = {mu: -c for mu, c in nums.items()}
+            nums[lam] = den
+            tops[lam] = (nums, den)
         # the reduced row at pivot word w is sum_lam c_lam Z_lam with top part w
         pivots, _ = row_reduce((top[lam], {lam: 1}) for lam in mps)
         if len(pivots) < len(mps):
             raise IntegralityError("degenerate leading-term block; bug in the series")
         for lam in mps:
             w = word_for_mp(lam)
-            coeffs = pivots[w][1]
-            # subtract the lower-degree tail of sum_lam c_lam Z_lam to land on w
-            remainder: dict[tuple, Fraction] = {}
-            for mu, c in coeffs.items():
-                accumulate(remainder, lower[mu], c)
-            out = dict(coeffs)
-            for ww, c in remainder.items():
-                accumulate(out, word_to_z[ww], -c)
-            word_to_z[w] = out
+            nums, den = _z_numerators(tops, pivots[w][1])
+            nums = {mu: c for mu, c in nums.items() if c}
+            g = gcd(den, *nums.values())
+            word_to_z[w] = ({mu: c // g for mu, c in nums.items()}, den // g)
     return word_to_z
+
+
+def _z_numerators(rows: dict, terms: dict) -> tuple[dict, int]:
+    """sum_k terms[k] * rows[k] for Fraction terms and integer rows
+    (numerators, den), as integer numerators over the product of the terms'
+    common denominator and the lcm of the rows' denominators."""
+    xn, xd = to_numerators(terms)
+    den = lcm(*(rows[k][1] for k in xn))
+    out: dict = {}
+    get = out.get
+    for k, c in xn.items():
+        row, d = rows[k]
+        c *= den // d
+        for mu, r in row.items():
+            out[mu] = get(mu, 0) + c * r
+    return out, xd * den
 
 
 def z_element_pbw(ring: BaseRing, mp: MultiPartition, degree=None) -> PBWElement:
@@ -359,10 +422,7 @@ def to_z_basis(x: PBWElement) -> GrothElement:
     The table is sized by the words actually present, not the truncation
     bound, so sparse elements with generous truncations stay cheap."""
     data = _zdata(x.ring, max((word_degree(w) for w in x.terms), default=0))
-    terms: dict[MultiPartition, Fraction] = {}
-    for w, c in x.terms.items():
-        accumulate(terms, data.word_to_z[w], c)
-    return GrothElement(x.ring, terms)
+    return GrothElement(x.ring, from_numerators(*_z_numerators(data.word_to_z, x.terms)))
 
 
 def oracle_multiply(ring: BaseRing, mu, nu, degree=None) -> GrothElement:
@@ -534,9 +594,8 @@ def lambda_on_e1(ring: BaseRing, n: int, U: RingElement, degree=None) -> GrothEl
 def antipode_pbw(x: PBWElement) -> PBWElement:
     """The anti-automorphism with S(T_l(U)) = -T_l(U): reverse each word,
     flip the sign per letter, renormalize."""
-    comm = x.ring.commutator_table()
+    product = _word_products(x.ring)
     terms: dict[tuple, Fraction] = {}
     for w, c in x.terms.items():
-        got = kernels.normalize_product(tuple(reversed(w)), (), comm)
-        accumulate(terms, got, -c if len(w) & 1 else c)
+        accumulate(terms, dict(product(tuple(reversed(w)), ())), -c if len(w) & 1 else c)
     return PBWElement(x.ring, x.degree, terms)

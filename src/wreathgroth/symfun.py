@@ -24,7 +24,14 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
-from ._exact import Combination, accumulate, exp, format_terms
+from ._exact import (
+    Combination,
+    accumulate,
+    exp,
+    format_terms,
+    from_numerators,
+    to_numerators,
+)
 from .errors import DomainError
 from .partitions import (
     MultiPartition,
@@ -173,8 +180,7 @@ def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
 def _power_numerators(f: SymSeries) -> tuple[dict, int]:
     """f in power sums, as integers over one common denominator: the lcm of
     its denominators times, for Schur keys, that of their prod |kappa|!."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    nums = {k: c.numerator * (den // c.denominator) for k, c in f.terms.items()}
+    nums, den = to_numerators(f.terms)
     if f.basis == "p":
         return nums, den
     scale = {k: prod(factorial(sum(p)) for p in k) for k in nums}
@@ -185,7 +191,7 @@ def _power_numerators(f: SymSeries) -> tuple[dict, int]:
 
 def _from_numerators(labels, basis, degree, nums: dict, den: int) -> SymSeries:
     out = SymSeries(labels, basis, degree)
-    out.terms = {k: Fraction(c, den) for k, c in nums.items()}
+    out.terms = from_numerators(nums, den)
     return out
 
 

@@ -21,6 +21,7 @@ from .groth import GrothElement
 from .partitions import (
     format_multipartition,
     mp_empty,
+    mp_sort_key,
     mp_total,
     multipartitions_upto,
     partitions,
@@ -195,9 +196,16 @@ def suite_oracle_crosscheck(ring: BaseRing, degree: int, seed: int) -> Report:
                 a = gr.z_multiply(GrothElement.basis(ring, mu), GrothElement.basis(ring, nu))
                 b = pbw.oracle_multiply(ring, mu, nu)
                 if a != b:
+                    lam = min(
+                        (k for k in a.terms.keys() | b.terms.keys()
+                         if a.coefficient(k) != b.coefficient(k)),
+                        key=mp_sort_key,
+                    )
                     return False, (
                         f"differ at Z{format_multipartition(mu, ring.labels)}"
-                        f" * Z{format_multipartition(nu, ring.labels)}"
+                        f" * Z{format_multipartition(nu, ring.labels)}, first at"
+                        f" Z{format_multipartition(lam, ring.labels)}:"
+                        f" combinatorial {a.coefficient(lam)}, oracle {b.coefficient(lam)}"
                     )
         return True, ""
 

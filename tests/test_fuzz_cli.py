@@ -1,9 +1,11 @@
-"""Fuzz the CLI with generated ring configs and literals.
+"""Fuzz the CLI with generated ring configs, literals and flag vectors.
 
 Whatever the input, ``cli.main`` must return an exit code in {0,1,2,3}
 without raising, and print at most one line to stderr (the ``error:`` line
 of a usage error); it never prints a traceback.  Literals are kept to small
-degrees so that every well-formed input is also cheap to compute.
+degrees so that every well-formed input is also cheap to compute.  Every
+generated flag vector is refused by the parser, so none of them runs a
+command.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wreathgroth import cli
@@ -138,3 +141,84 @@ def test_cli_survives_literals_on_builtin_rings(elem, mp, n):
         ):
             code, err = run(argv)
             assert_clean(code, err, argv)
+
+
+# ---------------------------------------------------------------------------
+# flag vectors: a small valid command line per subcommand, broken in one place
+
+# the two choice words of each command line, then its required arguments,
+# one group per positional or flag with its value
+VALID = {
+    ("ring", "validate"): [],
+    ("groth", "mul"): [["{}", "{}"]],
+    ("groth", "e"): [["--elem", "e"], ["--n", "1"]],
+    ("groth", "h"): [["--elem", "e"], ["--n", "1"]],
+    ("groth", "decompose"): [["--elem", "e"], ["--n", "1"]],
+    ("groth", "xbasis"): [["{}"]],
+    ("oracle", "mul"): [["{}", "{}"]],
+    ("oracle", "zelement"): [["{}"]],
+    ("hopf", "delta"): [["--elem", "{}"]],
+    ("witt", "add"): [["--length", "1"], ["--a", "1"], ["--b", "1"]],
+    ("witt", "mul"): [["--length", "1"], ["--a", "1"], ["--b", "1"]],
+    ("law", "dump"): [],
+    ("verify", "symfun"): [],
+}
+CHOICES = {word for cmd in VALID for word in cmd} | {"all", "commutation", "hopf", "lambda"}
+INT_FLAGS = ("--n", "--length", "--degree", "--seed")
+# no option of any subcommand starts with --x, so no abbreviation matches
+unknown_flags = st.from_regex(r"\A--x[a-z0-9-]{0,5}(=[a-z0-9]{0,3})?\Z")
+# no digit and no leading dash: never an int, never read as an option
+junk = st.text(alphabet="abcxyz.,:é ", max_size=5)
+
+
+def value_flags(cmd):
+    """The flags of a command line that take a value."""
+    optional = {"witt": [], "law": ["--ring", "--degree"], "verify": ["--ring", "--degree", "--seed"]}
+    return [g[0] for g in VALID[cmd] if g[0].startswith("--")] + optional.get(cmd[0], ["--ring"])
+
+
+@st.composite
+def broken_argvs(draw):
+    """A valid command line with one defect the parser refuses: an unknown
+    flag, a value flag with no value, a non-integer int value, a word that
+    is no choice, or a dropped required argument."""
+    cmd = draw(st.sampled_from(sorted(VALID)))
+    groups = [list(g) for g in VALID[cmd]]
+    kinds = ["unknown", "no value", "bad choice"]
+    if any(g[0] in INT_FLAGS for g in groups):
+        kinds.append("bad int")
+    if groups:
+        kinds.append("dropped")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bad int":
+        draw(st.sampled_from([g for g in groups if g[0] in INT_FLAGS]))[1] = draw(junk)
+    elif kind == "dropped":
+        del groups[draw(st.integers(0, len(groups) - 1))]
+    argv = [*cmd, *(t for g in groups for t in g)]
+    if kind == "unknown":
+        argv.insert(draw(st.integers(0, len(argv))), draw(unknown_flags))
+    elif kind == "no value":
+        argv.append(draw(st.sampled_from(value_flags(cmd))))
+    elif kind == "bad choice":
+        argv[draw(st.integers(0, 1))] = draw(junk.filter(lambda t: t not in CHOICES))
+    return argv
+
+
+@given(argv=broken_argvs())
+def test_usage_errors_are_one_line_and_exit_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2, argv
+    assert out.getvalue() == "", argv
+    assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("cmd", [()] + sorted(VALID), ids=" ".join)
+def test_help_exits_0(cmd):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*cmd, "--help"])
+    assert code == 0
+    assert out.getvalue().startswith("usage: wreathgroth")

@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wreathgroth import groth as gr
-from wreathgroth import pbw
+from wreathgroth import kernels, pbw
 from wreathgroth import ring as rg
+from wreathgroth._exact import accumulate
 from wreathgroth.errors import DomainError, MissingDataError
 from wreathgroth.groth import GrothElement, mobius
 from wreathgroth.partitions import mp_total, multipartitions_upto
-from wreathgroth.pbw import PBWElement, RingSeries, sym
+from wreathgroth.pbw import PBWElement, RingSeries, sym, word_degree
 
 
 Z = rg.integers()
@@ -24,19 +26,27 @@ def words(ring, *pairs_and_coeffs):
     return terms
 
 
+def normal_order(ring, word) -> PBWElement:
+    """Rewrite an arbitrary word of (level, basis index) pairs into the
+    normal-ordered basis, straight through the kernel."""
+    encoded = tuple(sym(l, u) for l, u in word)
+    got = kernels.normalize_product(encoded, (), ring.commutator_table())
+    return PBWElement(ring, word_degree(encoded), got)
+
+
 def test_normal_order_distinct_levels_swap_freely():
-    out = pbw.normal_order(C2, [(2, 0), (1, 1)])
+    out = normal_order(C2, [(2, 0), (1, 1)])
     assert out.terms == words(C2, ([(1, 1), (2, 0)], 1))
 
 
 def test_normal_order_commutative_ring_is_sorting():
-    out = pbw.normal_order(C2, [(1, 1), (1, 0)])
+    out = normal_order(C2, [(1, 1), (1, 0)])
     assert out.terms == words(C2, ([(1, 0), (1, 1)], 1))
 
 
 def test_normal_order_mat2_correction():
     # T1(E21) T1(E12) = T1(E12) T1(E21) + T1(E22) - T1(E11)
-    out = pbw.normal_order(M2, [(1, 2), (1, 1)])
+    out = normal_order(M2, [(1, 2), (1, 1)])
     assert out.terms == words(
         M2, ([(1, 1), (1, 2)], 1), ([(1, 3)], 1), ([(1, 0)], -1)
     )
@@ -49,10 +59,10 @@ def test_normal_order_confluence_random_words():
     gens = [(l, u) for l in (1, 2) for u in range(4)]
     for _ in range(40):
         w = [rng.choice(gens) for _ in range(rng.randint(2, 5))]
-        full = pbw.normal_order(M2, w)
+        full = normal_order(M2, w)
         for cut in range(1, len(w)):
-            left = pbw.normal_order(M2, w[:cut])
-            right = pbw.normal_order(M2, w[cut:])
+            left = normal_order(M2, w[:cut])
+            right = normal_order(M2, w[cut:])
             D = sum(l for l, _ in w)
             prod = PBWElement(M2, D, left.terms) * PBWElement(M2, D, right.terms)
             assert prod.terms == full.terms
@@ -63,7 +73,7 @@ def test_commutative_ring_never_needs_corrections():
     gens = [(l, u) for l in (1, 2, 3) for u in range(2)]
     for _ in range(20):
         w = [rng.choice(gens) for _ in range(4)]
-        out = pbw.normal_order(C2, w)
+        out = normal_order(C2, w)
         assert len(out.terms) == 1
         ((word, c),) = out.terms.items()
         assert c == 1
@@ -342,7 +352,7 @@ def test_antipode_pbw():
     x = PBWElement(M2, 2, words(M2, ([(1, 1)], 1)))
     assert pbw.antipode_pbw(x).terms == words(M2, ([(1, 1)], -1))
     # S(T1(E21) T1(E12)) = T1(E12) T1(E21) reversed with sign (+1), normalized
-    y = pbw.normal_order(M2, [(1, 2), (1, 1)])
+    y = normal_order(M2, [(1, 2), (1, 1)])
     sy = pbw.antipode_pbw(PBWElement(M2, 2, y.terms))
     # check the anti-homomorphism law S(ab) = S(b)S(a) on generators
     a = PBWElement(M2, 2, words(M2, ([(1, 2)], 1)))
@@ -358,3 +368,123 @@ def test_symbol_packing_rejects_indices_past_16_bits():
     for u in (0x10000, 0x10001, -1):
         with pytest.raises(DomainError):
             sym(1, u)
+
+
+# ---------------------------------------------------------------------------
+# the integer product core, the word-product memo and the grown inversion
+
+def reference_mul(a: PBWElement, b: PBWElement) -> PBWElement:
+    """The Fraction loop the integer core replaced, kept as the reference:
+    every word pair straight from the kernel, one Fraction product each."""
+    comm = a.ring.commutator_table()
+    terms = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            if word_degree(w1) + word_degree(w2) <= a.degree:
+                accumulate(terms, kernels.normalize_product(w1, w2, comm), c1 * c2)
+    return PBWElement(a.ring, a.degree, terms)
+
+
+def random_element(rng, ring, degree, denominators):
+    gens = [(l, u) for l in (1, 2, 3) for u in range(ring.rank())]
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        letters = rng.sample(gens, rng.randint(0, 3))
+        word = tuple(sorted(sym(l, u) for l, u in letters))
+        terms[word] = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice(denominators))
+    return PBWElement(ring, degree, terms)
+
+
+def test_integer_product_matches_fraction_reference():
+    # denominators 2, 3, 4, 6 on one side and 5, 7, 35 on the other, so the
+    # two common denominators differ; low truncations cut some word pairs
+    rng = random.Random(23)
+    cut = 0
+    for ring in (M2, rg.golden_ring()):
+        for _ in range(40):
+            D = rng.randint(2, 6)
+            a = random_element(rng, ring, D, (1, 2, 3, 4, 6))
+            b = random_element(rng, ring, D, (1, 5, 7, 35))
+            for x, y in ((a, b), (b, a)):
+                got = x * y
+                assert got.terms == reference_mul(x, y).terms
+                assert all(type(c) is Fraction for c in got.terms.values())
+            cut += any(
+                word_degree(w1) + word_degree(w2) > D for w1 in a.terms for w2 in b.terms
+            )
+    assert cut
+
+
+def _config(unit, products):
+    labels = ["E11", "E12", "E22"]
+    return {
+        "basis": labels,
+        "unit": unit,
+        "mult": [
+            {"left": l, "right": r, "out": products.get((l, r), {})}
+            for l in labels for r in labels
+        ],
+    }
+
+
+# upper-triangular 2x2 integer matrices: noncommutative, [E11, E12] = E12
+UPPER = _config({"E11": 1, "E22": 1}, {
+    ("E11", "E11"): {"E11": 1}, ("E11", "E12"): {"E12": 1},
+    ("E12", "E22"): {"E12": 1}, ("E22", "E22"): {"E22": 1},
+})
+# Z x Z x Z on three orthogonal idempotents: commutative
+DIAGONAL = _config(
+    {"E11": 1, "E12": 1, "E22": 1}, {(u, u): {u: 1} for u in ("E11", "E12", "E22")}
+)
+
+
+def test_zdata_grown_equals_fresh_build():
+    grown = rg.ring_from_config(UPPER)
+    assert grown.validate() == []
+    small = pbw._zdata(grown, 3)
+    big = pbw._zdata(grown, 5)
+    assert big is not small and small.degree == 3 and big.degree == 5
+    assert grown._caches["pbw_zdata"] is big
+    fresh = pbw._zdata(rg.ring_from_config(UPPER), 5)
+    assert {k: z.terms for k, z in big.ztable.items()} == {
+        k: z.terms for k, z in fresh.ztable.items()
+    }
+    assert big.word_to_z == fresh.word_to_z
+    # the rows of degree <= 3 are the smaller table's, kept as they were
+    for w, row in small.word_to_z.items():
+        assert big.word_to_z[w] is row
+
+
+def test_word_products_go_to_the_kernel_once_per_pair(monkeypatch):
+    calls = Counter()
+    kernel = kernels.normalize_product
+
+    def counted(w1, w2, comm):
+        calls[w1, w2] += 1
+        return kernel(w1, w2, comm)
+
+    monkeypatch.setattr(kernels, "normalize_product", counted)
+    ring = rg.ring_from_config(UPPER)
+    keys = [k for k in multipartitions_upto(ring.rank(), 2) if mp_total(k)]
+
+    def all_products():
+        for mu in keys:
+            for nu in keys:
+                pbw.oracle_multiply(ring, mu, nu)
+
+    all_products()
+    first = sum(calls.values())
+    all_products()  # every word pair is a memo hit now
+    assert sum(calls.values()) == first == len(ring._caches["pbw_products"])
+    assert calls and max(calls.values()) == 1
+
+    # a ring with other commutators keeps its own memo
+    other = rg.ring_from_config(DIAGONAL)
+    assert other.validate() == []
+    w1, w2 = (sym(1, 1),), (sym(1, 0),)  # T1(E12) T1(E11), out of order
+    a = PBWElement(ring, 2, {w1: 1}) * PBWElement(ring, 2, {w2: 1})
+    b = PBWElement(other, 2, {w1: 1}) * PBWElement(other, 2, {w2: 1})
+    assert a.terms == {(sym(1, 0), sym(1, 1)): 1, (sym(1, 1),): -1}
+    assert b.terms == {(sym(1, 0), sym(1, 1)): 1}
+    assert other._caches["pbw_products"] is not ring._caches["pbw_products"]
+    assert other._caches["pbw_products"][w1, w2] != ring._caches["pbw_products"][w1, w2]

@@ -144,3 +144,26 @@ def test_f_series_disagreement_names_degree_word_and_coefficients(monkeypatch):
     check = next(c for c in report.checks if c.name.startswith("F_U(t) from the Moebius/log"))
     assert not check.passed
     assert check.detail == f"AssertionError: {witness}"
+
+
+def test_oracle_crosscheck_witness_names_first_differing_coefficient(monkeypatch):
+    # add 5*Z{e:[1,1]} + 2*Z{e:[2]} to the oracle's Z{e:[1]} * Z{e:[1]}; in
+    # the sorted order of multipartitions the products first differ at
+    # Z{e:[2]}, 1 against 3
+    oracle = pbw.oracle_multiply
+    square = ((1,), ())
+
+    def perturbed(ring, mu, nu, degree=None):
+        out = oracle(ring, mu, nu, degree)
+        if mu == nu == square:
+            out = out + gr.GrothElement(ring, {((1, 1), ()): 5, ((2,), ()): 2})
+        return out
+
+    monkeypatch.setattr(pbw, "oracle_multiply", perturbed)
+    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
+    report = verify.run_suite("oracle-crosscheck", ring, 2, 0)
+    check = report.checks[0]
+    assert not check.passed
+    assert check.detail == (
+        "differ at Z{e:[1]} * Z{e:[1]}, first at Z{e:[2]}: combinatorial 1, oracle 3"
+    )

@@ -367,7 +367,7 @@ def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
         start = done.degree + 1
     for n in range(start, degree + 1):
         mps = multipartitions(ring.rank(), n)
-        top, tops = {}, {}
+        top, top_in_z = {}, {}
         for lam in mps:
             terms = ztable[lam].terms
             top[lam] = {w: c for w, c in terms.items() if word_degree(w) == n}
@@ -377,14 +377,14 @@ def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
             nums, den = _z_numerators(word_to_z, tail)
             nums = {mu: -c for mu, c in nums.items()}
             nums[lam] = den
-            tops[lam] = (nums, den)
+            top_in_z[lam] = (nums, den)
         # the reduced row at pivot word w is sum_lam c_lam Z_lam with top part w
         pivots, _ = row_reduce((top[lam], {lam: 1}) for lam in mps)
         if len(pivots) < len(mps):
             raise IntegralityError("degenerate leading-term block; bug in the series")
         for lam in mps:
             w = word_for_mp(lam)
-            nums, den = _z_numerators(tops, pivots[w][1])
+            nums, den = _z_numerators(top_in_z, pivots[w][1])
             nums = {mu: c for mu, c in nums.items() if c}
             g = gcd(den, *nums.values())
             word_to_z[w] = ({mu: c // g for mu, c in nums.items()}, den // g)

@@ -6,10 +6,11 @@ lam) is the coefficient of  prod_V s_{mu(V)}(x_V) prod_W s_{nu(W)}(y_W)  in
 
     prod_U s_{lam(U)}(x_U, y_U, (+)_{V,W} (x_V y_W)^{(+) N_{V,W}^U})
 
-computed by plethystic substitution at the symmetric-function layer, in
-integers over the common denominator prod_U |lam(U)|! (see ProductTable).
-All constants for a given total degree are extracted in one sweep per lam and
-cached on the ring, so repeated products are dictionary lookups.
+computed by plethystic substitution in power sums, in integers over the
+common denominator prod_U |lam(U)|! (see ProductTable).  The table builds
+only the blocks of slot sizes that products ask for, grows to a whole degree
+when the demand is dense, and is cached on the ring, so repeated products
+are dictionary lookups; ``z_multiply`` adds them up on integer numerators.
 
 The module also hosts the generator family e_r(U)/h_n(W), the recursive
 expansion of e_n(W) for W outside the basis (through the Moebius/logarithm
@@ -19,11 +20,19 @@ generated in bounded degree.
 """
 
 from fractions import Fraction
-from functools import cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
+from operator import le
 
 from . import symfun as sf
-from ._exact import Combination, PowerSeries, accumulate, format_terms, log1p
+from ._exact import (
+    Combination,
+    PowerSeries,
+    accumulate,
+    format_terms,
+    from_numerators,
+    log1p,
+    to_numerators,
+)
 from .errors import DomainError, IntegralityError
 from .partitions import (
     MultiPartition,
@@ -71,12 +80,6 @@ class GrothElement(Combination):
             raise IntegralityError(f"{where} has non-integer coefficient {bad}")
         return self
 
-    def top_part(self) -> "GrothElement":
-        d = self.degree()
-        return GrothElement(
-            self.ring, {k: c for k, c in self.terms.items() if mp_total(k) == d}
-        )
-
     def __mul__(self, other: "GrothElement") -> "GrothElement":
         return z_multiply(self, other)
 
@@ -121,62 +124,145 @@ def _substitution_plan(ring: BaseRing) -> dict:
 
 
 class ProductTable:
-    """Per-ring cache of structure constants, complete for all pairs with
-    |mu| + |nu| <= degree.
+    """Per-ring cache of structure constants, filled block by block.
 
     ``pairs[(mu, nu)]`` maps lam to the coefficient of Z_lam in Z_mu Z_nu.
-    ``ensure`` builds them on the integer cores of ``symfun``: per lam it
-    substitutes |kappa|! s_kappa for each slot kappa = lam(U), multiplies,
-    converts to Schur and divides every coefficient exactly by
-    prod_U |lam(U)|!; a remainder raises IntegralityError.
+    The block of a pair is its size vector: (|mu(U)|)_U followed by
+    (|nu(W)|)_W, 2k sizes for rank k.  Substitution, products and the
+    change to Schur keys all keep these sizes, and they only add up, so a
+    sweep over every lam with |lam| <= total that drops every term outside a
+    box of blocks yields every constant whose block lies in the box, and
+    exactly.  Per lam a sweep substitutes |kappa|! s_kappa for each slot
+    kappa = lam(U) (on integers, in power sums), multiplies, converts to
+    Schur and divides every coefficient exactly by prod_U |lam(U)|!; a
+    remainder raises IntegralityError.  Lams with a slot whose factor is
+    empty in the box are skipped.
+
+    The table is complete for every pair with |mu| + |nu| <= ``degree`` and
+    for every block inside one of ``boxes``; a box (caps, total) holds the
+    blocks s with s <= caps slotwise and sum(s) <= total.  A pair present in
+    ``pairs`` is always complete, and no complete pair has an empty row: the
+    top part of Z_mu Z_nu is the product of the Schur functions.
     """
 
     def __init__(self, ring: BaseRing):
         self.ring = ring
         self.degree = -1
         self.pairs: dict[tuple, dict[MultiPartition, int]] = {}
+        self.boxes: list[tuple[tuple, int]] = []
+        self.box_blocks = 0  # blocks swept in the boxes above ``degree``
 
-    def ensure(self, degree: int):
+    def ensure(self, degree: int, pairs=None):
+        """Make the table complete for every pair with |mu| + |nu| <= degree,
+        or, given ``pairs = (lefts, rights)``, for every pair of a key of
+        lefts with a key of rights, whose totals must not exceed degree.
+
+        On pairs it lacks, the table sweeps the join of the missing blocks,
+        capped at their largest total T.  Once the blocks swept in boxes
+        would exceed the C(T + 2k, 2k) blocks of total <= T (k the rank), or
+        when the caps do not bind, it grows to degree T instead, so box work
+        never exceeds a complete build."""
         if degree <= self.degree:
             return
+        if pairs is not None:
+            missing = self._missing(*pairs)
+            if not missing:
+                return
+            degree = max(map(sum, missing))
+            caps = tuple(map(max, zip(*missing)))
+            if min(caps) < degree:
+                blocks = _blocks_within(caps, degree)
+                if self.box_blocks + blocks <= comb(degree + len(caps), len(caps)):
+                    self._sweep(caps, degree)
+                    self.boxes.append((caps, degree))
+                    self.box_blocks += blocks
+                    return
+        self._sweep((degree,) * (2 * self.ring.rank()), degree)
+        self.degree = degree
+        self.boxes = [box for box in self.boxes if box[1] > degree]
+        self.box_blocks = sum(_blocks_within(*box) for box in self.boxes)
+
+    def _missing(self, lefts, rights) -> list[tuple]:
+        """The blocks of the pairs lefts x rights that the table lacks."""
+        sizes = {tuple(map(sum, nu)) for nu in rights}
+        out = set()
+        for sa in {tuple(map(sum, mu)) for mu in lefts}:
+            for sb in sizes:
+                block = sa + sb
+                if sum(block) > self.degree and not any(
+                    sum(block) <= total and all(map(le, block, caps))
+                    for caps, total in self.boxes
+                ):
+                    out.add(block)
+        return sorted(out)
+
+    def _sweep(self, caps: tuple, total: int):
+        """Every constant whose block lies in the box (caps, total)."""
         ring = self.ring
-        plan = _substitution_plan(ring)
-        out_labels = _doubled_labels(ring)
         k = ring.rank()
-        pairs: dict[tuple, dict[MultiPartition, int]] = {}
+        box = sf._Box(caps, total)
+        power = sf._power_images(_substitution_plan(ring), _doubled_labels(ring), box)
+        encoded: dict[tuple, list] = {}
+        new: dict[tuple, dict[MultiPartition, int]] = {}
 
-        @cache
-        def factor(u: int, kappa) -> dict:
-            row = sf.scaled_schur_to_p_row(kappa)
-            terms = {mp_single(k, u, mu): c for mu, c in row.items()}
-            return sf._substitute_int(terms, ring.labels, plan, out_labels, degree)
+        def factor(u: int, kappa) -> list:
+            """|kappa|! s_kappa in slot U after the substitution, in the box."""
+            got = encoded.get((u, kappa))
+            if got is None:
+                terms: dict[MultiPartition, int] = {}
+                for rho, c in sf.scaled_schur_to_p_row(kappa).items():
+                    accumulate(terms, power(ring.labels[u], rho), c)
+                got = encoded[u, kappa] = box.encode(terms)
+            return got
 
-        for lam in multipartitions_upto(k, degree):
-            series = {mp_empty(2 * k): 1}
+        for lam in multipartitions_upto(k, total):
+            factors = []
             scale = 1
             for u, kappa in enumerate(lam):
                 if kappa:
-                    series = sf._multiply_int(series, factor(u, kappa), degree)
+                    f = factor(u, kappa)
+                    if not f:
+                        break
+                    factors.append(f)
                     scale *= factorial(sum(kappa))
-            for key, coeff in sf._convert_int(series, sf.p_to_schur_row).items():
-                mu, nu = key[:k], key[k:]
-                c, r = divmod(coeff, scale)
-                if r:
-                    g = gcd(coeff, scale)
-                    raise IntegralityError(
-                        f"coefficient of Z{format_multipartition(lam, ring.labels)}"
-                        f" in Z{format_multipartition(mu, ring.labels)}"
-                        f" * Z{format_multipartition(nu, ring.labels)}"
-                        f" is {coeff // g}/{scale // g}, not an integer"
-                    )
-                pairs.setdefault((mu, nu), {})[lam] = c
-        self.pairs = pairs
-        self.degree = degree
+            else:
+                series = {mp_empty(2 * k): 1}
+                for f in factors:
+                    series = sf._multiply_int(series, f, box)
+                for key, coeff in sf._convert_int(series, sf.p_to_schur_row).items():
+                    mu, nu = key[:k], key[k:]
+                    c, r = divmod(coeff, scale)
+                    if r:
+                        g = gcd(coeff, scale)
+                        raise IntegralityError(
+                            f"coefficient of Z{format_multipartition(lam, ring.labels)}"
+                            f" in Z{format_multipartition(mu, ring.labels)}"
+                            f" * Z{format_multipartition(nu, ring.labels)}"
+                            f" is {coeff // g}/{scale // g}, not an integer"
+                        )
+                    new.setdefault((mu, nu), {})[lam] = c
+        if self.pairs:
+            for key, row in new.items():
+                self.pairs.setdefault(key, row)
+        else:
+            self.pairs = new
 
     def constants(self, mu: MultiPartition, nu: MultiPartition):
-        needed = mp_total(mu) + mp_total(nu)
-        self.ensure(needed)
-        return self.pairs.get((tuple(mu), tuple(nu)), {})
+        """The row of (mu, nu), built on the first request."""
+        key = (tuple(mu), tuple(nu))
+        row = self.pairs.get(key)
+        if row is None:
+            self.ensure(mp_total(mu) + mp_total(nu), ((key[0],), (key[1],)))
+            row = self.pairs.get(key, {})
+        return row
+
+
+def _blocks_within(caps: tuple, total: int) -> int:
+    """The number of size vectors s <= caps (slotwise) with sum(s) <= total."""
+    ways = [1] + [0] * total  # ways[t]: vectors over the slots so far summing to t
+    for cap in caps:
+        ways = [sum(ways[t - j] for j in range(min(cap, t) + 1)) for t in range(total + 1)]
+    return sum(ways)
 
 
 def product_table(ring: BaseRing) -> ProductTable:
@@ -195,14 +281,22 @@ def structure_constant(ring, mu, nu, lam) -> int:
 
 
 def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
+    """The product on integer numerators: each operand over its own common
+    denominator, int sums, and one Fraction per output term."""
     a._check(b)
     table = product_table(a.ring)
-    table.ensure(a.degree() + b.degree())
-    terms: dict[MultiPartition, Fraction] = {}
-    for mu, ca in a.terms.items():
-        for nu, cb in b.terms.items():
-            accumulate(terms, table.constants(mu, nu), ca * cb)
-    return a._like(terms)
+    table.ensure(a.degree() + b.degree(), (a.terms, b.terms))
+    pairs = table.pairs
+    na, da = to_numerators(a.terms)
+    nb, db = to_numerators(b.terms)
+    out: dict[MultiPartition, int] = {}
+    get = out.get
+    for mu, ca in na.items():
+        for nu, cb in nb.items():
+            c = ca * cb
+            for lam, k in pairs[mu, nu].items():
+                out[lam] = get(lam, 0) + c * k
+    return a._like(from_numerators(out, da * db))
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +444,16 @@ def commutation_sides(ring, i: int, j: int, U: RingElement, V: RingElement):
 
 def verify_commutation(ring, i, j, U, V):
     """Check the commutation identity at bidegree (i, j); returns
-    (ok, witness) where the witness names a differing coefficient."""
+    (ok, witness) where the witness names the first differing coefficient
+    and its value on each side."""
     lhs, rhs = commutation_sides(ring, i, j, U, V)
     diff = lhs - rhs
     if diff.is_zero():
         return True, None
-    key = sorted(diff.terms, key=mp_sort_key)[0]
+    key = min(diff.terms, key=mp_sort_key)
     return False, (
-        f"coefficient of Z{format_multipartition(key, ring.labels)} differs by "
-        f"{diff.terms[key]}"
+        f"coefficient of Z{format_multipartition(key, ring.labels)}: "
+        f"left side {lhs.coefficient(key)}, right side {rhs.coefficient(key)}"
     )
 
 

@@ -203,34 +203,6 @@ def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# the twist moving the identity of the Witt group to the origin
-
-def theta_twist(f: SymSeries, ring: BaseRing, inverse: bool = False) -> SymSeries:
-    """Append (inverse) or remove (forward) the value 1 from the unit's
-    variable set: p_l of that set shifts by -1 (forward) or +1 (inverse)."""
-    one = ring.unit_index()
-    if one is None:
-        raise DomainError("the twist needs the ring unit to be a basis element")
-    slot = f.labels.index(ring.labels[one])
-    shift = Fraction(1 if inverse else -1)
-    f = sf.as_power(f)
-    terms: dict[MultiPartition, Fraction] = {}
-    for key, coeff in f.terms.items():
-        expansions = [((), Fraction(1))]
-        for l in key[slot]:
-            expansions = [
-                (parts + extra, c * w)
-                for parts, c in expansions
-                for extra, w in (((l,), Fraction(1)), ((), shift))
-            ]
-        for parts, c in expansions:
-            k2 = list(key)
-            k2[slot] = tuple(sorted(parts, reverse=True))
-            accumulate(terms, {tuple(k2): c}, coeff)
-    return SymSeries(f.labels, "p", f.degree, terms)
-
-
-# ---------------------------------------------------------------------------
 # the formal group law on e-coordinates
 
 Symbol = tuple[int, int, int]  # (family, basis index, e-degree)
@@ -359,6 +331,13 @@ def law_zero_laws(law: GroupLaw) -> bool:
 
 def law_associative(law: GroupLaw, degree: int) -> bool:
     """F(F(a,b),c) == F(a,F(b,c)) symbol-wise up to total degree."""
+    return associativity_defect(law, degree) is None
+
+
+def associativity_defect(law: GroupLaw, degree: int):
+    """None when F(F(a,b),c) == F(a,F(b,c)) symbol-wise up to total degree;
+    else ((u, i), monomial, left, right) for the first component in order
+    and its least differing monomial, by degree, with both coefficients."""
 
     def relabel(poly: Poly, fam_map) -> Poly:
         return {
@@ -382,5 +361,22 @@ def law_associative(law: GroupLaw, degree: int) -> bool:
         lhs = poly_substitute(poly, left_map, degree)
         rhs = poly_substitute(poly, right_map, degree)
         if lhs != rhs:
-            return False
-    return True
+            mono = min(
+                (m for m in lhs.keys() | rhs.keys() if lhs.get(m, 0) != rhs.get(m, 0)),
+                key=lambda m: (_mono_degree(m), m),
+            )
+            return (u, i), mono, lhs.get(mono, 0), rhs.get(mono, 0)
+    return None
+
+
+def format_monomial(mono: Monomial, ring: BaseRing) -> str:
+    """`a1(U)^2*c1(V)`: e_j of the first, second or third argument at U."""
+    if not mono:
+        return "1"
+    powers: dict[Symbol, int] = {}
+    for s in mono:
+        powers[s] = powers.get(s, 0) + 1
+    return "*".join(
+        f"{'abc'[fam]}{j}({ring.labels[u]})" + (f"^{n}" if n > 1 else "")
+        for (fam, u, j), n in powers.items()
+    )

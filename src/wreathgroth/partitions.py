@@ -65,34 +65,11 @@ def epsilon_sign(p: Partition) -> int:
     return -1 if (size(p) - len(p)) & 1 else 1
 
 
-def pad_first_row(p: Partition, n: int) -> Partition:
-    """Prepend a first row of size n - |p|, giving a partition of n.
-
-    Requires n >= |p| + p[0] so the result is weakly decreasing.
-    """
-    least = size(p) + (p[0] if p else 0)
-    if n < least:
-        raise DomainError(f"n={n} too small to pad {list(p)}; need n >= {least}")
-    return (n - size(p),) + p
-
-
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character of the Specht module S^lam at cycle type mu."""
     if size(lam) != size(mu):
         raise DomainError(f"size mismatch: |{list(lam)}| != |{list(mu)}|")
     return kernels.character(lam, mu)
-
-
-def hook_length_dimension(p: Partition) -> int:
-    """dim S^p by the hook length formula (independent check on characters)."""
-    if not p:
-        return 1
-    conj = conjugate(p)
-    out = factorial(size(p))
-    for i, row in enumerate(p):
-        for j in range(row):
-            out //= row - j + conj[j] - i - 1
-    return out
 
 
 def _desc_key(p: Partition) -> tuple[int, ...]:

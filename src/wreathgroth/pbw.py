@@ -90,20 +90,34 @@ def format_word(w: tuple, ring: BaseRing) -> str:
     return "*".join(f"T{sym_level(s)}({ring.labels[sym_index(s)]})" for s in w)
 
 
+class _ProductMemo(dict):
+    """{(w1, w2): items} with one tuple per distinct output word: a few
+    hundred words recur across thousands of items."""
+
+    __slots__ = ("words",)
+
+    def __init__(self):
+        super().__init__()
+        self.words: dict[tuple, tuple] = {}
+
+
 def _word_products(ring: BaseRing):
     """The function (w1, w2) -> product of two words in normal order, as a
     tuple of (normal word, int) items.  Each pair goes to the kernel once per
     ring; the ring's ``pbw_products`` memo keeps the items as a tuple, which
-    holds less memory than a dict."""
+    holds less memory than a dict, and interns their words."""
     memo = ring._caches.get("pbw_products")
     if memo is None:
-        memo = ring._caches["pbw_products"] = {}
+        memo = ring._caches["pbw_products"] = _ProductMemo()
     comm = ring.commutator_table()
+    get, intern = memo.get, memo.words.setdefault
 
     def product(w1: tuple, w2: tuple) -> tuple:
-        items = memo.get((w1, w2))
+        items = get((w1, w2))
         if items is None:
-            items = memo[w1, w2] = tuple(kernels.normalize_product(w1, w2, comm).items())
+            items = memo[w1, w2] = tuple(
+                (intern(w, w), c) for w, c in kernels.normalize_product(w1, w2, comm).items()
+            )
         return items
 
     return product

@@ -17,12 +17,15 @@ I.7); ``scaled_schur_to_p_row`` asserts that division.
 Truncation is strict: operations discard keys above the degree and refuse to
 mix operands with different truncations, since silently combining series
 that remember different amounts of information is the main correctness
-hazard in this layer.
+hazard in this layer.  The cores truncate to a box of slot sizes (``_Box``):
+per-slot caps and a total cap.  The public operations use the box of their
+degree; the product table of ``groth`` sweeps smaller boxes.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
+from operator import le, mul
 
 from ._exact import (
     Combination,
@@ -169,7 +172,8 @@ def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
         raise DomainError("operands must be held in the same basis")
     na, da = _power_numerators(a)
     nb, db = _power_numerators(b)
-    nums = _multiply_int(na, nb, a.degree)
+    box = _Box((a.degree,) * len(a.labels), a.degree)
+    nums = _multiply_int(na, box.encode(nb), box)
     if a.basis == "s":
         nums = _convert_int(nums, p_to_schur_row)
     return _from_numerators(a.labels, a.basis, a.degree, nums, da * db)
@@ -213,44 +217,111 @@ def _convert_int(terms: dict, row) -> dict:
     return terms
 
 
-def _multiply_int(a: dict, b: dict, degree: int) -> dict:
-    """Power-sum product of two integer series, truncated at ``degree``."""
+class _Box:
+    """A truncation: the keys whose slot sizes s satisfy s <= caps slotwise
+    and sum(s) <= total.
+
+    In a product of two keys of the box the test is one addition and one
+    mask.  A key's code is one int with a field of ``width`` value bits and
+    a guard bit for the total and for each slot whose cap binds (is below
+    the total).  Adding ``offset`` puts 2^width - 1 - cap into each field,
+    so a guard bit is set exactly when its sum exceeds its cap.  Codes add
+    up under products, and no field of two keys of the box carries into the
+    next.  With no binding cap only the total is tested.
+    """
+
+    __slots__ = ("caps", "total", "weights", "offset", "guard")
+
+    def __init__(self, caps: tuple, total: int):
+        self.caps, self.total = caps, total
+        width = max(total, 1).bit_length()
+        full = (1 << width) - 1
+        binding = [s for s, cap in enumerate(caps) if cap < total]
+        at = len(binding) * (width + 1)
+        self.weights = [1 << at] * len(caps)
+        self.offset = (full - total) << at
+        self.guard = 1 << (at + width)
+        for i, s in enumerate(binding):
+            at = i * (width + 1)
+            self.weights[s] += 1 << at
+            self.offset += (full - caps[s]) << at
+            self.guard |= 1 << (at + width)
+
+    def code(self, key) -> int:
+        return sum(map(mul, map(sum, key), self.weights))
+
+    def holds(self, key) -> bool:
+        sizes = list(map(sum, key))
+        return sum(sizes) <= self.total and all(map(le, sizes, self.caps))
+
+    def encode(self, terms: dict) -> list:
+        """The operand form of ``_multiply_int``: (key, code, coefficient)."""
+        return [(key, self.code(key), c) for key, c in terms.items()]
+
+
+def _multiply_int(a: dict, b: list, box: _Box) -> dict:
+    """Power-sum product of two integer series in ``box``, kept to it; b in
+    the form of ``box.encode``."""
     out: dict[MultiPartition, int] = {}
-    bk = [(key, mp_total(key), coeff) for key, coeff in b.items()]
+    get = out.get
+    offset, guard, code = box.offset, box.guard, box.code
     for ka, ca in a.items():
-        room = degree - mp_total(ka)
-        for kb, db, cb in bk:
-            if db <= room:
+        room = code(ka) + offset
+        for kb, eb, cb in b:
+            if not (room + eb) & guard:
                 key = tuple(map(merge_parts, ka, kb))
-                out[key] = out.get(key, 0) + ca * cb
+                out[key] = get(key, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
+
+
+def _power_images(plan: dict, out_labels, box: _Box):
+    """The function (label, rho) -> p_rho of that variable set after the
+    substitution of ``plan`` (see ``substitute_variable_sets``), kept to
+    ``box``: an integer series over out_labels.  Each p_l is substituted
+    once, and partitions share their prefixes, p_rho = p_rho[:-1] p_rho[-1]."""
+    index = {lab: i for i, lab in enumerate(out_labels)}
+    nout = len(out_labels)
+    levels: dict[tuple, list] = {}
+    powers: dict[tuple, dict] = {}
+
+    def level(label: str, l: int) -> list:
+        got = levels.get((label, l))
+        if got is None:
+            if label not in plan and label not in index:
+                raise DomainError(f"label {label!r} absent from plan and output labels")
+            expanded: dict[MultiPartition, int] = {}
+            for monomial, mult in plan.get(label, [((label,), 1)]):
+                key = [()] * nout
+                for lab in monomial:
+                    key[index[lab]] = merge_parts(key[index[lab]], (l,))
+                k = tuple(key)
+                if box.holds(k):
+                    expanded[k] = expanded.get(k, 0) + mult
+            got = levels[label, l] = box.encode({k: c for k, c in expanded.items() if c})
+        return got
+
+    def power(label: str, rho) -> dict:
+        if not rho:
+            return {((),) * nout: 1}
+        got = powers.get((label, rho))
+        if got is None:
+            got = powers[label, rho] = _multiply_int(power(label, rho[:-1]), level(label, rho[-1]), box)
+        return got
+
+    return power
 
 
 def _substitute_int(terms: dict, labels, plan: dict, out_labels, degree: int) -> dict:
     """The plethystic substitution of ``substitute_variable_sets`` on a
     power-sum integer series over ``labels``."""
-    index = {lab: i for i, lab in enumerate(out_labels)}
-    nout = len(out_labels)
-
-    @cache
-    def level_factor(label: str, l: int) -> dict:
-        if label not in plan and label not in index:
-            raise DomainError(f"label {label!r} absent from plan and output labels")
-        expanded: dict[MultiPartition, int] = {}
-        for monomial, mult in plan.get(label, [((label,), 1)]):
-            key = [()] * nout
-            for lab in monomial:
-                key[index[lab]] = merge_parts(key[index[lab]], (l,))
-            k = tuple(key)
-            expanded[k] = expanded.get(k, 0) + mult
-        return {k: c for k, c in expanded.items() if c}
-
+    box = _Box((degree,) * len(out_labels), degree)
+    power = _power_images(plan, out_labels, box)
     out: dict[MultiPartition, int] = {}
     for key, coeff in terms.items():
-        partial = {((),) * nout: coeff}
+        partial = {((),) * len(out_labels): coeff}
         for label, p in zip(labels, key):
-            for l in p:
-                partial = _multiply_int(partial, level_factor(label, l), degree)
+            if p:
+                partial = _multiply_int(partial, box.encode(power(label, p)), box)
         for k, c in partial.items():
             out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
@@ -345,23 +416,6 @@ def evaluate_geometric(f: SymSeries, label: str, r: int) -> dict[int, Fraction]:
                 )
         accumulate(out, {r * sum(key[slot]): coeff})
     return out
-
-
-def hall_pairing(a: SymSeries, b: SymSeries) -> Fraction:
-    """<p_lam, p_mu> = delta z_lam, extended multiplicatively over labels."""
-    a._check_compatible(b)
-    pa, pb = as_power(a), as_power(b)
-    total = Fraction(0)
-    small, big = (pa.terms, pb.terms) if len(pa.terms) <= len(pb.terms) else (pb.terms, pa.terms)
-    for key, ca in small.items():
-        cb = big.get(key)
-        if cb is None:
-            continue
-        z = 1
-        for p in key:
-            z *= z_factor(p)
-        total += ca * cb * z
-    return total
 
 
 def e_series(labels, label: str, n: int, degree: int) -> SymSeries:

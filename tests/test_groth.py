@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -77,12 +78,17 @@ def test_filtration_degree_of_products():
         assert (a * b).degree() <= a.degree() + b.degree()
 
 
+def top_part(x: GrothElement) -> GrothElement:
+    d = x.degree()
+    return GrothElement(x.ring, {k: c for k, c in x.terms.items() if mp_total(k) == d})
+
+
 def test_leading_term_is_symmetric_function_product():
     # top-degree part of e_i(U) e_j(V) is the plain product of the Schur keys
     for ring, i, u, j, v in [(C2, 2, 0, 1, 1), (C2, 1, 0, 1, 0), (M2, 1, 1, 1, 2)]:
         a = gr.e_generator(ring, i, ring.basis_element(u))
         b = gr.e_generator(ring, j, ring.basis_element(v))
-        top = (a * b).top_part()
+        top = top_part(a * b)
         fa = sf.SymSeries.generator(
             ring.labels, ring.labels[u], "s", (1,) * i, i + j
         )
@@ -303,3 +309,77 @@ def test_product_table_contents_are_pinned(ring, degree, digest):
         (mu, nu, lam, c) for (mu, nu), row in table.pairs.items() for lam, c in row.items()
     )
     assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "ring,degree", [(r, d) for r, d, _ in TABLE_SHA256], ids=[f"{r.name}-{d}" for r, d, _ in TABLE_SHA256]
+)
+def test_constants_served_pair_by_pair_equal_the_complete_build(ring, degree):
+    # a fresh table asked one pair at a time, in a seeded order, sweeps boxes
+    # of blocks and grows whole degrees by turns; each row must be the one
+    # the complete build holds, and that build lacks no pair of its degree
+    full = gr.ProductTable(ring)
+    full.ensure(degree)
+    keys = multipartitions_upto(ring.rank(), degree)
+    pairs = [(mu, nu) for mu in keys for nu in keys if mp_total(mu) + mp_total(nu) <= degree]
+    random.Random(degree).shuffle(pairs)
+    served = gr.ProductTable(ring)
+    boxes = 0
+    for mu, nu in pairs:
+        assert served.constants(mu, nu) == full.pairs.get((mu, nu), {}), (mu, nu)
+        boxes = max(boxes, len(served.boxes))
+    assert boxes and served.degree == degree
+    assert set(full.pairs) == set(pairs)
+
+
+def test_sparse_commutation_demand_leaves_the_table_small():
+    # e_3(U) e_3(V) and its neighbours ask for a few blocks of total 5 and 6;
+    # the table answers them with boxes instead of the whole degree-6 table
+    # (11,139 pairs on the 2x2 matrices)
+    names = ("E11", "E12", "E21", "E22")
+    config = {
+        "basis": list(names),
+        "unit": {"E11": 1, "E22": 1},
+        "mult": [
+            {"left": a, "right": b, "out": {f"E{a[1]}{b[2]}": 1} if a[2] == b[1] else {}}
+            for a in names for b in names
+        ],
+    }
+    ring = rg.ring_from_config(config)
+    U, V = ring.basis_element(1), ring.basis_element(2)
+    ok, witness = gr.verify_commutation(ring, 3, 3, U, V)
+    assert ok, witness
+    table = gr.product_table(ring)
+    assert table.degree < 6
+    assert len(table.pairs) < 1000
+
+
+def test_integer_product_equals_the_fraction_loop():
+    def reference(a, b):
+        table = gr.product_table(a.ring)
+        terms = {}
+        for mu, ca in a.terms.items():
+            for nu, cb in b.terms.items():
+                for lam, c in table.constants(mu, nu).items():
+                    terms[lam] = terms.get(lam, 0) + ca * cb * c
+        return GrothElement(a.ring, terms)
+
+    rng = random.Random(11)
+    for ring, d in ((C2, 3), (M2, 2)):
+        keys = multipartitions_upto(ring.rank(), d)
+        for _ in range(6):
+            a = GrothElement(ring, {rng.choice(keys): Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4))) for _ in range(4)})
+            b = GrothElement(ring, {rng.choice(keys): Fraction(rng.randint(-9, 9), rng.choice((1, 5, 7))) for _ in range(4)})
+            assert gr.z_multiply(a, b) == reference(a, b)
+            assert gr.z_multiply(b, a) == reference(b, a)
+
+
+def test_commutation_witness_names_both_sides(monkeypatch):
+    one = GrothElement.one(C2)
+    z = zb(C2, (1, (2,)))
+    lhs = one + z.scale(3)
+    rhs = one + z + zb(C2, (0, (1, 1, 1)))
+    monkeypatch.setattr(gr, "commutation_sides", lambda ring, i, j, U, V: (lhs, rhs))
+    ok, witness = gr.verify_commutation(C2, 1, 1, C2.basis_element(0), C2.basis_element(1))
+    assert not ok
+    assert witness == "coefficient of Z{g:[2]}: left side 3, right side 1"

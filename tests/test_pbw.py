@@ -488,3 +488,15 @@ def test_word_products_go_to_the_kernel_once_per_pair(monkeypatch):
     assert b.terms == {(sym(1, 0), sym(1, 1)): 1}
     assert other._caches["pbw_products"] is not ring._caches["pbw_products"]
     assert other._caches["pbw_products"][w1, w2] != ring._caches["pbw_products"][w1, w2]
+
+
+def test_word_product_memo_keeps_one_tuple_per_word():
+    ring = rg.ring_from_config(UPPER)
+    keys = [k for k in multipartitions_upto(ring.rank(), 3) if mp_total(k)]
+    for mu in keys:
+        for nu in keys:
+            pbw.oracle_multiply(ring, mu, nu)
+    words = [w for items in ring._caches["pbw_products"].values() for w, _ in items]
+    distinct = {w: w for w in words}
+    assert len(words) > len(distinct)
+    assert all(w is distinct[w] for w in words)

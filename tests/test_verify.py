@@ -1,6 +1,7 @@
 import pytest
 
 from wreathgroth import groth as gr
+from wreathgroth import hopf
 from wreathgroth import pbw
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
@@ -166,4 +167,47 @@ def test_oracle_crosscheck_witness_names_first_differing_coefficient(monkeypatch
     assert not check.passed
     assert check.detail == (
         "differ at Z{e:[1]} * Z{e:[1]}, first at Z{e:[2]}: combinatorial 1, oracle 3"
+    )
+
+
+def test_adams_witness_names_the_pair_word_and_both_values(monkeypatch):
+    # over Z, Psi_2(T1(1) T2(1)) = 2*T1(1)*T4(1) + 4*T2(1)*T4(1); adding one
+    # more T1(1)*T4(1) to Psi_2 of every product of two generators makes the
+    # two sides first differ there, 3 against 2
+    adams = pbw.adams
+
+    def perturbed(ring, m, x):
+        out = adams(ring, m, x)
+        if any(len(w) == 2 for w in x.terms):
+            out = out + pbw.PBWElement(ring, x.degree, {(pbw.sym(1, 0), pbw.sym(4, 0)): 1})
+        return out
+
+    monkeypatch.setattr(pbw, "adams", perturbed)
+    report = verify.run_suite("lambda", rg.integers.__wrapped__(), 2, 0)
+    check = next(c for c in report.checks if c.name == "Psi_m is an algebra endomorphism")
+    assert not check.passed
+    assert check.detail == (
+        "Psi_2 is not multiplicative at (1,1): word T1(1)*T4(1) has 3 in"
+        " Psi_2(T1(1)*T2(1)), 2 in Psi_2(T1(1))*Psi_2(T2(1))"
+    )
+
+
+def test_group_law_witness_names_component_monomial_and_both_values(monkeypatch):
+    # over Z, F_1(a, b) = a1 + b1 + a1*b1; adding a1^2*b1 keeps the linear part
+    # and the zero laws but puts 2*a1*b1*c1 more into F_1(F(a,b),c) than into
+    # F_1(a,F(b,c)), where the plain law has 1
+    law = hopf.formal_group_law
+
+    def perturbed(ring, degree):
+        out = law(ring, degree)
+        out.components[(0, 1)] = {**out.components[(0, 1)], ((0, 0, 1), (0, 0, 1), (1, 0, 1)): 1}
+        return out
+
+    monkeypatch.setattr(hopf, "formal_group_law", perturbed)
+    report = verify.run_suite("witt", rg.integers.__wrapped__(), 3, 0)
+    check = next(c for c in report.checks if c.name.startswith("the coproduct's formal group law"))
+    assert not check.passed
+    assert check.detail == (
+        "F is not associative: in component e_1(1), a1(1)*b1(1)*c1(1) has 3 in"
+        " F(F(a,b),c), 1 in F(a,F(b,c))"
     )

@@ -241,11 +241,8 @@ class ProductTable:
                             f" is {coeff // g}/{scale // g}, not an integer"
                         )
                     new.setdefault((mu, nu), {})[lam] = c
-        if self.pairs:
-            for key, row in new.items():
-                self.pairs.setdefault(key, row)
-        else:
-            self.pairs = new
+        for key, row in new.items():  # rows already held are the same
+            self.pairs.setdefault(key, row)
 
     def constants(self, mu: MultiPartition, nu: MultiPartition):
         """The row of (mu, nu), built on the first request."""

@@ -2,11 +2,15 @@
 
 The coproduct is slotwise Littlewood-Richardson splitting (dual to
 multiplication of Schur monomials in the dual power-series algebra); the
-counit picks out the empty key; the antipode is computed on the rational
-side, where every generator T_l(U) is primitive, and converted back with an
-integrality assertion. The dual algebra appears twice: as Schur-monomial
-arithmetic (`dual_multiply`) and through its antipode on power sums, both
-checked against the primal structure by exact pairings.
+counit picks out the empty key.  The antipode S is linear, so it is fixed by
+its basis images: each S(Z_lam) is computed once per ring on the rational
+side, where every generator T_l(U) is primitive, converted back to the Z
+basis and kept in the ring's ``antipode`` memo; S(x) sums those images and
+asserts integrality on every call.  The dual algebra appears twice: as
+Schur-monomial arithmetic (`dual_multiply`) and through its antipode on power
+sums, whose images S(p_l(x_U)) are kept per (l, degree) in the ring's
+``dual_antipode`` memo; both are checked against the primal structure by
+exact pairings, so the dual antipode stays an independent route to S.
 
 The coproduct dual to *multiplication* is the substitution rule behind the
 structure constants; restricted to the e-coordinates it is a formal group
@@ -107,13 +111,23 @@ def counit(x: GrothElement) -> Fraction:
 
 
 def antipode(x: GrothElement) -> GrothElement:
-    """S computed through the rational side: S(T_l(U)) = -T_l(U), reversed
-    word order, then back to the Z basis; must land on integer coefficients."""
-    degree = x.degree()
-    el = pbw.PBWElement.zero(x.ring, degree)
+    """S(x) = sum_lam c_lam S(Z_lam), from the basis images in the ring's
+    ``antipode`` memo.  Each S(Z_lam) is taken once per ring on the rational
+    side: Z_lam in PBW words at degree |lam|, S(T_l(U)) = -T_l(U) with the
+    word order reversed, then back to the Z basis.  The image of an integral
+    x must have integer coefficients; that is asserted on every call, so a
+    bad image in the memo fails each time it is used."""
+    ring = x.ring
+    images = ring._caches.setdefault("antipode", {})
+    terms: dict[MultiPartition, Fraction] = {}
     for lam, c in x.terms.items():
-        el = el + pbw.z_element_pbw(x.ring, lam, degree).scale(c)
-    out = pbw.to_z_basis(pbw.antipode_pbw(el))
+        image = images.get(lam)
+        if image is None:
+            image = images[lam] = pbw.to_z_basis(
+                pbw.antipode_pbw(pbw.z_element_pbw(ring, lam))
+            ).terms
+        accumulate(terms, image, c)
+    out = x._like(terms)
     if x.is_integral():
         out.assert_integral("antipode image")
     return out
@@ -143,28 +157,33 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
 
     truncated at symmetric-function degree ``degree``.  Needs the ring unit
     in the basis only for the classical specialization; the series itself is
-    basis-intrinsic, so we only require a unit to exist.
+    basis-intrinsic, so we only require a unit to exist.  Each (l, degree) is
+    summed once per ring and kept in the ring's ``dual_antipode`` memo.
     """
     if ring.unit is None:
         raise DomainError("dual antipode needs a unital ring")
-    base = pbw.RingSeries(
-        ring, degree,
-        {
-            tuple((l,) if i == u else () for i in range(ring.rank())): {u: 1}
-            for u in range(ring.rank())
-        },
-    )
-    total = power_sum(
-        base, pbw.RingSeries.one(ring, degree), degree // l, lambda r: (-1) ** r,
-        pbw.RingSeries(ring, degree),
-    )
-    return {
-        u: SymSeries(
-            ring.labels, "p", degree,
-            {key: vec.get(u, 0) for key, vec in total.terms.items()},
+    memo = ring._caches.setdefault("dual_antipode", {})
+    images = memo.get((l, degree))
+    if images is None:
+        base = pbw.RingSeries(
+            ring, degree,
+            {
+                tuple((l,) if i == u else () for i in range(ring.rank())): {u: 1}
+                for u in range(ring.rank())
+            },
         )
-        for u in range(ring.rank())
-    }
+        total = power_sum(
+            base, pbw.RingSeries.one(ring, degree), degree // l, lambda r: (-1) ** r,
+            pbw.RingSeries(ring, degree),
+        )
+        images = memo[l, degree] = {
+            u: SymSeries(
+                ring.labels, "p", degree,
+                {key: vec.get(u, 0) for key, vec in total.terms.items()},
+            )
+            for u in range(ring.rank())
+        }
+    return dict(images)
 
 
 def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> SymSeries:
@@ -173,13 +192,6 @@ def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> 
     The dual of a Hopf algebra antipode is an algebra map here (the dual is
     commutative), so expand into power-sum monomials and substitute each
     p_l(x_U) by its image."""
-    images = {}
-
-    def image(l):
-        if l not in images:
-            images[l] = dual_antipode_power_sum(ring, l, degree)
-        return images[l]
-
     base = None
     for u, kappa in enumerate(tuple(lam)):
         if not kappa:
@@ -195,7 +207,7 @@ def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> 
         acc = SymSeries.one(ring.labels, "p", degree)
         for u, p in enumerate(key):
             for l in p:
-                acc = sf.multiply(acc, image(l)[u])
+                acc = sf.multiply(acc, dual_antipode_power_sum(ring, l, degree)[u])
                 if acc.is_zero():
                     break
         out = out + acc.scale(coeff)

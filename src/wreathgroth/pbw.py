@@ -553,31 +553,37 @@ def f_series(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
 # ---------------------------------------------------------------------------
 # Adams and lambda operations
 
-def adams_generator(ring: BaseRing, m: int, l: int, u: int, degree: int) -> PBWElement:
-    """Psi_m(T_l(U)) = sum_{d | m, gcd(d,l)=1} (m/d) T_{l m/d}(psi_d(U))."""
-    out = PBWElement.zero(ring, degree)
-    for d in range(1, m + 1):
-        if m % d or gcd(d, l) != 1:
-            continue
-        image = ring.adams_apply(d, ring.basis_element(u))
-        out = out + PBWElement.generator(ring, degree, l * m // d, image).scale(m // d)
-    return out
-
-
-def adams(ring: BaseRing, m: int, x: PBWElement) -> PBWElement:
-    """The algebra endomorphism Psi_m; generators pushed above the truncation
-    degree vanish."""
-    if not ring.has_adams():
-        raise MissingDataError(f"ring {ring.name} carries no Adams operations")
+def substitute(ring: BaseRing, x: PBWElement, image) -> PBWElement:
+    """The algebra map into ``ring``'s PBW algebra sending each letter s to
+    ``image(s)``, word by word at x's truncation degree; a word stops at its
+    first vanishing partial product."""
     out = PBWElement.zero(ring, x.degree)
     for w, c in x.terms.items():
         acc = PBWElement.one(ring, x.degree)
         for s in w:
-            acc = acc * adams_generator(ring, m, sym_level(s), sym_index(s), x.degree)
+            acc = acc * image(s)
             if acc.is_zero():
                 break
         out = out + acc.scale(c)
     return out
+
+
+def adams(ring: BaseRing, m: int, x: PBWElement) -> PBWElement:
+    """The algebra endomorphism Psi_m with Psi_m(T_l(U)) = sum_{d | m,
+    gcd(d,l)=1} (m/d) T_{l m/d}(psi_d(U)); generators pushed above the
+    truncation degree vanish."""
+    if not ring.has_adams():
+        raise MissingDataError(f"ring {ring.name} carries no Adams operations")
+
+    def image(s):
+        l, out = sym_level(s), PBWElement.zero(ring, x.degree)
+        for d in range(1, m + 1):
+            if m % d == 0 and gcd(d, l) == 1:
+                psi = ring.adams_apply(d, ring.basis_element(sym_index(s)))
+                out = out + PBWElement.generator(ring, x.degree, l * m // d, psi).scale(m // d)
+        return out
+
+    return substitute(ring, x, image)
 
 
 def lambda_on_e1(ring: BaseRing, n: int, U: RingElement, degree=None) -> GrothElement:

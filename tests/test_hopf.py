@@ -1,13 +1,16 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wreathgroth import groth as gr
-from wreathgroth import hopf
+from wreathgroth import hopf, pbw, verify
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
 from wreathgroth._exact import accumulate
-from wreathgroth.errors import DomainError
+from wreathgroth.errors import DomainError, IntegralityError
 from wreathgroth.groth import GrothElement
 from wreathgroth.hopf import TensorGroth, comultiply, counit, antipode
 from wreathgroth.partitions import mp_empty, mp_total, multipartitions_upto
@@ -17,6 +20,7 @@ from wreathgroth.symfun import SymSeries
 Z = rg.integers()
 C2 = rg.cyclic_group_algebra(2)
 M2 = rg.matrix_ring(2)
+RINGS = Path(__file__).parent / "rings"
 
 
 def test_comultiply_empty_is_grouplike():
@@ -116,6 +120,103 @@ def test_antipode_axiom():
                 ).scale(c)
             want = GrothElement.one(ring).scale(counit(x))
             assert acc == want
+
+
+def reference_antipode(x: GrothElement) -> GrothElement:
+    """The whole element through the rational side at x's degree: its PBW
+    expansion, S(T_l(U)) = -T_l(U) with the word order reversed, back to Z."""
+    degree = x.degree()
+    el = pbw.PBWElement.zero(x.ring, degree)
+    for lam, c in x.terms.items():
+        el = el + pbw.z_element_pbw(x.ring, lam, degree).scale(c)
+    return pbw.to_z_basis(pbw.antipode_pbw(el))
+
+
+def test_antipode_matches_whole_element_reference():
+    rng = random.Random(11)
+    for ring in (M2, rg.golden_ring()):
+        keys = multipartitions_upto(ring.rank(), 4)
+        for _ in range(12):
+            x = GrothElement(ring, {
+                lam: Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+                for lam in rng.sample(keys, rng.randint(1, 5))
+            })
+            assert antipode(x) == reference_antipode(x)
+        assert antipode(GrothElement.zero(ring)) == GrothElement.zero(ring)
+
+
+def _fresh_upper():
+    return rg.load_ring(str(RINGS / "upper_triangular.json"))
+
+
+def test_suite_hopf_takes_each_antipode_image_once(monkeypatch):
+    ring = _fresh_upper()
+    images = Counter()
+    real_antipode = pbw.antipode_pbw
+
+    def counted_antipode(x):
+        images[frozenset(x.terms.items())] += 1
+        return real_antipode(x)
+
+    sums = Counter()
+    real_power_sum = hopf.power_sum
+
+    def counted_power_sum(base, *args):
+        (l,) = {part for key in base.terms for p in key for part in p}  # base is sum_U p_l(x_U) U
+        sums[l, base.degree] += 1
+        return real_power_sum(base, *args)
+
+    monkeypatch.setattr(pbw, "antipode_pbw", counted_antipode)
+    monkeypatch.setattr(hopf, "power_sum", counted_power_sum)
+    report = verify.suite_hopf(ring, 3, 0)
+    assert report.passed, [(c.name, c.detail) for c in report.checks if not c.passed]
+    keys = multipartitions_upto(ring.rank(), 3)
+    assert set(images.values()) == {1}
+    assert len(images) == len(keys) == len(ring._caches["antipode"])
+    assert sums == {(1, 3): 1, (2, 3): 1, (3, 3): 1}
+
+
+def test_a_memoised_bad_antipode_image_fails_every_check_that_uses_it(monkeypatch):
+    ring = _fresh_upper()
+    lam = ((1, 1), (), ())
+    target = pbw.z_element_pbw(ring, lam)
+    real = pbw.antipode_pbw
+
+    def off_by_a_half(x):
+        out = real(x)
+        if x == target:
+            out = out + pbw.PBWElement.one(ring, x.degree).scale(Fraction(1, 2))
+        return out
+
+    monkeypatch.setattr(pbw, "antipode_pbw", off_by_a_half)
+    report = verify.suite_hopf(ring, 3, 0)
+    witness = "IntegralityError: antipode image has non-integer coefficient 1/2"
+    details = {c.name: (c.passed, c.detail) for c in report.checks}
+    assert details["antipode images are integral"] == (False, witness)
+    assert details["dual antipode pairs with the antipode"] == (False, witness)
+    for _ in range(2):  # the image is memoised now, and still refused
+        with pytest.raises(IntegralityError, match="1/2"):
+            antipode(GrothElement.basis(ring, lam))
+    # a rational combination is not asserted, and carries the bad image
+    half = antipode(GrothElement.basis(ring, lam).scale(Fraction(1, 3)))
+    assert half.coefficient(mp_empty(3)) == Fraction(1, 6)
+
+
+def test_returned_images_are_not_the_memo():
+    ring = _fresh_upper()
+    for x in (
+        GrothElement.basis(ring, ((2,), (), ())),
+        GrothElement(ring, {((1,), (), ()): 1, ((), (1,), ()): 2}),
+    ):
+        want = dict(antipode(x).terms)
+        got = antipode(x)
+        got.terms.clear()
+        assert antipode(x).terms == want
+    images = hopf.dual_antipode_power_sum(ring, 1, 3)
+    want = {u: dict(s.terms) for u, s in images.items()}
+    images.clear()
+    got = hopf.dual_antipode_power_sum(ring, 1, 3)
+    assert {u: dict(s.terms) for u, s in got.items()} == want
 
 
 def test_grouplike_e_series():

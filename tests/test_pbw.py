@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -428,10 +430,7 @@ def _config(unit, products):
 
 
 # upper-triangular 2x2 integer matrices: noncommutative, [E11, E12] = E12
-UPPER = _config({"E11": 1, "E22": 1}, {
-    ("E11", "E11"): {"E11": 1}, ("E11", "E12"): {"E12": 1},
-    ("E12", "E22"): {"E12": 1}, ("E22", "E22"): {"E22": 1},
-})
+UPPER = json.loads((Path(__file__).parent / "rings" / "upper_triangular.json").read_text())
 # Z x Z x Z on three orthogonal idempotents: commutative
 DIAGONAL = _config(
     {"E11": 1, "E12": 1, "E22": 1}, {(u, u): {u: 1} for u in ("E11", "E12", "E22")}

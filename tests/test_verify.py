@@ -1,5 +1,13 @@
-import pytest
+import contextlib
+import io
+import json
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, strategies as st
+
+from wreathgroth import cli
 from wreathgroth import groth as gr
 from wreathgroth import hopf
 from wreathgroth import pbw
@@ -211,3 +219,57 @@ def test_group_law_witness_names_component_monomial_and_both_values(monkeypatch)
         "F is not associative: in component e_1(1), a1(1)*b1(1)*c1(1) has 3 in"
         " F(F(a,b),c), 1 in F(a,F(b,c))"
     )
+
+
+# ---------------------------------------------------------------------------
+# valid rings from config files, through the command line
+
+
+def _exit_code(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+
+def _passes(config: dict, suites) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        assert _exit_code("ring", "validate", "--ring", path) == 0
+        for suite in suites:
+            assert _exit_code("verify", suite, "--degree", "3", "--ring", path) == 0, suite
+
+
+def _table_config(basis, unit, product) -> dict:
+    return {
+        "basis": basis,
+        "unit": unit,
+        "mult": [
+            {"left": u, "right": v, "out": product(u, v)} for u in basis for v in basis
+        ],
+    }
+
+
+@given(st.integers(-3, 3), st.integers(-3, 3))
+def test_quadratic_rings_pass_validate_and_the_oracle(a, b):
+    # Z[x]/(x^2 - a x - b) on the basis 1, x
+    def product(u, v):
+        if u == "1" or v == "1":
+            return {u if v == "1" else v: 1}
+        return {k: c for k, c in (("x", a), ("1", b)) if c}
+
+    _passes(_table_config(["1", "x"], {"1": 1}, product), ["oracle-crosscheck"])
+
+
+def test_monoid_algebra_of_zero_and_one_passes_validate_and_the_oracle():
+    # ({0, 1}, *): e0 absorbs, e1 is the unit
+    def product(u, v):
+        return {"e1" if u == v == "e1" else "e0": 1}
+
+    _passes(_table_config(["e0", "e1"], {"e1": 1}, product), ["oracle-crosscheck"])
+
+
+def test_upper_triangular_ring_passes_validate_the_oracle_and_hopf():
+    with open(os.path.join(os.path.dirname(__file__), "rings", "upper_triangular.json")) as fh:
+        config = json.load(fh)
+    _passes(config, ["oracle-crosscheck", "hopf"])

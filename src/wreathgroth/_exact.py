@@ -14,6 +14,7 @@ every decision about such dicts that more than one layer needs:
   them;
 - ``exp`` and ``log1p`` are the one truncated exponential and logarithm,
   both instances of ``power_sum``;
+- ``substitute`` is the one algebra map given by the images of letters;
 - ``row_reduce`` and ``reduce`` are the one exact linear solver (inverse,
   determinant, echelon form and span membership);
 - ``format_terms`` is the one sign-aware printed form.
@@ -67,6 +68,9 @@ def monomial_product(a: dict, b: dict, merge) -> dict:
     return out
 
 
+_ZERO = Fraction(0)  # the coefficient of every absent key; Fractions are immutable
+
+
 class Combination:
     """A flat element: ``terms`` maps basis keys to nonzero Fractions.
 
@@ -118,7 +122,7 @@ class Combination:
         return self._like({k: v * c for k, v in self.terms.items()})
 
     def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, _ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -221,6 +225,23 @@ def log1p(x, one, degree: int):
     """log(one + x) for x without constant term, truncated like ``exp``."""
     zero = one.scale(0)
     return power_sum(x, one, degree, lambda k: Fraction((-1) ** (k - 1), k), zero)
+
+
+def substitute(terms: dict, image, one, letters=tuple):
+    """sum_key c * image(s_1) * ... * image(s_n) over ``terms``, where
+    (s_1, ..., s_n) = letters(key): the algebra map sending each letter s to
+    image(s), into any algebra with *, +, scale and is_zero (``one`` its
+    unit).  A word stops at its first vanishing partial product, so the
+    images of its later letters are never asked for."""
+    out = one.scale(0)
+    for key, c in terms.items():
+        acc = one
+        for s in letters(key):
+            acc = acc * image(s)
+            if acc.is_zero():
+                break
+        out = out + acc.scale(c)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -87,15 +87,12 @@ def cmd_groth(args) -> int:
         a = GrothElement.basis(ring, _parse_groth_literal(ring, args.operands[0]))
         b = GrothElement.basis(ring, _parse_groth_literal(ring, args.operands[1]))
         _emit_element(args, a * b)
-    elif args.action == "e":
+    elif args.action in ("e", "decompose"):
         W = parse_element(ring, args.elem)
-        _emit_element(args, gr.e_generator(ring, args.n, W))
+        _emit_element(args, gr.e_of(ring, args.n, W))
     elif args.action == "h":
         W = parse_element(ring, args.elem)
         _emit_element(args, gr.h_element(ring, args.n, W))
-    elif args.action == "decompose":
-        W = parse_element(ring, args.elem)
-        _emit_element(args, gr.e_of(ring, args.n, W))
     elif args.action == "xbasis":
         lam = _parse_groth_literal(ring, args.operands[0])
         _emit_element(args, gr.x_basis_element(ring, lam))

@@ -299,20 +299,6 @@ def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
 # ---------------------------------------------------------------------------
 # generators
 
-def e_generator(ring: BaseRing, r: int, W: RingElement) -> GrothElement:
-    """e_r(W).  For W in the basis this is the single-column key at W;
-    any other W goes through e_of."""
-    _check_degree(r)
-    if r == 0:
-        return GrothElement.one(ring)
-    if W.is_zero():
-        return GrothElement.zero(ring)
-    u = W.basis_index()
-    if u is not None:
-        return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * r))
-    return e_of(ring, r, W)
-
-
 def _check_degree(n: int):
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -369,7 +355,8 @@ def _f_coefficient(ring, V: RingElement, n: int, skip_top=False) -> GrothElement
 
 
 def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
-    """e_n(W) for arbitrary W, expanded in the Z basis."""
+    """e_n(W) for any W, expanded in the Z basis: for W in the basis the
+    single-column key at W, for any other W the F-series recursion."""
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
@@ -511,6 +498,6 @@ def gk_spanning_set(ring: BaseRing, k: int, D: int):
     for m in monomials:
         el = GrothElement.one(ring)
         for i, u in m:
-            el = z_multiply(el, e_generator(ring, i, ring.basis_element(u)))
+            el = z_multiply(el, e_of(ring, i, ring.basis_element(u)))
         out.append((m, el))
     return out

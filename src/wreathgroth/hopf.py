@@ -23,7 +23,7 @@ from functools import cache
 
 from . import pbw
 from . import symfun as sf
-from ._exact import Combination, accumulate, monomial_product, power_sum
+from ._exact import Combination, accumulate, monomial_product, power_sum, substitute
 from .errors import DomainError, IntegralityError
 from .groth import GrothElement, _substitution_plan, _doubled_labels, product_table
 from .partitions import (
@@ -68,9 +68,6 @@ class TensorGroth(Combination):
             for kb, cb in b.terms.items():
                 out[(ka, kb)] = ca * cb
         return cls(a.ring, out)
-
-    def coefficient(self, mu, nu) -> Fraction:
-        return super().coefficient((tuple(mu), tuple(nu)))
 
     def __mul__(self, other: "TensorGroth") -> "TensorGroth":
         table = product_table(self.ring)
@@ -179,7 +176,7 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
         images = memo[l, degree] = {
             u: SymSeries(
                 ring.labels, "p", degree,
-                {key: vec.get(u, 0) for key, vec in total.terms.items()},
+                {key: c for (key, v), c in total.terms.items() if v == u},
             )
             for u in range(ring.rank())
         }
@@ -192,26 +189,20 @@ def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> 
     The dual of a Hopf algebra antipode is an algebra map here (the dual is
     commutative), so expand into power-sum monomials and substitute each
     p_l(x_U) by its image."""
-    base = None
+    one = SymSeries.one(ring.labels, "p", degree)
+    base = one
     for u, kappa in enumerate(tuple(lam)):
-        if not kappa:
-            continue
-        f = sf.schur_to_power(
-            SymSeries.generator(ring.labels, ring.labels[u], "s", kappa, degree)
-        )
-        base = f if base is None else sf.multiply(base, f)
-    if base is None:
-        return SymSeries.one(ring.labels, "p", degree)
-    out = SymSeries.zero(ring.labels, "p", degree)
-    for key, coeff in base.terms.items():
-        acc = SymSeries.one(ring.labels, "p", degree)
-        for u, p in enumerate(key):
-            for l in p:
-                acc = sf.multiply(acc, dual_antipode_power_sum(ring, l, degree)[u])
-                if acc.is_zero():
-                    break
-        out = out + acc.scale(coeff)
-    return out
+        if kappa:
+            f = sf.schur_to_power(
+                SymSeries.generator(ring.labels, ring.labels[u], "s", kappa, degree)
+            )
+            base = f if base is one else base * f
+    return substitute(
+        base.terms,
+        lambda s: dual_antipode_power_sum(ring, s[1], degree)[s[0]],
+        one,
+        letters=lambda key: [(u, l) for u, p in enumerate(key) for l in p],
+    )
 
 
 # ---------------------------------------------------------------------------

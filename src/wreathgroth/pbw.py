@@ -15,9 +15,12 @@ is the PBW expansion of the basis element Z_lam.  Levels above the truncation
 degree cannot contribute (T_l alone has degree l), so the product over l is
 finite by a proven cutoff, not a tolerance.  Everything this module computes
 is derived from that series and serves as the independent cross-check for
-the combinatorial layer in ``groth``.
+the combinatorial layer in ``groth``.  Its symmetric-function side is held in
+power sums: a ``RingSeries`` (an element of R (x) Lambda, the argument of a
+Theta_l) maps (power-sum multipartition, basis index of R) to a coefficient,
+and a ``MixedSeries`` maps (power-sum multipartition, normal word).
 
-The products (``PBWElement``, ``MixedSeries``) and the change to the Z basis
+The products (``PBWElement`` and both series) and the change to the Z basis
 are integer cores: each operand's Fractions are cleared once with their lcm
 (``_exact.to_numerators``), the loops multiply and add ints, and one Fraction
 is built per output term.  The product of two normal words comes from the
@@ -43,6 +46,7 @@ from ._exact import (
     from_numerators,
     log1p,
     row_reduce,
+    substitute,
     to_numerators,
 )
 from .errors import DomainError, IntegralityError, MissingDataError
@@ -180,69 +184,11 @@ class PBWElement(Combination):
 # ---------------------------------------------------------------------------
 # series with symmetric-function coefficients
 
-class RingSeries:
-    """Sparse map from power-sum multipartition keys to coefficient vectors
-    over the ring; the scalar side of a Theta argument."""
-
-    __slots__ = ("ring", "degree", "terms")
-
-    def __init__(self, ring, degree, terms=None):
-        self.ring = ring
-        self.degree = degree
-        self.terms: dict[MultiPartition, dict[int, Fraction]] = {}
-        if terms:
-            for k, vec in terms.items():
-                if mp_total(k) <= degree:
-                    vec = {
-                        u: c if type(c) is Fraction else Fraction(c)
-                        for u, c in vec.items()
-                        if c
-                    }
-                    if vec:
-                        self.terms[k] = vec
-
-    @classmethod
-    def one(cls, ring, degree):
-        if ring.unit is None:
-            raise DomainError("ring has no unit")
-        return cls(ring, degree, {mp_empty(ring.rank()): dict(ring.unit)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        terms = {k: dict(v) for k, v in self.terms.items()}
-        for k, vec in other.terms.items():
-            accumulate(terms.setdefault(k, {}), vec)
-        return RingSeries(self.ring, self.degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return RingSeries(
-            self.ring, self.degree,
-            {k: {u: v * c for u, v in vec.items()} for k, vec in self.terms.items()},
-        )
-
-    def __mul__(self, other: "RingSeries") -> "RingSeries":
-        ring, D = self.ring, self.degree
-        terms: dict[MultiPartition, dict[int, Fraction]] = {}
-        for k1, v1 in self.terms.items():
-            d1 = mp_total(k1)
-            for k2, v2 in other.terms.items():
-                if d1 + mp_total(k2) > D:
-                    continue
-                tv = terms.setdefault(tuple(map(merge_parts, k1, k2)), {})
-                for i, c1 in v1.items():
-                    for j, c2 in v2.items():
-                        accumulate(tv, ring.tensor[(i, j)], c1 * c2)
-        return RingSeries(ring, D, terms)
-
-
-class MixedSeries(Combination):
-    """Sparse map (power-sum multipartition key, PBW word) -> coefficient."""
+class _PowerSumSeries(Combination):
+    """Sparse map (power-sum multipartition key, tag) -> coefficient,
+    truncated above symmetric-function degree ``degree``.  Keys multiply
+    slotwise and tags through ``_tag_product(ring)``, a function of two tags
+    giving (tag, int) items; the product runs on integer numerators."""
 
     __slots__ = ("ring", "degree")
     _context = ("ring", "degree")
@@ -256,12 +202,8 @@ class MixedSeries(Combination):
     def _fits(self, key) -> bool:
         return mp_total(key[0]) <= self.degree
 
-    @classmethod
-    def one(cls, ring, degree):
-        return cls(ring, degree, {(mp_empty(ring.rank()), ()): Fraction(1)})
-
-    def __mul__(self, other: "MixedSeries") -> "MixedSeries":
-        product = _word_products(self.ring)
+    def __mul__(self, other):
+        product = self._tag_product(self.ring)
         D = self.degree
         na, da = to_numerators(self.terms)
         nb, db = to_numerators(other.terms)
@@ -281,20 +223,54 @@ class MixedSeries(Combination):
         return self._like(from_numerators(out, da * db))
 
 
+class RingSeries(_PowerSumSeries):
+    """An element of R (x) Lambda: (power-sum key, basis index of R) ->
+    coefficient; the scalar side of a Theta argument.  The constructor takes
+    the nested form {key: {basis index: coefficient}}."""
+
+    __slots__ = ()
+
+    def __init__(self, ring, degree, terms=None):
+        super().__init__(ring, degree, {
+            (k, u): c for k, vec in (terms or {}).items() for u, c in vec.items()
+        })
+
+    @staticmethod
+    def _tag_product(ring):
+        tensor = ring.tensor
+        return lambda i, j: tensor[i, j].items()
+
+    @classmethod
+    def one(cls, ring, degree):
+        if ring.unit is None:
+            raise DomainError("ring has no unit")
+        return cls(ring, degree, {mp_empty(ring.rank()): dict(ring.unit)})
+
+
+class MixedSeries(_PowerSumSeries):
+    """Sparse map (power-sum multipartition key, PBW word) -> coefficient."""
+
+    __slots__ = ()
+    _tag_product = staticmethod(_word_products)
+
+    @classmethod
+    def one(cls, ring, degree):
+        return cls(ring, degree, {(mp_empty(ring.rank()), ()): Fraction(1)})
+
+
 def apply_t(l: int, x: RingSeries, degree: int) -> MixedSeries:
     """T_l applied linearly over the symmetric-function coefficients."""
-    terms = {}
-    for k, vec in x.terms.items():
-        for u, c in vec.items():
-            terms[(k, (sym(l, u),))] = c
-    return MixedSeries(x.ring, degree, terms)
+    return MixedSeries(
+        x.ring, degree, {(k, (sym(l, u),)): c for (k, u), c in x.terms.items()}
+    )
 
 
 def theta(l: int, x: RingSeries, degree: int) -> MixedSeries:
     """Theta_l(x) = exp(T_l(log x)) for a series with constant term 1."""
     one = RingSeries.one(x.ring, x.degree)
     n = x - one
-    if mp_empty(x.ring.rank()) in n.terms:
+    empty = mp_empty(x.ring.rank())
+    if any(k == empty for k, _ in n.terms):
         raise DomainError("series must have constant term 1")
     logx = log1p(n, one, x.degree)
     return exp(apply_t(l, logx, degree), MixedSeries.one(x.ring, degree), degree)
@@ -486,7 +462,7 @@ def theta_t(l: int, arg: dict[int, dict[int, int]], ring, degree) -> TSeries:
     if 0 in x.coeffs:
         raise DomainError("theta argument needs constant term 1")
     lin = TSeries(ring, degree, {
-        k: PBWElement(ring, degree, {(sym(l, u),): c for u, c in v.terms[empty].items()})
+        k: PBWElement(ring, degree, {(sym(l, u),): c for (_, u), c in v.terms.items()})
         for k, v in log1p(x, one, degree).coeffs.items()
     })
     return exp(lin, TSeries.one(ring, degree), degree)
@@ -553,21 +529,6 @@ def f_series(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
 # ---------------------------------------------------------------------------
 # Adams and lambda operations
 
-def substitute(ring: BaseRing, x: PBWElement, image) -> PBWElement:
-    """The algebra map into ``ring``'s PBW algebra sending each letter s to
-    ``image(s)``, word by word at x's truncation degree; a word stops at its
-    first vanishing partial product."""
-    out = PBWElement.zero(ring, x.degree)
-    for w, c in x.terms.items():
-        acc = PBWElement.one(ring, x.degree)
-        for s in w:
-            acc = acc * image(s)
-            if acc.is_zero():
-                break
-        out = out + acc.scale(c)
-    return out
-
-
 def adams(ring: BaseRing, m: int, x: PBWElement) -> PBWElement:
     """The algebra endomorphism Psi_m with Psi_m(T_l(U)) = sum_{d | m,
     gcd(d,l)=1} (m/d) T_{l m/d}(psi_d(U)); generators pushed above the
@@ -583,7 +544,7 @@ def adams(ring: BaseRing, m: int, x: PBWElement) -> PBWElement:
                 out = out + PBWElement.generator(ring, x.degree, l * m // d, psi).scale(m // d)
         return out
 
-    return substitute(ring, x, image)
+    return substitute(x.terms, image, PBWElement.one(ring, x.degree))
 
 
 def lambda_on_e1(ring: BaseRing, n: int, U: RingElement, degree=None) -> GrothElement:

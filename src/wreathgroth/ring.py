@@ -148,13 +148,7 @@ class BaseRing:
 
     def unit_index(self):
         """Basis index of the unit, or None when 1 is not a basis element."""
-        if self.unit is None:
-            return None
-        if len(self.unit) == 1:
-            ((i, c),) = self.unit.items()
-            if c == 1:
-                return i
-        return None
+        return None if self.unit is None else self.one().basis_index()
 
     # -- multiplication ------------------------------------------------------
     def multiply_vec(self, a: Vec, b: Vec) -> Vec:

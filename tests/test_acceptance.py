@@ -157,7 +157,7 @@ def test_criterion_08_lambda_ring():
         assert rep.passed, (ring.name, [c.name for c in rep.checks if not c.passed])
     Z = RINGS[0]
     for n in range(1, 5):
-        assert pbw.lambda_on_e1(Z, n, Z.one(), 4) == gr.e_generator(Z, n, Z.one())
+        assert pbw.lambda_on_e1(Z, n, Z.one(), 4) == gr.e_of(Z, n, Z.one())
     announce(8, "Psi_1 = id, Psi_m Psi_n = Psi_mn, lambda^n(e_1(1)) = e_n(1)", t0)
 
 
@@ -192,7 +192,7 @@ def test_criterion_10_duality():
             for nu in small:
                 prod = hopf.dual_multiply(ring, mu, nu)
                 for lam in multipartitions_upto(ring.rank(), mp_total(mu) + mp_total(nu)):
-                    got = hopf.comultiply(GrothElement.basis(ring, lam)).coefficient(mu, nu)
+                    got = hopf.comultiply(GrothElement.basis(ring, lam)).coefficient((mu, nu))
                     assert prod.get(lam, 0) == got, (ring.name, mu, nu, lam)
         # dual comultiplication constants = multiplication constants, with the
         # multiplication recomputed on the independent enveloping-algebra side

@@ -1,8 +1,11 @@
-"""The sparse exact-algebra core: accumulate, truncated exp/log, row
-reduction and the term formatter."""
+"""The sparse exact-algebra core: accumulate, truncated exp/log, the
+substitution loop, row reduction and the term formatter."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 
+from wreathgroth import ring as rg
 from wreathgroth._exact import (
     accumulate,
     exp,
@@ -10,8 +13,22 @@ from wreathgroth._exact import (
     log1p,
     reduce,
     row_reduce,
+    substitute,
 )
+from wreathgroth.partitions import multipartitions_upto
+from wreathgroth.pbw import PBWElement, sym, word_for_mp
 from wreathgroth.symfun import SymSeries
+
+LABELS = ("x", "y")
+
+
+def power_letters(key):
+    """The letters (slot, l) of a power-sum key, one per part."""
+    return [(u, l) for u, p in enumerate(key) for l in p]
+
+
+def power_sum_image(u, l, degree):
+    return SymSeries.generator(LABELS, LABELS[u], "p", (l,), degree)
 
 
 def inverse(rows):
@@ -98,3 +115,46 @@ def test_format_terms():
         "a - 2*b + 1/2*c - d"
     )
     assert format_terms([("a", -1)]) == "-a"
+
+
+def test_substitute_identity_image_returns_its_input():
+    rng = random.Random(3)
+    ring = rg.matrix_ring(2)
+    keys = multipartitions_upto(ring.rank(), 4)
+    x = PBWElement(ring, 4, {
+        word_for_mp(rng.choice(keys)): F(rng.randint(-5, 5), 3) for _ in range(8)
+    })
+    one = PBWElement.one(ring, 4)
+    assert substitute(x.terms, lambda s: PBWElement(ring, 4, {(s,): 1}), one) == x
+    keys = multipartitions_upto(2, 5)
+    f = SymSeries(LABELS, "p", 5, {rng.choice(keys): rng.randint(-5, 5) for _ in range(8)})
+    one = SymSeries.one(LABELS, "p", 5)
+    got = substitute(f.terms, lambda s: power_sum_image(*s, 5), one, letters=power_letters)
+    assert got == f
+
+
+def test_substitute_stops_a_word_at_a_vanishing_image():
+    ring = rg.cyclic_group_algebra(2)
+    a, b, c = sym(1, 0), sym(1, 1), sym(2, 0)
+    asked = Counter()
+
+    def image(s):
+        asked[s] += 1
+        return PBWElement(ring, 4, {} if s == b else {(s,): 1})
+
+    x = {(a, b, c): F(1), (a, c): F(2)}
+    got = substitute(x, image, PBWElement.one(ring, 4))
+    assert got == PBWElement(ring, 4, {(a, c): 2})
+    assert asked == {a: 2, b: 1, c: 1}  # c only for the second word
+
+    asked.clear()
+
+    def sym_image(s):
+        asked[s] += 1
+        u, l = s
+        return SymSeries.zero(LABELS, "p", 6) if l == 2 else power_sum_image(u, l, 6)
+
+    f = {((3, 2, 1), ()): F(1), ((1,), (1,)): F(5)}
+    got = substitute(f, sym_image, SymSeries.one(LABELS, "p", 6), letters=power_letters)
+    assert got == SymSeries(LABELS, "p", 6, {((1,), (1,)): 5})
+    assert asked == {(0, 3): 1, (0, 2): 1, (0, 1): 1, (1, 1): 1}  # (0, 1) only for p_1 p_1

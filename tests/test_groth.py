@@ -86,8 +86,8 @@ def top_part(x: GrothElement) -> GrothElement:
 def test_leading_term_is_symmetric_function_product():
     # top-degree part of e_i(U) e_j(V) is the plain product of the Schur keys
     for ring, i, u, j, v in [(C2, 2, 0, 1, 1), (C2, 1, 0, 1, 0), (M2, 1, 1, 1, 2)]:
-        a = gr.e_generator(ring, i, ring.basis_element(u))
-        b = gr.e_generator(ring, j, ring.basis_element(v))
+        a = gr.e_of(ring, i, ring.basis_element(u))
+        b = gr.e_of(ring, j, ring.basis_element(v))
         top = top_part(a * b)
         fa = sf.SymSeries.generator(
             ring.labels, ring.labels[u], "s", (1,) * i, i + j
@@ -101,9 +101,9 @@ def test_leading_term_is_symmetric_function_product():
 
 
 def test_e_generator_basics():
-    assert gr.e_generator(C2, 0, C2.basis_element(0)) == GrothElement.one(C2)
-    assert gr.e_generator(C2, 3, C2.basis_element(1)) == zb(C2, (1, (1, 1, 1)))
-    assert gr.e_generator(C2, 2, C2.zero()).is_zero()
+    assert gr.e_of(C2, 0, C2.basis_element(0)) == GrothElement.one(C2)
+    assert gr.e_of(C2, 3, C2.basis_element(1)) == zb(C2, (1, (1, 1, 1)))
+    assert gr.e_of(C2, 2, C2.zero()).is_zero()
 
 
 def test_e_linear_in_degree_one():

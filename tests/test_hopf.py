@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,13 +34,13 @@ def test_comultiply_e_column():
     for ring in (Z, C2):
         for u in range(ring.rank()):
             for n in (1, 2, 3):
-                en = gr.e_generator(ring, n, ring.basis_element(u))
+                en = gr.e_of(ring, n, ring.basis_element(u))
                 got = comultiply(en)
                 want = TensorGroth(ring)
                 for i in range(n + 1):
                     want = want + TensorGroth.of(
-                        gr.e_generator(ring, i, ring.basis_element(u)),
-                        gr.e_generator(ring, n - i, ring.basis_element(u)),
+                        gr.e_of(ring, i, ring.basis_element(u)),
+                        gr.e_of(ring, n - i, ring.basis_element(u)),
                     )
                 assert got == want
 
@@ -47,17 +48,17 @@ def test_comultiply_e_column():
 def test_comultiply_hook_splitting():
     x = GrothElement.basis(C2, ((2, 1), ()))
     got = comultiply(x)
-    assert got.coefficient(((2,), ()), ((1,), ())) == 1
-    assert got.coefficient(((1, 1), ()), ((1,), ())) == 1
-    assert got.coefficient(((2, 1), ()), ((), ())) == 1
-    assert got.coefficient(((1,), ()), ((1,), ())) == 0
+    assert got.coefficient((((2,), ()), ((1,), ()))) == 1
+    assert got.coefficient((((1, 1), ()), ((1,), ()))) == 1
+    assert got.coefficient((((2, 1), ()), ((), ()))) == 1
+    assert got.coefficient((((1,), ()), ((1,), ()))) == 0
 
 
 def test_counit():
     assert counit(GrothElement.one(C2)) == 1
     for u in range(2):
         for r in (1, 2):
-            assert counit(gr.e_generator(C2, r, C2.basis_element(u))) == 0
+            assert counit(gr.e_of(C2, r, C2.basis_element(u))) == 0
     # (counit (x) id) . Delta = id
     for lam in multipartitions_upto(2, 3):
         d = comultiply(GrothElement.basis(C2, lam))
@@ -101,9 +102,9 @@ def test_antipode_basics():
     assert antipode(GrothElement.one(C2)) == GrothElement.one(C2)
     for ring in (Z, C2, M2):
         for u in range(ring.rank()):
-            e1 = gr.e_generator(ring, 1, ring.basis_element(u))
+            e1 = gr.e_of(ring, 1, ring.basis_element(u))
             assert antipode(e1) == e1.scale(-1)
-            e2 = gr.e_generator(ring, 2, ring.basis_element(u))
+            e2 = gr.e_of(ring, 2, ring.basis_element(u))
             assert antipode(e2) == e1 * e1 - e2
 
 
@@ -162,7 +163,8 @@ def test_suite_hopf_takes_each_antipode_image_once(monkeypatch):
     real_power_sum = hopf.power_sum
 
     def counted_power_sum(base, *args):
-        (l,) = {part for key in base.terms for p in key for part in p}  # base is sum_U p_l(x_U) U
+        # base is sum_U p_l(x_U) U, its terms keyed (power-sum key, U)
+        (l,) = {part for key, _ in base.terms for p in key for part in p}
         sums[l, base.degree] += 1
         return real_power_sum(base, *args)
 
@@ -225,11 +227,11 @@ def test_grouplike_e_series():
         for u in range(ring.rank()):
             U = ring.basis_element(u)
             for n in range(5):
-                lhs = comultiply(gr.e_generator(ring, n, U))
+                lhs = comultiply(gr.e_of(ring, n, U))
                 rhs = TensorGroth(ring)
                 for i in range(n + 1):
                     rhs = rhs + TensorGroth.of(
-                        gr.e_generator(ring, i, U), gr.e_generator(ring, n - i, U)
+                        gr.e_of(ring, i, U), gr.e_of(ring, n - i, U)
                     )
                 assert lhs == rhs
 
@@ -246,7 +248,7 @@ def test_dual_multiply():
             prod = hopf.dual_multiply(C2, mu, nu)
             for lam in multipartitions_upto(2, 3):
                 lhs = prod.get(lam, 0)
-                rhs = comultiply(GrothElement.basis(C2, lam)).coefficient(mu, nu)
+                rhs = comultiply(GrothElement.basis(C2, lam)).coefficient((mu, nu))
                 assert lhs == rhs
 
 
@@ -371,3 +373,28 @@ def test_formal_group_law_properties():
         assert hopf.law_first_order(law)
         assert hopf.law_zero_laws(law)
         assert hopf.law_associative(law, 3)
+
+
+# sha256 over repr(sorted (l, u, key, c)) of dual_antipode_power_sum(ring, l, d)
+# for 1 <= l <= d, taken while RingSeries still held nested coefficient vectors
+DUAL_ANTIPODE_SHA256 = [
+    (Z, 6, "b787f08c143adb8ff29397e763e1f636b3c9a7e814888b0fe3729a1f8ad6bf58"),
+    (C2, 5, "46a7b5fe19457a949ec9f6560b36388c35694527fd7b7540fed55eeb97d8c65d"),
+    (rg.golden_ring(), 5, "b592a04e06368942513c1e981878ff6610860759c1d8981426c26158a5286c9e"),
+    (M2, 4, "353103df4543aac657dc7c08cc6e6aef55c85818351b0ae9860cd97140336cb4"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,degree,digest",
+    DUAL_ANTIPODE_SHA256,
+    ids=[f"{r.name}-{d}" for r, d, _ in DUAL_ANTIPODE_SHA256],
+)
+def test_dual_antipode_power_sums_are_pinned(ring, degree, digest):
+    entries = sorted(
+        (l, u, key, c)
+        for l in range(1, degree + 1)
+        for u, image in hopf.dual_antipode_power_sum(ring, l, degree).items()
+        for key, c in image.terms.items()
+    )
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -12,7 +13,7 @@ from wreathgroth import ring as rg
 from wreathgroth._exact import accumulate
 from wreathgroth.errors import DomainError, MissingDataError
 from wreathgroth.groth import GrothElement, mobius
-from wreathgroth.partitions import mp_total, multipartitions_upto
+from wreathgroth.partitions import mp_empty, mp_total, multipartitions_upto
 from wreathgroth.pbw import PBWElement, RingSeries, sym, word_degree
 
 
@@ -80,6 +81,47 @@ def test_commutative_ring_never_needs_corrections():
         ((word, c),) = out.terms.items()
         assert c == 1
         assert word == tuple(sorted(sym(l, u) for l, u in w))
+
+
+def test_ring_series_nested_constructor_gives_flat_terms():
+    k2, k11 = ((2,), ()), ((1,), (1,))
+    x = RingSeries(C2, 2, {
+        k2: {0: 3, 1: 0},  # a zero entry
+        k11: {1: Fraction(1, 2)},
+        ((3,), ()): {0: 1},  # above the degree
+        mp_empty(2): {},
+    })
+    assert x.terms == {(k2, 0): Fraction(3), (k11, 1): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert RingSeries.one(M2, 3).terms == {(mp_empty(4), 0): 1, (mp_empty(4), 3): 1}
+    # (p_1(x_e) g)^2 = p_1(x_e)^2 g^2 = p_1(x_e)^2 e, and the degree truncates
+    pg = RingSeries(C2, 2, {((1,), ()): {1: 1}})
+    assert (pg * pg).terms == {(((1, 1), ()), 0): 1}
+    assert (pg * pg * pg).is_zero()
+
+
+def test_ring_series_products_are_associative_and_distributive():
+    rng = random.Random(11)
+    D = 4
+    for ring in (C2, M2):
+        keys = multipartitions_upto(ring.rank(), D)
+
+        def random_series():
+            return RingSeries(ring, D, {
+                rng.choice(keys): {
+                    rng.randrange(ring.rank()): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(2)
+                }
+                for _ in range(4)
+            })
+
+        one = RingSeries.one(ring, D)
+        for _ in range(4):
+            x, y, z = random_series(), random_series(), random_series()
+            assert (x * y) * z == x * (y * z)
+            assert x * (y + z) == x * y + x * z
+            assert (x + y) * z == x * z + y * z
+            assert one * x == x == x * one
 
 
 def test_theta_multiplicative():
@@ -252,7 +294,7 @@ def test_e_series_pbw_matches_basis_columns():
             E = pbw.e_series_pbw(ring, ring.basis_element(u), 3)
             for r in range(4):
                 got = pbw.to_z_basis(E.coefficient(r))
-                want = gr.e_generator(ring, r, ring.basis_element(u))
+                want = gr.e_of(ring, r, ring.basis_element(u))
                 assert got == want
 
 
@@ -303,7 +345,7 @@ def test_lambda_on_e1_integers():
     one = Z.one()
     assert pbw.lambda_on_e1(Z, 1, one) == gr.e_of(Z, 1, one)
     for n in range(1, 5):
-        assert pbw.lambda_on_e1(Z, n, one, 4) == gr.e_generator(Z, n, one)
+        assert pbw.lambda_on_e1(Z, n, one, 4) == gr.e_of(Z, n, one)
 
 
 def test_lambda_on_e1_c2_integral():
@@ -499,3 +541,25 @@ def test_word_product_memo_keeps_one_tuple_per_word():
     distinct = {w: w for w in words}
     assert len(words) > len(distinct)
     assert all(w is distinct[w] for w in words)
+
+
+# sha256 over repr(sorted (lam, word, c)) of z_element_pbw(ring, lam, d) for
+# every |lam| <= d, taken while RingSeries still held nested coefficient vectors
+ZTABLE_SHA256 = [
+    (Z, 6, "1c43b7596fc49b619207c2fc6f49c11c1ac4f546cc75e73d4a43c12e03c108de"),
+    (C2, 5, "252ec9f7c2f09574fec7c47b874675e24e85eef9ae23f81e6f03008f59634f88"),
+    (rg.golden_ring(), 5, "2f3a3564e0b819e5a34076ab03ff6e602c5f52d1629eb12f6f9bfbada2fe8420"),
+    (M2, 4, "c88a0425fdfd4261b418338ba3925b5ce219e121749599c6efc7a556542b84e7"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,degree,digest", ZTABLE_SHA256, ids=[f"{r.name}-{d}" for r, d, _ in ZTABLE_SHA256]
+)
+def test_z_table_contents_are_pinned(ring, degree, digest):
+    entries = sorted(
+        (lam, w, c)
+        for lam in multipartitions_upto(ring.rank(), degree)
+        for w, c in pbw.z_element_pbw(ring, lam, degree).terms.items()
+    )
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest

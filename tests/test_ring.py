@@ -68,6 +68,10 @@ def test_validate_reports_missing_unit():
     R = rg.BaseRing(("a", "b"), tensor, unit=None)
     issues = R.validate()
     assert any("no unit" in msg for msg in issues)
+    assert R.unit_index() is None
+    # unit_index reads the declared unit only: a basis element, or None
+    assert rg.BaseRing(("a", "b"), tensor, unit={1: 1}).unit_index() == 1
+    assert rg.BaseRing(("a", "b"), tensor, unit={0: 2}).unit_index() is None
 
 
 def test_validate_reports_broken_associativity():

@@ -62,8 +62,18 @@ def test_witt_suite():
 
 
 def test_run_suite_rejects_unknown_name():
-    with pytest.raises(ValueError):
+    text = "unknown suite 'nonsense'; choose from " + ", ".join(verify.SUITES)
+    with pytest.raises(ValueError) as info:
         verify.run_suite("nonsense", Z, 2, 0)
+    assert str(info.value) == text
+
+
+def test_run_suite_looks_each_suite_up_at_call_time(monkeypatch):
+    # a wrapper installed on the module after import, as a tracer does
+    seen = []
+    monkeypatch.setattr(verify, "suite_oracle_crosscheck", lambda *args: seen.append(args))
+    verify.run_suite("oracle-crosscheck", Z, 2, 0)
+    assert seen == [(Z, 2, 0)]
 
 
 def test_basis_independence_matrix_is_unimodular():

@@ -238,6 +238,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+def _degree(text: str) -> int:
+    """--degree: an int >= 0; anything else is a parser error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors (unknown flag, missing value,
     bad choice, missing positional) print one ``error:`` line, as every
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="ring config path or builtin:{integers,cyclic(n),matrix(n),golden}",
             )
         if degree:
-            p.add_argument("--degree", type=int, default=4, help="truncation degree")
+            p.add_argument("--degree", type=_degree, default=4, help="truncation degree")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("--json", action="store_true", help="machine-readable output")

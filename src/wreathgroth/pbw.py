@@ -59,7 +59,7 @@ from .partitions import (
     multipartitions,
 )
 from .ring import BaseRing, RingElement
-from .symfun import merge_parts, p_to_schur_row
+from .symfun import _convert_int, merge_parts, p_to_schur_row
 
 
 def sym(l: int, u: int) -> int:
@@ -302,7 +302,7 @@ class _ZData:
 def _zdata(ring: BaseRing, degree: int) -> _ZData:
     data = ring._caches.get("pbw_zdata")
     if data is None or data.degree < degree:
-        ztable = _build_ztable(ring, degree)
+        ztable = schur_coefficients(generating_series(ring, degree))
         # a new object: the smaller one stays whole for whoever holds it, and
         # perfbench counts a build as a change of the cached object
         data = _ZData(degree, ztable, _invert_ztable(ring, ztable, degree, data))
@@ -312,30 +312,17 @@ def _zdata(ring: BaseRing, degree: int) -> _ZData:
 
 def schur_coefficients(series: MixedSeries) -> dict[MultiPartition, PBWElement]:
     """Re-expand the power-sum symmetric side of a mixed series in Schur
-    keys, giving each key's PBW coefficient."""
-    ring = series.ring
-    rank = ring.rank()
-    flat: dict[tuple, Fraction] = {}
-    for (pkey, w), coeff in series.terms.items():
-        # expand the power-sum key into Schur keys slot by slot
-        expansions = {mp_empty(rank): 1}
-        for i in range(rank):
-            if pkey[i]:
-                row = p_to_schur_row(pkey[i])
-                expansions = {
-                    key[:i] + (kappa,) + key[i + 1:]: c * n
-                    for key, c in expansions.items()
-                    for kappa, n in row.items()
-                }
-        accumulate(flat, {(skey, w): c for skey, c in expansions.items()}, coeff)
+    keys, giving each key's PBW coefficient: the series is cleared to integer
+    numerators once and each word's power-sum part converted as one block."""
+    nums, den = to_numerators(series.terms)
+    by_word: dict[tuple, dict[MultiPartition, int]] = {}
+    for (pkey, w), c in nums.items():
+        by_word.setdefault(w, {})[pkey] = c
     table: dict[MultiPartition, dict[tuple, Fraction]] = {}
-    for (skey, w), c in flat.items():
-        table.setdefault(skey, {})[w] = c
-    return {mp: PBWElement(ring, series.degree, terms) for mp, terms in table.items()}
-
-
-def _build_ztable(ring, degree) -> dict[MultiPartition, PBWElement]:
-    return schur_coefficients(generating_series(ring, degree))
+    for w, terms in by_word.items():
+        for skey, c in _convert_int(terms, p_to_schur_row).items():
+            table.setdefault(skey, {})[w] = Fraction(c, den)
+    return {mp: PBWElement(series.ring, series.degree, terms) for mp, terms in table.items()}
 
 
 def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):

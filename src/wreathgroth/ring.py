@@ -98,6 +98,8 @@ class BaseRing:
     def __init__(self, labels, tensor, unit=None, adams=None, lambda_ops=None,
                  lambda_rmax=0, name="ring"):
         self.labels: tuple[str, ...] = tuple(labels)
+        if not self.labels:
+            raise ConfigError(f"ring {name} has an empty basis")
         if len(set(self.labels)) != len(self.labels):
             raise ConfigError("duplicate basis labels")
         n = len(self.labels)
@@ -475,69 +477,26 @@ def load_ring(path: str) -> BaseRing:
 # ---------------------------------------------------------------------------
 # built-in rings
 
+def _cyclic(n: int, labels, name: str) -> BaseRing:
+    """Z[C_n] on basis g^0 = 1, ..., g^(n-1): g^i g^j = g^((i+j) mod n) and
+    psi_d(g^i) = g^(di mod n); each basis element is one-dimensional, so
+    lambda_t(g) = 1 + g t."""
+    rmax = 8
+    tensor = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
+    adams = {d: [{d * i % n: 1} for i in range(n)] for d in range(1, 10)}
+    lam = {(u, r): {} for u in range(n) for r in range(2, rmax + 1)}
+    return BaseRing(labels, tensor, unit={0: 1}, adams=adams, lambda_ops=lam,
+                    lambda_rmax=rmax, name=name)
+
+
 @cache
 def integers() -> BaseRing:
-    """Z with basis {1}; full lambda-ring data (rank-one: lambda_t(1) = 1+t)."""
-    rmax = 8
-    lam = {(0, r): {} for r in range(2, rmax + 1)}
-    adams = {d: [{0: 1}] for d in range(1, 10)}
-    return BaseRing(
-        ("1",), {(0, 0): {0: 1}}, unit={0: 1}, adams=adams, lambda_ops=lam,
-        lambda_rmax=rmax, name="integers",
-    )
-
-
-def group_algebra(labels, table, name="group_algebra") -> BaseRing:
-    """Integral group algebra from a Cayley table (table[i][j] = index of
-    the product); validates that the table is a group."""
-    n = len(labels)
-    if len(table) != n or any(len(row) != n for row in table):
-        raise ConfigError("Cayley table must be square over the labels")
-    for row in table:
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ConfigError("Cayley table entries must be basis indices")
-    unit = None
-    for i in range(n):
-        if all(table[i][j] == j and table[j][i] == j for j in range(n)):
-            unit = i
-            break
-    if unit is None:
-        raise ConfigError("Cayley table has no identity element")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise ConfigError("Cayley table is not associative")
-    for i in range(n):
-        if not any(table[i][j] == unit for j in range(n)):
-            raise ConfigError(f"element {labels[i]} has no inverse")
-    tensor = {
-        (i, j): {table[i][j]: 1} for i in range(n) for j in range(n)
-    }
-    # psi_d(g) = g^d; each basis element is one-dimensional: lambda_t(g) = 1 + g t
-    powers: dict[int, list[Vec]] = {}
-    for d in range(1, 10):
-        cols = []
-        for i in range(n):
-            acc = unit
-            for _ in range(d):
-                acc = table[acc][i]
-            cols.append({acc: 1})
-        powers[d] = cols
-    rmax = 8
-    lam = {(u, r): {} for u in range(n) for r in range(2, rmax + 1)}
-    return BaseRing(
-        tuple(labels), tensor, unit={unit: 1}, adams=powers, lambda_ops=lam,
-        lambda_rmax=rmax, name=name,
-    )
+    return _cyclic(1, ("1",), "integers")  # Z = Z[C_1]
 
 
 @cache
 def cyclic_group_algebra(n: int) -> BaseRing:
-    labels = tuple("e" if i == 0 else f"g{i}" if n > 2 else "g" for i in range(n))
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return group_algebra(labels, table, name=f"ZC{n}")
+    return _cyclic(n, tuple("e" if i == 0 else f"g{i}" if n > 2 else "g" for i in range(n)), f"ZC{n}")
 
 
 @cache

@@ -55,6 +55,17 @@ def test_parse_error_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["groth", "mul", "onlyone"]) == 2
+    capsys.readouterr()
+    # a built-in ring of rank 0 is refused, whatever command asks for it
+    for spec in ("builtin:matrix(0)", "builtin:cyclic(0)"):
+        for argv in (
+            ["groth", "mul", "Z{}", "Z{}"],
+            ["ring", "validate"],
+            ["verify", "all", "--degree", "2"],
+        ):
+            code, out, err = run(capsys, *argv, "--ring", spec)
+            assert (code, out) == (2, ""), (spec, argv)
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (spec, argv)
 
 
 def test_ring_validate_builtin(capsys):

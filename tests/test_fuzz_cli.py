@@ -180,13 +180,15 @@ def value_flags(cmd):
 @st.composite
 def broken_argvs(draw):
     """A valid command line with one defect the parser refuses: an unknown
-    flag, a value flag with no value, a non-integer int value, a word that
-    is no choice, or a dropped required argument."""
+    flag, a value flag with no value, a non-integer int value, a negative
+    --degree, a word that is no choice, or a dropped required argument."""
     cmd = draw(st.sampled_from(sorted(VALID)))
     groups = [list(g) for g in VALID[cmd]]
     kinds = ["unknown", "no value", "bad choice"]
     if any(g[0] in INT_FLAGS for g in groups):
         kinds.append("bad int")
+    if "--degree" in value_flags(cmd):
+        kinds.append("negative degree")
     if groups:
         kinds.append("dropped")
     kind = draw(st.sampled_from(kinds))
@@ -201,6 +203,9 @@ def broken_argvs(draw):
         argv.append(draw(st.sampled_from(value_flags(cmd))))
     elif kind == "bad choice":
         argv[draw(st.integers(0, 1))] = draw(junk.filter(lambda t: t not in CHOICES))
+    elif kind == "negative degree":
+        n = str(draw(st.integers(max_value=-1)))
+        argv += draw(st.sampled_from([["--degree", n], [f"--degree={n}"]]))
     return argv
 
 

@@ -390,6 +390,11 @@ def test_x_basis_matches_generating_series():
         for lam in multipartitions_upto(ring.rank(), D):
             got = pbw.to_z_basis(table[lam])
             assert got == gr.x_basis_element(ring, lam), lam
+    # p_1^2 - p_2 = 2 s_{1,1}: the contributions to s_2 cancel, and the key
+    # is absent rather than held with a zero coefficient
+    series = pbw.MixedSeries(Z, 2, {(((1, 1),), ()): 1, (((2,),), ()): -1})
+    table = pbw.schur_coefficients(series)
+    assert {lam: x.terms for lam, x in table.items()} == {((1, 1),): {(): 2}}
 
 
 def test_antipode_pbw():

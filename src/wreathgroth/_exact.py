@@ -8,16 +8,29 @@ every decision about such dicts that more than one layer needs:
 - ``accumulate`` adds one combination into another and drops what cancels;
 - ``to_numerators`` and ``from_numerators`` are the one conversion between
   Fraction coefficients and the integer numerators over one common
-  denominator that the integer cores of ``symfun`` and ``pbw`` compute on;
+  denominator that the integer cores compute on;
 - ``Combination`` is the base of the flat element classes (linear structure,
   equality, integrality), ``PowerSeries`` the truncated t-series over any of
   them;
+- ``product`` is the one ``__mul__`` of every algebra with an integer core
+  (below): clear both operands, run the core, build one Fraction per term;
 - ``exp`` and ``log1p`` are the one truncated exponential and logarithm,
-  both instances of ``power_sum``;
+  both instances of ``power_sum``, which runs on integer numerators;
 - ``substitute`` is the one algebra map given by the images of letters;
 - ``row_reduce`` and ``reduce`` are the one exact linear solver (inverse,
   determinant, echelon form and span membership);
 - ``format_terms`` is the one sign-aware printed form.
+
+An algebra has an integer core when its elements provide three methods:
+``_ints()`` gives the element as ({key: int}, den), its terms over one common
+denominator; ``_int_product(a, b)`` multiplies two such numerator dicts in
+the element's context (ring, truncation) and returns one with no zero
+entries; ``_from_ints(nums, den)`` builds the element of that context.  The
+cores are ``z_multiply``'s table lookup (``GrothElement``), the word products
+of ``PBWElement``, the slotwise key merges of the oracle's power-sum series,
+``symfun``'s power-sum product (``SymSeries``), the structure tensor of
+``RingElement`` (denominator 1) and, for ``PowerSeries``, the t-degree pairs
+over its coefficients' core.
 """
 
 from fractions import Fraction
@@ -68,6 +81,14 @@ def monomial_product(a: dict, b: dict, merge) -> dict:
     return out
 
 
+def product(a, b):
+    """a * b through their algebra's integer core (see the module docstring):
+    each operand cleared once, one core call, one Fraction per output term."""
+    na, da = a._ints()
+    nb, db = b._ints()
+    return a._from_ints(a._int_product(na, nb), da * db)
+
+
 _ZERO = Fraction(0)  # the coefficient of every absent key; Fractions are immutable
 
 
@@ -75,7 +96,8 @@ class Combination:
     """A flat element: ``terms`` maps basis keys to nonzero Fractions.
 
     A subclass adds its context (ring, labels, truncation degree), its
-    compatibility check ``_check``, its truncation ``_fits`` and its product.
+    compatibility check ``_check``, its truncation ``_fits`` and, to
+    multiply, its integer core ``_int_product``.
     ``_context`` names the attributes a result inherits from its operand and
     ``_compared`` those that equality compares besides the terms.
     """
@@ -140,11 +162,19 @@ class Combination:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def _ints(self) -> tuple[dict, int]:
+        return to_numerators(self.terms)
+
+    def _from_ints(self, nums: dict, den: int):
+        return self._like(from_numerators(nums, den))
+
+    __mul__ = product
+
 
 class PowerSeries:
-    """sum_k coeffs[k] t^k truncated above t^degree, over any algebra whose
-    elements have +, *, scale and is_zero; ``zero`` is that algebra's zero
-    and stands for every absent coefficient."""
+    """sum_k coeffs[k] t^k truncated above t^degree, over any algebra with
+    an integer core whose elements have +, scale and is_zero; ``zero`` is
+    that algebra's zero and stands for every absent coefficient."""
 
     __slots__ = ("zero", "degree", "coeffs")
 
@@ -180,16 +210,35 @@ class PowerSeries:
     def scale(self, c):
         return self._like({k: v.scale(c) for k, v in self.coeffs.items()})
 
-    def __mul__(self, other):
+    def _ints(self) -> tuple[dict, int]:
+        """{(t, key): int} over one denominator shared by every t-degree."""
+        parts = {t: v._ints() for t, v in self.coeffs.items()}
+        den = lcm(*(d for _, d in parts.values()))
+        return {
+            (t, key): n * (den // d)
+            for t, (nums, d) in parts.items()
+            for key, n in nums.items()
+        }, den
+
+    def _int_product(self, a: dict, b: dict) -> dict:
+        """Pairs of t-degrees up to the truncation, each through the core of
+        the coefficients."""
+        core = self.zero._int_product
         out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                if k <= self.degree:
-                    p = v1 * v2
-                    s = out.get(k)
-                    out[k] = p if s is None else s + p
-        return self._like(out)
+        right = _by_degree(b).items()
+        for t1, x1 in _by_degree(a).items():
+            for t2, x2 in right:
+                t = t1 + t2
+                if t <= self.degree:
+                    accumulate(out, {(t, key): c for key, c in core(x1, x2).items()})
+        return out
+
+    def _from_ints(self, nums: dict, den: int):
+        return self._like(
+            {t: self.zero._from_ints(x, den) for t, x in _by_degree(nums).items()}
+        )
+
+    __mul__ = product
 
     def __eq__(self, other):
         return (
@@ -199,21 +248,47 @@ class PowerSeries:
         )
 
 
+def _by_degree(nums: dict) -> dict:
+    """{(t, key): int} as {t: {key: int}}."""
+    out: dict = {}
+    for (t, key), c in nums.items():
+        out.setdefault(t, {})[key] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # truncated power series: the one loop, exp and log
 
 def power_sum(x, one, degree: int, coefficient, out):
     """out + sum_{k>=1} coefficient(k) x^k, stopping after k = degree or at
     the first power of x that vanishes: the one loop behind every truncated
-    power series of a series x (with *, +, scale and is_zero; ``one`` its
-    unit)."""
-    power = one
+    power series of an element x of an algebra with an integer core (``one``
+    its unit, ``out`` in the same algebra; coefficient(k) an int or
+    Fraction).
+
+    x is cleared once and each power is the core applied to the last one and
+    x's numerators; the sum is taken in ints over one denominator, the lcm
+    over k of den(c_k) den(one) den(x)^k and den(out), and one Fraction is
+    built per output term."""
+    xn, xd = x._ints()
+    power, pd = one._ints()
+    terms = []  # (numerator of c_k, denominator of c_k x^k, x^k numerators)
     for k in range(1, degree + 1):
-        power = power * x
-        if power.is_zero():
+        power = x._int_product(power, xn)
+        if not power:
             break
-        out = out + power.scale(coefficient(k))
-    return out
+        pd *= xd
+        c = coefficient(k)
+        terms.append((c.numerator, c.denominator * pd, power))
+    start, sd = out._ints()
+    den = lcm(sd, *(d for _, d, _ in terms))
+    total = {key: n * (den // sd) for key, n in start.items()}
+    get = total.get
+    for c, d, power in terms:
+        c *= den // d
+        for key, n in power.items():
+            total[key] = get(key, 0) + c * n
+    return out._from_ints(total, den)
 
 
 def exp(x, one, degree: int):

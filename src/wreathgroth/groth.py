@@ -10,11 +10,14 @@ computed by plethystic substitution in power sums, in integers over the
 common denominator prod_U |lam(U)|! (see ProductTable).  The table builds
 only the blocks of slot sizes that products ask for, grows to a whole degree
 when the demand is dense, and is cached on the ring, so repeated products
-are dictionary lookups; ``z_multiply`` adds them up on integer numerators.
+are dictionary lookups; ``GrothElement._int_product``, the integer core of
+``z_multiply`` and of ``_exact.power_sum``, adds them up on integer
+numerators.
 
 The module also hosts the generator family e_r(U)/h_n(W), the recursive
 expansion of e_n(W) for W outside the basis (through the Moebius/logarithm
-identity of the F-series), the commutation-relation checker, the second
+identity of the F-series, with the F-coefficients of basis elements taken
+once per ring), the commutation-relation checker, the second
 (unitriangular) multipartition basis X, and spanning sets of the subalgebras
 generated in bounded degree.
 """
@@ -29,9 +32,8 @@ from ._exact import (
     PowerSeries,
     accumulate,
     format_terms,
-    from_numerators,
     log1p,
-    to_numerators,
+    product,
 )
 from .errors import DomainError, IntegralityError
 from .partitions import (
@@ -72,7 +74,7 @@ class GrothElement(Combination):
 
     def degree(self) -> int:
         """Filtration degree: largest total key size (0 for zero/scalars)."""
-        return max((mp_total(k) for k in self.terms), default=0)
+        return _degree(self.terms)
 
     def assert_integral(self, where="element") -> "GrothElement":
         if not self.is_integral():
@@ -83,12 +85,31 @@ class GrothElement(Combination):
     def __mul__(self, other: "GrothElement") -> "GrothElement":
         return z_multiply(self, other)
 
+    def _int_product(self, a: dict, b: dict) -> dict:
+        """sum c_mu c_nu Z_mu Z_nu from the ring's table, which is first made
+        to hold every pair of a key of a with a key of b."""
+        table = product_table(self.ring)
+        table.ensure(_degree(a) + _degree(b), (a, b))
+        pairs = table.pairs
+        out: dict[MultiPartition, int] = {}
+        get = out.get
+        for mu, ca in a.items():
+            for nu, cb in b.items():
+                c = ca * cb
+                for lam, k in pairs[mu, nu].items():
+                    out[lam] = get(lam, 0) + c * k
+        return {lam: c for lam, c in out.items() if c}
+
     def _check(self, other):
         if not isinstance(other, GrothElement) or other.ring is not self.ring:
             raise DomainError("elements belong to different rings")
 
     def __repr__(self):
         return f"Groth({format_groth(self)})"
+
+
+def _degree(keys) -> int:
+    return max((mp_total(k) for k in keys), default=0)
 
 
 def format_groth(x: GrothElement) -> str:
@@ -278,22 +299,9 @@ def structure_constant(ring, mu, nu, lam) -> int:
 
 
 def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
-    """The product on integer numerators: each operand over its own common
-    denominator, int sums, and one Fraction per output term."""
+    """The product of two elements of one ring, on integer numerators."""
     a._check(b)
-    table = product_table(a.ring)
-    table.ensure(a.degree() + b.degree(), (a.terms, b.terms))
-    pairs = table.pairs
-    na, da = to_numerators(a.terms)
-    nb, db = to_numerators(b.terms)
-    out: dict[MultiPartition, int] = {}
-    get = out.get
-    for mu, ca in na.items():
-        for nu, cb in nb.items():
-            c = ca * cb
-            for lam, k in pairs[mu, nu].items():
-                out[lam] = get(lam, 0) + c * k
-    return a._like(from_numerators(out, da * db))
+    return product(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +364,10 @@ def _f_coefficient(ring, V: RingElement, n: int, skip_top=False) -> GrothElement
 
 def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """e_n(W) for any W, expanded in the Z basis: for W in the basis the
-    single-column key at W, for any other W the F-series recursion."""
+    single-column key at W, for any other W the F-series recursion.  Both
+    memos live on the ring: ``e_of`` keeps e_n(W), and ``f_basis`` keeps
+    [t^n] F_U(t) per basis index u and n, which every W with u in its
+    support needs."""
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
@@ -372,9 +383,13 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
         return got
     # F_W(t) = sum_U a_U F_U(t); the t^n coefficient of the left side carries
     # e_n(W) with coefficient -(-1)^n, everything else is known recursively
+    f_basis = _memo(ring, "f_basis", dict)
     rhs = GrothElement.zero(ring)
     for u_idx, a in W.coeffs.items():
-        rhs = rhs + _f_coefficient(ring, ring.basis_element(u_idx), n).scale(a)
+        f = f_basis.get((u_idx, n))
+        if f is None:
+            f = f_basis[u_idx, n] = _f_coefficient(ring, ring.basis_element(u_idx), n)
+        rhs = rhs + f.scale(a)
     lower = _f_coefficient(ring, W, n, skip_top=True)
     result = (rhs - lower).scale((-1) ** (n + 1))
     result.assert_integral(f"e_{n}({W!r})")

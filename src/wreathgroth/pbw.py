@@ -21,11 +21,16 @@ Theta_l) maps (power-sum multipartition, basis index of R) to a coefficient,
 and a ``MixedSeries`` maps (power-sum multipartition, normal word).
 
 The products (``PBWElement`` and both series) and the change to the Z basis
-are integer cores: each operand's Fractions are cleared once with their lcm
-(``_exact.to_numerators``), the loops multiply and add ints, and one Fraction
-is built per output term.  The product of two normal words comes from the
-kernel once per ring and word pair and is kept in ``ring._caches`` under
-``pbw_products``: the oracle revisits a few thousand pairs many times over.
+run on integer numerators.  ``PBWElement`` and ``_PowerSumSeries`` each give
+``_exact`` one integer core, ``_int_product``, used by their products and by
+the truncated exp and log of ``_exact.power_sum``; ``TSeries`` multiplies
+through the core of its PBW coefficients.  Each operand's Fractions are
+cleared once with their lcm, the loops multiply and add ints, and one
+Fraction is built per output term.  The cores take nothing from ``groth``'s
+``ProductTable``, so the oracle stays an independent route.  The product of
+two normal words comes from the kernel once per ring and word pair and is
+kept in ``ring._caches`` under ``pbw_products``: the oracle revisits a few
+thousand pairs many times over.
 The inverse of the Z-table, ``word_to_z``, holds each row as integer
 numerators over one denominator.  It is triangular by degree and the block of
 degree n depends only on Z_lam with |lam| <= n, which a larger truncation
@@ -158,22 +163,21 @@ class PBWElement(Combination):
             ring, degree, {(sym(l, u),): Fraction(c) for u, c in element.coeffs.items()}
         )
 
-    def __mul__(self, other: "PBWElement") -> "PBWElement":
+    def _int_product(self, a: dict, b: dict) -> dict:
+        """Word by word, truncated at ``degree``."""
         product = _word_products(self.ring)
         D = self.degree
-        na, da = to_numerators(self.terms)
-        nb, db = to_numerators(other.terms)
-        bw = [(w, word_degree(w), c) for w, c in nb.items()]
+        bw = [(w, word_degree(w), c) for w, c in b.items()]
         out: dict[tuple, int] = {}
         get = out.get
-        for w1, c1 in na.items():
+        for w1, c1 in a.items():
             room = D - word_degree(w1)
             for w2, d2, c2 in bw:
                 if d2 <= room:
                     c = c1 * c2
                     for w, n in product(w1, w2):
                         out[w] = get(w, 0) + c * n
-        return self._like(from_numerators(out, da * db))
+        return {w: c for w, c in out.items() if c}
 
     def __repr__(self):
         return "PBW(" + format_terms(
@@ -188,7 +192,7 @@ class _PowerSumSeries(Combination):
     """Sparse map (power-sum multipartition key, tag) -> coefficient,
     truncated above symmetric-function degree ``degree``.  Keys multiply
     slotwise and tags through ``_tag_product(ring)``, a function of two tags
-    giving (tag, int) items; the product runs on integer numerators."""
+    giving (tag, int) items; ``_int_product`` is the integer core."""
 
     __slots__ = ("ring", "degree")
     _context = ("ring", "degree")
@@ -202,15 +206,13 @@ class _PowerSumSeries(Combination):
     def _fits(self, key) -> bool:
         return mp_total(key[0]) <= self.degree
 
-    def __mul__(self, other):
+    def _int_product(self, a: dict, b: dict) -> dict:
         product = self._tag_product(self.ring)
         D = self.degree
-        na, da = to_numerators(self.terms)
-        nb, db = to_numerators(other.terms)
-        bw = [(k, w, mp_total(k), c) for (k, w), c in nb.items()]
+        bw = [(k, w, mp_total(k), c) for (k, w), c in b.items()]
         out: dict[tuple, int] = {}
         get = out.get
-        for (k1, w1), c1 in na.items():
+        for (k1, w1), c1 in a.items():
             room = D - mp_total(k1)
             for k2, w2, d2, c2 in bw:
                 if d2 > room:
@@ -220,7 +222,7 @@ class _PowerSumSeries(Combination):
                 for w, n in product(w1, w2):
                     kw = (key, w)
                     out[kw] = get(kw, 0) + c * n
-        return self._like(from_numerators(out, da * db))
+        return {kw: c for kw, c in out.items() if c}
 
 
 class RingSeries(_PowerSumSeries):

@@ -11,8 +11,10 @@ import json
 import re
 from functools import cache
 
-from ._exact import PowerSeries, accumulate, format_terms, power_sum
-from .errors import ConfigError, DomainError, MissingDataError
+from fractions import Fraction
+
+from ._exact import PowerSeries, accumulate, format_terms, power_sum, product
+from .errors import ConfigError, DomainError, IntegralityError, MissingDataError
 
 Vec = dict[int, int]  # sparse integer vector over basis indices
 
@@ -64,7 +66,7 @@ class RingElement:
         if isinstance(other, int):
             return RingElement(self.ring, _vec_scale(self.coeffs, other))
         self._check(other)
-        return RingElement(self.ring, self.ring.multiply_vec(self.coeffs, other.coeffs))
+        return product(self, other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -87,6 +89,26 @@ class RingElement:
     def _check(self, other):
         if not isinstance(other, RingElement) or other.ring is not self.ring:
             raise DomainError("ring elements belong to different rings")
+
+    # the integer core of _exact: the structure tensor, denominator 1
+    def _ints(self) -> tuple[Vec, int]:
+        return self.coeffs, 1
+
+    def _int_product(self, a: Vec, b: Vec) -> Vec:
+        return self.ring.multiply_vec(a, b)
+
+    def _from_ints(self, nums: dict, den: int) -> "RingElement":
+        """The element nums / den, which must have integer coefficients (the
+        constructor's int() would floor a fraction)."""
+        out = {}
+        for i, n in nums.items():
+            q, r = divmod(n, den)
+            if r:
+                raise IntegralityError(
+                    f"ring element has non-integer coefficient {Fraction(n, den)}"
+                )
+            out[i] = q
+        return RingElement(self.ring, out)
 
     def __repr__(self):
         return f"<{format_element(self)}>"

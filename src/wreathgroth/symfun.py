@@ -10,7 +10,9 @@ are diagonal.
 The inner loops (basis change, product, substitution) are private cores on
 integer numerators, ``{key: int}`` dicts.  A public function clears its
 input's denominators with their lcm, runs the cores and builds one Fraction
-per output term.  Schur keys enter the cores as |kappa|! s_kappa, whose
+per output term.  ``SymSeries`` gives ``_exact`` the power-sum product as its
+integer core, so ``multiply`` and the truncated exp and log (``cauchy_kernel``)
+share it.  Schur keys enter the cores as |kappa|! s_kappa, whose
 power-sum coefficients are integers because z_mu divides |mu|! (Macdonald,
 I.7); ``scaled_schur_to_p_row`` asserts that division.
 
@@ -33,6 +35,7 @@ from ._exact import (
     exp,
     format_terms,
     from_numerators,
+    product,
     to_numerators,
 )
 from .errors import DomainError
@@ -139,6 +142,19 @@ class SymSeries(Combination):
     def __mul__(self, other: "SymSeries") -> "SymSeries":
         return multiply(self, other)
 
+    # the integer core works in power sums whatever the basis
+    def _ints(self) -> tuple[dict, int]:
+        return _power_numerators(self)
+
+    def _int_product(self, a: dict, b: dict) -> dict:
+        box = _Box((self.degree,) * len(self.labels), self.degree)
+        return _multiply_int(a, box.encode(b), box)
+
+    def _from_ints(self, nums: dict, den: int) -> "SymSeries":
+        if self.basis == "s":
+            nums = _convert_int(nums, p_to_schur_row)
+        return _from_numerators(self.labels, self.basis, self.degree, nums, den)
+
 
 def schur_to_power(f: SymSeries) -> SymSeries:
     if f.basis != "s":
@@ -170,13 +186,7 @@ def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
     a._check_compatible(b)
     if a.basis != b.basis:
         raise DomainError("operands must be held in the same basis")
-    na, da = _power_numerators(a)
-    nb, db = _power_numerators(b)
-    box = _Box((a.degree,) * len(a.labels), a.degree)
-    nums = _multiply_int(na, box.encode(nb), box)
-    if a.basis == "s":
-        nums = _convert_int(nums, p_to_schur_row)
-    return _from_numerators(a.labels, a.basis, a.degree, nums, da * db)
+    return product(a, b)
 
 
 # -- between Fraction series and integer numerators ------------------------

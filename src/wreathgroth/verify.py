@@ -176,6 +176,9 @@ def suite_oracle_crosscheck(ring: BaseRing, degree: int, seed: int) -> Report:
     keys = multipartitions_upto(ring.rank(), degree)
 
     def crosscheck():
+        # every pair of the degree is asked for: one complete build, not
+        # box sweeps pair by pair
+        gr.product_table(ring).ensure(degree)
         for mu in keys:
             dm = mp_total(mu)
             if not dm:

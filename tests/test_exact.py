@@ -4,18 +4,27 @@ substitution loop, row reduction and the term formatter."""
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import factorial
 
+import pytest
+
+from wreathgroth import hopf, pbw
 from wreathgroth import ring as rg
+from wreathgroth import symfun as sf
 from wreathgroth._exact import (
+    PowerSeries,
     accumulate,
     exp,
     format_terms,
     log1p,
+    power_sum,
     reduce,
     row_reduce,
     substitute,
 )
-from wreathgroth.partitions import multipartitions_upto
+from wreathgroth.errors import IntegralityError
+from wreathgroth.groth import GrothElement
+from wreathgroth.partitions import mp_single, mp_total, multipartitions_upto
 from wreathgroth.pbw import PBWElement, sym, word_for_mp
 from wreathgroth.symfun import SymSeries
 
@@ -158,3 +167,140 @@ def test_substitute_stops_a_word_at_a_vanishing_image():
     got = substitute(f, sym_image, SymSeries.one(LABELS, "p", 6), letters=power_letters)
     assert got == SymSeries(LABELS, "p", 6, {((1,), (1,)): 5})
     assert asked == {(0, 3): 1, (0, 2): 1, (0, 1): 1, (1, 1): 1}  # (0, 1) only for p_1 p_1
+
+
+# ---------------------------------------------------------------------------
+# the integer power_sum against the Fraction loop it replaced
+
+def reference_power_sum(x, one, degree, coefficient, out):
+    """out + sum_k coefficient(k) x^k with the algebra's own *, + and scale,
+    stopping at the first vanishing power: the loop before it ran on
+    integer numerators."""
+    power = one
+    for k in range(1, degree + 1):
+        power = power * x
+        if power.is_zero():
+            break
+        out = out + power.scale(coefficient(k))
+    return out
+
+
+def reference_exp(x, one, degree):
+    return reference_power_sum(x, one, degree, lambda k: F(1, factorial(k)), one)
+
+
+def reference_log1p(x, one, degree):
+    return reference_power_sum(x, one, degree, lambda k: F((-1) ** (k - 1), k), one.scale(0))
+
+
+def geometric(k):
+    return (-1) ** k
+
+
+def assert_series_agree(x, one, degree):
+    """exp, log1p and the geometric series on the one loop and the reference."""
+    zero = one.scale(0)
+    got = exp(x, one, degree)
+    assert got == reference_exp(x, one, degree)
+    assert got != one + x  # the loop went past the linear term
+    assert log1p(x, one, degree) == reference_log1p(x, one, degree)
+    assert power_sum(x, one, degree, geometric, zero) == reference_power_sum(
+        x, one, degree, geometric, zero
+    )
+
+
+def random_groth(ring, rng, top):
+    keys = [k for k in multipartitions_upto(ring.rank(), top) if mp_total(k)]
+    return GrothElement(ring, {
+        rng.choice(keys): F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        for _ in range(3)
+    })
+
+
+@pytest.mark.parametrize("ring", [rg.golden_ring(), rg.matrix_ring(2)], ids=["golden", "matrix2"])
+def test_power_sum_on_t_series_of_groth_elements(ring):
+    rng = random.Random(5)
+    zero = GrothElement.zero(ring)
+    one = PowerSeries(zero, 3, {0: GrothElement.one(ring)})
+    x = PowerSeries(zero, 3, {k: random_groth(ring, rng, k) for k in (1, 2)})
+    assert_series_agree(x, one, 3)
+
+
+def test_power_sum_on_t_series_of_pbw_elements():
+    ring = rg.matrix_ring(2)
+    U, V = ring.basis_element(1), ring.basis_element(2)
+    x = pbw.TSeries(ring, 3, {
+        1: PBWElement.generator(ring, 3, 1, U).scale(F(1, 2)),
+        2: PBWElement.generator(ring, 3, 1, V) * PBWElement.generator(ring, 3, 1, U)
+        - PBWElement.generator(ring, 3, 2, U + V).scale(F(2, 3)),
+    })
+    assert_series_agree(x, pbw.TSeries.one(ring, 3), 3)
+
+
+@pytest.mark.parametrize("ring", [rg.golden_ring(), rg.matrix_ring(2)], ids=["golden", "matrix2"])
+def test_theta_on_the_one_loop_equals_the_reference(ring):
+    D, rank = 3, ring.rank()
+    one = pbw.RingSeries.one(ring, D)
+    for l in (1, 2):
+        arg = one + pbw.RingSeries(
+            ring, D, {mp_single(rank, u, (l,)): {u: 1, 0: -u} for u in range(rank)}
+        )
+        logx = reference_log1p(arg - one, one, D)
+        want = reference_exp(pbw.apply_t(l, logx, D), pbw.MixedSeries.one(ring, D), D)
+        assert pbw.theta(l, arg, D) == want
+        if l == 1:  # for l = 2, (arg - 1)^2 lies above the truncation
+            assert_series_agree(arg - one, one, D)
+
+
+def test_dual_antipode_power_sum_on_the_one_loop_equals_the_reference():
+    ring = rg.golden_ring.__wrapped__()  # a private instance: the memo starts empty
+    D, rank = 4, ring.rank()
+    for l in (1, 2):
+        base = pbw.RingSeries(ring, D, {mp_single(rank, u, (l,)): {u: 1} for u in range(rank)})
+        total = reference_power_sum(
+            base, pbw.RingSeries.one(ring, D), D // l, geometric, pbw.RingSeries(ring, D)
+        )
+        want = {
+            u: {key: c for (key, v), c in total.terms.items() if v == u} for u in range(rank)
+        }
+        got = hopf.dual_antipode_power_sum(ring, l, D)
+        assert {u: image.terms for u, image in got.items()} == want
+
+
+def test_cauchy_kernel_and_schur_series_on_the_one_loop_equal_the_reference():
+    D = 6
+    labels = ("x", "y")
+    arg = SymSeries(labels, "p", D, {((l,), (l,)): F(1, l) for l in range(1, D // 2 + 1)})
+    assert sf.cauchy_kernel(D) == reference_exp(arg, SymSeries.one(labels, "p", D), D)
+    # a Schur-basis series: the loop runs in power sums and converts back once
+    x = SymSeries(labels, "s", D, {((1,), ()): F(1, 2), ((2,), (1,)): F(-3), ((), (1, 1)): F(2, 5)})
+    assert_series_agree(x, SymSeries.one(labels, "s", D), D)
+
+
+def test_power_sum_on_t_series_of_ring_elements():
+    ring = rg.cyclic_group_algebra(2)
+    e, g = ring.basis_element(0), ring.basis_element(1)
+    one = PowerSeries(ring.zero(), 4, {0: e})
+    x = PowerSeries(ring.zero(), 4, {1: g, 2: g - e.scale(2), 3: e})
+    for coefficient in (geometric, lambda k: k + 1):
+        got = power_sum(x, one, 4, coefficient, one)
+        assert got == reference_power_sum(x, one, 4, coefficient, one)
+    # the constructor would floor a fraction: a non-integral sum is refused
+    with pytest.raises(IntegralityError, match="1/2"):
+        power_sum(x, one, 4, lambda k: F(1, 2), one)
+
+
+def test_power_sum_stops_at_the_first_vanishing_power(monkeypatch):
+    ring = rg.cyclic_group_algebra(2)
+    calls = Counter()
+    core = PBWElement._int_product
+
+    def counted(self, a, b):
+        calls["core"] += 1
+        return core(self, a, b)
+
+    monkeypatch.setattr(PBWElement, "_int_product", counted)
+    x = PBWElement.generator(ring, 4, 3, ring.basis_element(1))  # x^2 has degree 6 > 4
+    one = PBWElement.one(ring, 4)
+    assert exp(x, one, 4) == one + x
+    assert calls["core"] <= 2

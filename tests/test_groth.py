@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -383,3 +384,58 @@ def test_commutation_witness_names_both_sides(monkeypatch):
     ok, witness = gr.verify_commutation(C2, 1, 1, C2.basis_element(0), C2.basis_element(1))
     assert not ok
     assert witness == "coefficient of Z{g:[2]}: left side 3, right side 1"
+
+
+def _e_of_cases():
+    """(ring, n, W): every W outside the basis with coefficients in
+    {0, +-1, +-2} on golden and cyclic(2) for n <= 4, and a fixed sample of
+    20 such W on matrix(2) for n <= 3."""
+    values = (-2, -1, 0, 1, 2)
+    for ring in (rg.golden_ring(), C2):
+        for a in values:
+            for b in values:
+                W = ring.element({0: a, 1: b})
+                if not W.is_zero() and W.basis_index() is None:
+                    for n in range(1, 5):
+                        yield ring, n, W
+    rng = random.Random(11)
+    sample = []
+    while len(sample) < 20:
+        W = M2.element({u: rng.choice(values) for u in range(4)})
+        if not W.is_zero() and W.basis_index() is None and W not in sample:
+            sample.append(W)
+    for W in sample:
+        for n in range(1, 4):
+            yield M2, n, W
+
+
+# sha256 over the lines "ring n W e_n(W)" of _e_of_cases, taken while
+# power_sum still computed in Fractions and before the basis F-coefficients
+# were memoised
+E_OF_SHA256 = "5fce856882ca090ed768c6660acf511767c86ad5195ff382a9413714c1514686"
+
+
+def test_e_of_outside_the_basis_is_pinned():
+    lines = "\n".join(
+        f"{ring.name} {n} {W!r} {gr.format_groth(gr.e_of(ring, n, W))}"
+        for ring, n, W in _e_of_cases()
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == E_OF_SHA256
+
+
+def test_basis_f_coefficients_are_taken_once_per_ring(monkeypatch):
+    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
+    calls = Counter()
+    real = gr._f_coefficient
+
+    def counted(ring, V, n, skip_top=False):
+        if V.basis_index() is not None:
+            calls[V.basis_index(), n] += 1
+        return real(ring, V, n, skip_top)
+
+    monkeypatch.setattr(gr, "_f_coefficient", counted)
+    for a, b in ((1, 1), (2, -1), (0, -1), (1, -2)):
+        for n in range(1, 5):
+            gr.e_of(ring, n, ring.element({0: a, 1: b}))
+    assert calls == {(u, n): 1 for u in (0, 1) for n in range(1, 5)}
+    assert len(ring._caches["f_basis"]) == len(calls)

@@ -127,6 +127,15 @@ def test_lambda_sum_axiom():
     assert R.lambda_apply(2, 2 * e) == e * e
 
 
+def test_lambda_of_a_negative_coefficient_uses_the_series_inverse():
+    # lambda_t(-g) = (1 + g t)^(-1) = sum_n (-g t)^n
+    R = rg.cyclic_group_algebra(2)
+    e, g = R.basis_element(0), R.basis_element(1)
+    for n in range(5):
+        assert R.lambda_apply(n, -g) == (g ** n).scale((-1) ** n)
+    want = [e, g - 2 * e, 3 * e - 2 * g, 3 * g - 4 * e]
+    assert [R.lambda_apply(n, g - 2 * e) for n in range(4)] == want
+
 def test_lambda_missing_data():
     R = rg.matrix_ring(2)
     with pytest.raises(MissingDataError):

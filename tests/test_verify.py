@@ -283,3 +283,20 @@ def test_upper_triangular_ring_passes_validate_the_oracle_and_hopf():
     with open(os.path.join(os.path.dirname(__file__), "rings", "upper_triangular.json")) as fh:
         config = json.load(fh)
     _passes(config, ["oracle-crosscheck", "hopf"])
+
+
+def test_oracle_crosscheck_builds_the_table_whole(monkeypatch):
+    # every pair of the degree is asked for, so the table is built complete
+    # up front instead of box by box; a ring file gives a fresh ring
+    boxes = []
+    sweep = gr.ProductTable._sweep
+
+    def counted(table, caps, total):
+        if min(caps) < total:
+            boxes.append(caps)
+        return sweep(table, caps, total)
+
+    monkeypatch.setattr(gr.ProductTable, "_sweep", counted)
+    path = os.path.join(os.path.dirname(__file__), "rings", "upper_triangular.json")
+    assert _exit_code("verify", "oracle-crosscheck", "--degree", "3", "--ring", path) == 0
+    assert boxes == []

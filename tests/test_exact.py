@@ -243,7 +243,7 @@ def test_theta_on_the_one_loop_equals_the_reference(ring):
     one = pbw.RingSeries.one(ring, D)
     for l in (1, 2):
         arg = one + pbw.RingSeries(
-            ring, D, {mp_single(rank, u, (l,)): {u: 1, 0: -u} for u in range(rank)}
+            ring, D, {mp_single(rank, u, (l,)): {u: u + 1, (u + 1) % rank: -1} for u in range(rank)}
         )
         logx = reference_log1p(arg - one, one, D)
         want = reference_exp(pbw.apply_t(l, logx, D), pbw.MixedSeries.one(ring, D), D)

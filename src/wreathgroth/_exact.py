@@ -17,6 +17,9 @@ every decision about such dicts that more than one layer needs:
 - ``exp`` and ``log1p`` are the one truncated exponential and logarithm,
   both instances of ``power_sum``, which runs on integer numerators;
 - ``substitute`` is the one algebra map given by the images of letters;
+- ``first_difference`` is the one search for where two combinations
+  differ: the least differing key and both coefficients, the witness of
+  every equality check;
 - ``row_reduce`` and ``reduce`` are the one exact linear solver (inverse,
   determinant, echelon form and span membership);
 - ``format_terms`` is the one sign-aware printed form.
@@ -305,18 +308,28 @@ def log1p(x, one, degree: int):
 def substitute(terms: dict, image, one, letters=tuple):
     """sum_key c * image(s_1) * ... * image(s_n) over ``terms``, where
     (s_1, ..., s_n) = letters(key): the algebra map sending each letter s to
-    image(s), into any algebra with *, +, scale and is_zero (``one`` its
-    unit).  A word stops at its first vanishing partial product, so the
-    images of its later letters are never asked for."""
-    out = one.scale(0)
+    image(s), into any ``Combination`` algebra (``one`` its unit).  A word
+    stops at its first vanishing partial product, so the images of its later
+    letters are never asked for; the words add into one terms dict."""
+    out: dict = {}
     for key, c in terms.items():
         acc = one
         for s in letters(key):
             acc = acc * image(s)
             if acc.is_zero():
                 break
-        out = out + acc.scale(c)
-    return out
+        accumulate(out, acc.terms, c)
+    return one._like(out)
+
+
+def first_difference(a: dict, b: dict, order=None):
+    """None when the combinations a and b are equal; else (key, a's
+    coefficient, b's coefficient) at the least key, under the sort key
+    ``order``, where they differ (an absent key has coefficient 0)."""
+    if a == b:
+        return None
+    key = min((k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)), key=order)
+    return key, a.get(key, 0), b.get(key, 0)
 
 
 # ---------------------------------------------------------------------------

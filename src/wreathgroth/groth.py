@@ -31,6 +31,7 @@ from ._exact import (
     Combination,
     PowerSeries,
     accumulate,
+    first_difference,
     format_terms,
     log1p,
     product,
@@ -290,14 +291,6 @@ def product_table(ring: BaseRing) -> ProductTable:
     return table
 
 
-def structure_constant(ring, mu, nu, lam) -> int:
-    """Coefficient of Z_lam in Z_mu Z_nu."""
-    mu, nu, lam = tuple(mu), tuple(nu), tuple(lam)
-    if not (mp_total(mu) + mp_total(nu) >= mp_total(lam) >= max(mp_total(mu), mp_total(nu))):
-        return 0
-    return product_table(ring).constants(mu, nu).get(lam, 0)
-
-
 def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
     """The product of two elements of one ring, on integer numerators."""
     a._check(b)
@@ -446,13 +439,13 @@ def verify_commutation(ring, i, j, U, V):
     (ok, witness) where the witness names the first differing coefficient
     and its value on each side."""
     lhs, rhs = commutation_sides(ring, i, j, U, V)
-    diff = lhs - rhs
-    if diff.is_zero():
+    diff = first_difference(lhs.terms, rhs.terms, mp_sort_key)
+    if diff is None:
         return True, None
-    key = min(diff.terms, key=mp_sort_key)
+    key, left, right = diff
     return False, (
         f"coefficient of Z{format_multipartition(key, ring.labels)}: "
-        f"left side {lhs.coefficient(key)}, right side {rhs.coefficient(key)}"
+        f"left side {left}, right side {right}"
     )
 
 

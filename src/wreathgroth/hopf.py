@@ -23,7 +23,9 @@ from functools import cache
 
 from . import pbw
 from . import symfun as sf
-from ._exact import Combination, accumulate, monomial_product, power_sum, substitute
+from ._exact import (
+    Combination, accumulate, first_difference, monomial_product, power_sum, substitute
+)
 from .errors import DomainError, IntegralityError
 from .groth import GrothElement, _substitution_plan, _doubled_labels, product_table
 from .partitions import (
@@ -221,30 +223,30 @@ def _merge_symbols(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(a + b))
 
 
-def poly_mul(a: Poly, b: Poly, degree: int) -> Poly:
-    out: Poly = {}
-    for kb, cb in b.items():
-        room = degree - _mono_degree(kb)
-        accumulate(
-            out,
-            {_merge_symbols(ka, kb): ca for ka, ca in a.items() if _mono_degree(ka) <= room},
-            cb,
-        )
-    return out
+class LawPoly(Combination):
+    """A polynomial in the law's symbols truncated above e-degree ``degree``;
+    its product merges monomials and drops what is truncated, on the
+    integer coefficients as they are (no round trip through numerators)."""
 
+    __slots__ = ("degree",)
+    _context = ("degree",)
+    _compared = _context
 
-def poly_substitute(p: Poly, mapping, degree: int) -> Poly:
-    """Replace every symbol by `mapping(symbol)` (a Poly), truncating by the
-    e-degree grading."""
-    out: Poly = {}
-    for mono, coeff in p.items():
-        acc: Poly = {(): Fraction(1)}
-        for s in mono:
-            acc = poly_mul(acc, mapping(s), degree)
-            if not acc:
-                break
-        accumulate(out, acc, coeff)
-    return out
+    def __init__(self, degree: int, terms=None):
+        self.degree = degree
+        super().__init__(terms)
+
+    def _fits(self, mono: Monomial) -> bool:
+        return _mono_degree(mono) <= self.degree
+
+    def __mul__(self, other: "LawPoly") -> "LawPoly":
+        out: dict = {}
+        left = self.terms.items()
+        for kb, cb in other.terms.items():
+            room = self.degree - _mono_degree(kb)
+            part = {_merge_symbols(ka, kb): ca for ka, ca in left if _mono_degree(ka) <= room}
+            accumulate(out, part, cb)
+        return self._like(out)
 
 
 @cache
@@ -342,33 +344,30 @@ def associativity_defect(law: GroupLaw, degree: int):
     else ((u, i), monomial, left, right) for the first component in order
     and its least differing monomial, by degree, with both coefficients."""
 
-    def relabel(poly: Poly, fam_map) -> Poly:
-        return {
-            tuple(sorted((fam_map[f], u, j) for f, u, j in mono)): c
-            for mono, c in poly.items()
-        }
+    def nested(s: Symbol, fams) -> LawPoly:
+        """F's component at s, its arguments renamed to the families fams."""
+        return LawPoly(degree, {
+            tuple(sorted((fams[f], u, j) for f, u, j in mono)): c
+            for mono, c in law.component(*s[1:]).items()
+        })
 
-    def left_map(s: Symbol) -> Poly:
-        fam, u, j = s
-        if fam == 0:
-            return relabel(law.component(u, j), {0: 0, 1: 1})
-        return {((2, u, j),): Fraction(1)}
+    @cache
+    def left_map(s: Symbol) -> LawPoly:  # a -> F(a, b), b -> c
+        return nested(s, (0, 1)) if s[0] == 0 else LawPoly(degree, {((2, *s[1:]),): 1})
 
-    def right_map(s: Symbol) -> Poly:
-        fam, u, j = s
-        if fam == 0:
-            return {((0, u, j),): Fraction(1)}
-        return relabel(law.component(u, j), {0: 1, 1: 2})
+    @cache
+    def right_map(s: Symbol) -> LawPoly:  # a -> a, b -> F(b, c)
+        return LawPoly(degree, {(s,): 1}) if s[0] == 0 else nested(s, (1, 2))
 
+    one = LawPoly(degree, {(): 1})
     for (u, i), poly in law.components.items():
-        lhs = poly_substitute(poly, left_map, degree)
-        rhs = poly_substitute(poly, right_map, degree)
-        if lhs != rhs:
-            mono = min(
-                (m for m in lhs.keys() | rhs.keys() if lhs.get(m, 0) != rhs.get(m, 0)),
-                key=lambda m: (_mono_degree(m), m),
-            )
-            return (u, i), mono, lhs.get(mono, 0), rhs.get(mono, 0)
+        diff = first_difference(
+            substitute(poly, left_map, one).terms,
+            substitute(poly, right_map, one).terms,
+            lambda m: (_mono_degree(m), m),
+        )
+        if diff:
+            return ((u, i), *diff)
     return None
 
 

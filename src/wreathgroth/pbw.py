@@ -47,6 +47,7 @@ from ._exact import (
     PowerSeries,
     accumulate,
     exp,
+    first_difference,
     format_terms,
     from_numerators,
     log1p,
@@ -504,14 +505,13 @@ def f_series(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
     closed = f_series_closed(ring, W, degree)
     direct = f_series_mobius(ring, W, degree)
     for k in range(degree + 1):
-        a, b = closed.coefficient(k).terms, direct.coefficient(k).terms
-        for w in sorted(a.keys() | b.keys()):
-            if a.get(w, 0) != b.get(w, 0):
-                raise AssertionError(
-                    f"F-series of {W!r} differs at t^{k}, word {format_word(w, ring)}: "
-                    f"sum_i T_i(W) t^i gives {a.get(w, 0)}, the Moebius/log form "
-                    f"gives {b.get(w, 0)}"
-                )
+        diff = first_difference(closed.coefficient(k).terms, direct.coefficient(k).terms)
+        if diff:
+            w, a, b = diff
+            raise AssertionError(
+                f"F-series of {W!r} differs at t^{k}, word {format_word(w, ring)}: "
+                f"sum_i T_i(W) t^i gives {a}, the Moebius/log form gives {b}"
+            )
     return closed
 
 

@@ -31,7 +31,6 @@ from operator import le, mul
 
 from ._exact import (
     Combination,
-    accumulate,
     exp,
     format_terms,
     from_numerators,
@@ -357,23 +356,6 @@ def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     return schur_product_row(tuple(mu), tuple(nu)).get(tuple(lam), 0)
 
 
-def kronecker_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
-    """Tensor-product multiplicity sum_rho chi^mu chi^nu chi^lam / z_rho."""
-    n = sum(mu)
-    if sum(nu) != n or sum(lam) != n:
-        return 0
-    total = Fraction(0)
-    for rho in partitions(n):
-        total += Fraction(
-            mn_character(tuple(mu), rho)
-            * mn_character(tuple(nu), rho)
-            * mn_character(tuple(lam), rho),
-            z_factor(rho),
-        )
-    assert total.denominator == 1
-    return int(total)
-
-
 def substitute_variable_sets(f: SymSeries, plan: dict, out_labels) -> SymSeries:
     """Replace whole variable sets, power sum by power sum.
 
@@ -407,25 +389,6 @@ def omega(f: SymSeries, label: str) -> SymSeries:
             k[slot] = conjugate(k[slot])
             terms[tuple(k)] = coeff
     return SymSeries(f.labels, f.basis, f.degree, terms)
-
-
-def evaluate_geometric(f: SymSeries, label: str, r: int) -> dict[int, Fraction]:
-    """Specialize one variable set to the single value t^r (p_l -> t^(r l)).
-
-    The series must not involve any other variable set; returns {exponent:
-    coefficient} for the resulting polynomial in t.
-    """
-    f = as_power(f)
-    slot = f.labels.index(label)
-    out: dict[int, Fraction] = {}
-    for key, coeff in f.terms.items():
-        for i, p in enumerate(key):
-            if i != slot and p:
-                raise DomainError(
-                    "evaluate_geometric needs a series in the named set only"
-                )
-        accumulate(out, {r * sum(key[slot]): coeff})
-    return out
 
 
 def e_series(labels, label: str, n: int, degree: int) -> SymSeries:

@@ -1,5 +1,6 @@
 """The sparse exact-algebra core: accumulate, truncated exp/log, the
-substitution loop, row reduction and the term formatter."""
+substitution loop, the first-difference search, row reduction and the term
+formatter."""
 
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ from wreathgroth._exact import (
     PowerSeries,
     accumulate,
     exp,
+    first_difference,
     format_terms,
     log1p,
     power_sum,
@@ -140,6 +142,17 @@ def test_substitute_identity_image_returns_its_input():
     one = SymSeries.one(LABELS, "p", 5)
     got = substitute(f.terms, lambda s: power_sum_image(*s, 5), one, letters=power_letters)
     assert got == f
+
+
+def test_first_difference_names_the_least_differing_key_and_both_values():
+    assert first_difference({}, {}) is None
+    assert first_difference({"a": F(1, 2)}, {"a": F(1, 2)}) is None
+    a = {"a": 1, "b": 2, "c": F(5, 3)}
+    b = {"a": 1, "c": 4, "d": 7}
+    # b, c and d differ; an absent key has coefficient 0
+    assert first_difference(a, b) == ("b", 2, 0)
+    assert first_difference(b, a, order=lambda k: -ord(k)) == ("d", 7, 0)
+    assert first_difference(a, b, order=lambda k: k != "c") == ("c", F(5, 3), 4)
 
 
 def test_substitute_stops_a_word_at_a_vanishing_image():

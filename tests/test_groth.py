@@ -34,11 +34,12 @@ def test_identity_is_neutral():
 
 
 def test_structure_constants_over_integers():
-    assert gr.structure_constant(Z, ((),), ((1,),), ((1,),)) == 1
-    assert gr.structure_constant(Z, ((),), ((1,),), ((2,),)) == 0
-    assert gr.structure_constant(Z, ((1,),), ((1,),), ((1,),)) == 1
-    assert gr.structure_constant(Z, ((1,),), ((1,),), ((2,),)) == 1
-    assert gr.structure_constant(Z, ((1,),), ((1,),), ((1, 1),)) == 1
+    constants = gr.product_table(Z).constants
+    assert constants(((),), ((1,),)).get(((1,),), 0) == 1
+    assert constants(((),), ((1,),)).get(((2,),), 0) == 0
+    assert constants(((1,),), ((1,),)).get(((1,),), 0) == 1
+    assert constants(((1,),), ((1,),)).get(((2,),), 0) == 1
+    assert constants(((1,),), ((1,),)).get(((1, 1),), 0) == 1
 
 
 def test_golden_product_over_integers():
@@ -51,7 +52,7 @@ def test_empty_mu_is_kronecker_delta():
     for lam in multipartitions_upto(2, 3):
         for nu in multipartitions_upto(2, 3):
             want = 1 if lam == nu else 0
-            assert gr.structure_constant(C2, ((), ()), nu, lam) == want
+            assert gr.product_table(C2).constants(((), ()), nu).get(lam, 0) == want
 
 
 def test_associativity_on_small_basis():

@@ -253,16 +253,22 @@ def test_dual_multiply():
 
 
 def test_dual_comultiplication_matches_product_constants():
-    # the dual coproduct constants are the structure constants of z_multiply
-    from wreathgroth.groth import structure_constant
+    # the dual coproduct constants are the structure constants of z_multiply:
+    # recompute them through the public substitution of variable sets, as
+    # Schur coefficients of prod_U s_{lam(U)} of the substituted sets
+    from wreathgroth.groth import _doubled_labels, _substitution_plan
 
+    plan, labels = _substitution_plan(C2), _doubled_labels(C2)
+    table = gr.product_table(C2)
     keys = multipartitions_upto(2, 2)
     for lam in multipartitions_upto(2, 2):
+        f = SymSeries.one(C2.labels, "s", 4)
+        for u, kappa in enumerate(lam):
+            f = f * SymSeries.generator(C2.labels, C2.labels[u], "s", kappa, 4)
+        dual = sf.as_schur(sf.substitute_variable_sets(f, plan, labels))
         for mu in keys:
             for nu in keys:
-                a = structure_constant(C2, mu, nu, lam)
-                # recompute through the substituted series by pairing
-                assert a == gr.product_table(C2).constants(mu, nu).get(lam, 0)
+                assert dual.coefficient(mu + nu) == table.constants(mu, nu).get(lam, 0)
 
 
 def test_dual_antipode_power_sum_integers():

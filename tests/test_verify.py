@@ -100,7 +100,7 @@ def test_report_records_a_raising_check_and_runs_the_rest():
         raise DomainError("outside the domain")
 
     rep.run("raises", raises)
-    rep.run("after", lambda: True)
+    rep.run("after", lambda: None)
     assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
         ("raises", False, "DomainError: outside the domain"),
         ("after", True, ""),
@@ -111,6 +111,84 @@ def test_report_records_a_raising_check_and_runs_the_rest():
 
     with pytest.raises(MissingDataError):
         rep.run("missing", missing)
+
+
+def test_report_run_has_one_result_protocol():
+    # None passes, a string fails with that witness, and any other value
+    # fails naming it, so a stray True or an (ok, detail) pair cannot pass
+    rep = verify.Report("demo", "-", 1, 0)
+    rep.run("none", lambda: None)
+    rep.run("witness", lambda: "coefficient of Z{}: left side 1, right side 2")
+    rep.run("true", lambda: True)
+    rep.run("pair", lambda: (False, "x"))
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("none", True, ""),
+        ("witness", False, "coefficient of Z{}: left side 1, right side 2"),
+        ("true", False, "returned True, not None or a witness"),
+        ("pair", False, "returned (False, 'x'), not None or a witness"),
+    ]
+
+
+def _detail(report, prefix):
+    check = next(c for c in report.checks if c.name.startswith(prefix))
+    assert not check.passed
+    return check.detail
+
+
+def test_symfun_witness_names_the_power_sum_key_and_both_values(monkeypatch):
+    # h_2 = (p_1^2 + p_2)/2; one more p_2 in h_2 at degree 5 leaves omega(e_2)
+    # = (p_1^2 + p_2)/2 against (p_1^2 + 3 p_2)/2
+    h_series = sf.h_series
+
+    def perturbed(labels, label, n, degree):
+        out = h_series(labels, label, n, degree)
+        if (n, degree) == (2, 5):
+            out = out + sf.SymSeries.generator(labels, label, "p", (2,), degree)
+        return out
+
+    monkeypatch.setattr(sf, "h_series", perturbed)
+    report = verify.suite_symfun(Z, 6, 0)
+    assert _detail(report, "omega is an involution") == (
+        "omega(e_2) != h_2: coefficient of p{x:[2]}: left side 1/2, right side 3/2"
+    )
+
+
+def test_commutation_witness_names_the_z_key_and_both_values(monkeypatch):
+    # [e_1(1), e_1(1)] = 0 over Z; adding 2*Z{1:[1]} to it leaves 2 against 0
+    commutator = gr.commutator
+
+    def perturbed(ring, i, j, U, V):
+        out = commutator(ring, i, j, U, V)
+        if i == j == 1:
+            out = out + gr.GrothElement(ring, {((1,),): 2})
+        return out
+
+    monkeypatch.setattr(gr, "commutator", perturbed)
+    report = verify.suite_commutation(rg.integers.__wrapped__(), 2, 0)
+    assert _detail(report, "e_i(U) and e_j(U) commute") == (
+        "[e_1, e_1] of 1: coefficient of Z{1:[1]}: left side 2, right side 0"
+    )
+
+
+def test_hopf_witness_names_the_tensor_key_and_both_values(monkeypatch):
+    # Delta(Z{1:[1]}) = Z{1:[1]} (x) Z{} + Z{} (x) Z{1:[1]}; one more
+    # Z{1:[1]} (x) Z{} makes (id (x) eps) Delta(Z{1:[1]}) = 2*Z{1:[1]}
+    comultiply = hopf.comultiply
+
+    def perturbed(x):
+        out = comultiply(x)
+        if x == gr.GrothElement.basis(x.ring, ((1,),)):
+            out = out + hopf.TensorGroth(x.ring, {(((1,),), ((),)): 1})
+        return out
+
+    monkeypatch.setattr(hopf, "comultiply", perturbed)
+    report = verify.suite_hopf(rg.integers.__wrapped__(), 2, 0)
+    assert _detail(report, "counit axiom") == (
+        "(id (x) eps) Delta(Z{1:[1]}): coefficient of Z{1:[1]}: left side 2, right side 1"
+    )
+    assert _detail(report, "Delta(E_U(t))") == (
+        "at e_1(1): coefficient of Z{1:[1]} (x) Z{}: left side 2, right side 1"
+    )
 
 
 def test_integrality_check_catches_a_bad_schur_row(monkeypatch):

@@ -1,13 +1,18 @@
 """Command-line front end.
 
+Each leaf subcommand names its handler with ``set_defaults(run=cmd_...)``
+and ``main`` calls ``args.run(args)``.  Every handler prints through one
+printer, ``_emit``: one sorted-keys JSON line under --json, else text lines.
+
 Exit codes: 0 success, 1 failed verification, 2 parse/usage error, 3 the
 ring lacks the optional data a suite needs.  Output is deterministic for
-fixed inputs (including --seed); JSON mode emits sorted keys.
+fixed inputs (including --seed).
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from . import groth as gr
@@ -31,10 +36,7 @@ EXIT_MISSING = 3
 
 
 def _parse_groth_literal(ring, text: str):
-    text = text.strip()
-    if text.startswith("Z"):
-        text = text[1:]
-    return parse_multipartition(text, ring.labels)
+    return parse_multipartition(text.strip().removeprefix("Z"), ring.labels)
 
 
 def _groth_json(x: GrothElement):
@@ -49,11 +51,18 @@ def _groth_json(x: GrothElement):
     return out
 
 
-def _emit_element(args, x: GrothElement):
+def _emit(args, payload, lines) -> None:
+    """The one printer: under --json the payload as one sorted-keys JSON
+    line, otherwise each text line (none for an empty result)."""
     if args.json:
-        print(json.dumps({"terms": _groth_json(x)}, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
-        print(format_groth(x))
+        for line in lines:
+            print(line)
+
+
+def _emit_element(args, x: GrothElement) -> None:
+    _emit(args, {"terms": _groth_json(x)}, [format_groth(x)])
 
 
 def cmd_ring_validate(args) -> int:
@@ -67,58 +76,50 @@ def cmd_ring_validate(args) -> int:
         "commutative": ring.is_commutative(),
         "issues": issues,
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"ring {ring.name}: rank {ring.rank()}")
-        print(f"  monomial algebra: {payload['monomial_algebra']}")
-        print(f"  commutative: {payload['commutative']}")
-        if issues:
-            for issue in issues:
-                print(f"  INVALID: {issue}")
-        else:
-            print("  valid")
+    lines = [
+        f"ring {ring.name}: rank {ring.rank()}",
+        f"  monomial algebra: {payload['monomial_algebra']}",
+        f"  commutative: {payload['commutative']}",
+        *([f"  INVALID: {issue}" for issue in issues] or ["  valid"]),
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK if not issues else EXIT_FAILED
 
 
-def cmd_groth(args) -> int:
+def cmd_groth_mul(args) -> int:
     ring = resolve_ring(args.ring)
-    if args.action == "mul":
-        a = GrothElement.basis(ring, _parse_groth_literal(ring, args.operands[0]))
-        b = GrothElement.basis(ring, _parse_groth_literal(ring, args.operands[1]))
-        _emit_element(args, a * b)
-    elif args.action in ("e", "decompose"):
-        W = parse_element(ring, args.elem)
-        _emit_element(args, gr.e_of(ring, args.n, W))
-    elif args.action == "h":
-        W = parse_element(ring, args.elem)
-        _emit_element(args, gr.h_element(ring, args.n, W))
-    elif args.action == "xbasis":
-        lam = _parse_groth_literal(ring, args.operands[0])
-        _emit_element(args, gr.x_basis_element(ring, lam))
+    a, b = (GrothElement.basis(ring, _parse_groth_literal(ring, t)) for t in args.operands)
+    _emit_element(args, a * b)
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_groth_generator(args) -> int:
+    """e_n(W) or h_n(W): the generator function is set by the subcommand."""
     ring = resolve_ring(args.ring)
-    if args.action == "mul":
-        mu = _parse_groth_literal(ring, args.operands[0])
-        nu = _parse_groth_literal(ring, args.operands[1])
-        _emit_element(args, pbw.oracle_multiply(ring, mu, nu))
-    elif args.action == "zelement":
-        lam = _parse_groth_literal(ring, args.operands[0])
-        el = pbw.z_element_pbw(ring, lam)
-        if args.json:
-            terms = [
-                {"coeff": str(c), "word": pbw.format_word(w, ring)}
-                for w, c in sorted(el.terms.items())
-            ]
-            print(json.dumps({"terms": terms}, sort_keys=True))
-        else:
-            if not el.terms:
-                print("0")
-            for w, c in sorted(el.terms.items()):
-                print(f"{c} * {pbw.format_word(w, ring)}")
+    _emit_element(args, args.generator(ring, args.n, parse_element(ring, args.elem)))
+    return EXIT_OK
+
+
+def cmd_groth_xbasis(args) -> int:
+    ring = resolve_ring(args.ring)
+    lam = _parse_groth_literal(ring, args.operands[0])
+    _emit_element(args, gr.x_basis_element(ring, lam))
+    return EXIT_OK
+
+
+def cmd_oracle_mul(args) -> int:
+    ring = resolve_ring(args.ring)
+    mu, nu = (_parse_groth_literal(ring, t) for t in args.operands)
+    _emit_element(args, pbw.oracle_multiply(ring, mu, nu))
+    return EXIT_OK
+
+
+def cmd_oracle_zelement(args) -> int:
+    ring = resolve_ring(args.ring)
+    el = pbw.z_element_pbw(ring, _parse_groth_literal(ring, args.operands[0]))
+    rows = [(str(c), pbw.format_word(w, ring)) for w, c in sorted(el.terms.items())]
+    payload = {"terms": [{"coeff": c, "word": w} for c, w in rows]}
+    _emit(args, payload, [f"{c} * {w}" for c, w in rows] or ["0"])
     return EXIT_OK
 
 
@@ -126,25 +127,15 @@ def cmd_hopf_delta(args) -> int:
     ring = resolve_ring(args.ring)
     lam = _parse_groth_literal(ring, args.elem)
     delta = hopf.comultiply(GrothElement.basis(ring, lam))
-    rows = sorted(
-        delta.terms.items(), key=lambda kv: (mp_sort_key(kv[0][0]), mp_sort_key(kv[0][1]))
-    )
-    if args.json:
-        payload = [
-            {
-                "coeff": str(c),
-                "left": format_multipartition(mu, ring.labels),
-                "right": format_multipartition(nu, ring.labels),
-            }
-            for (mu, nu), c in rows
-        ]
-        print(json.dumps({"terms": payload}, sort_keys=True))
-    else:
-        for (mu, nu), c in rows:
-            left = "Z" + format_multipartition(mu, ring.labels)
-            right = "Z" + format_multipartition(nu, ring.labels)
-            prefix = "" if c == 1 else f"{c}*"
-            print(f"{prefix}{left} (x) {right}")
+    rows = [
+        (c, format_multipartition(mu, ring.labels), format_multipartition(nu, ring.labels))
+        for (mu, nu), c in sorted(
+            delta.terms.items(), key=lambda kv: (mp_sort_key(kv[0][0]), mp_sort_key(kv[0][1]))
+        )
+    ]
+    payload = {"terms": [{"coeff": str(c), "left": l, "right": r} for c, l, r in rows]}
+    lines = [("" if c == 1 else f"{c}*") + f"Z{l} (x) Z{r}" for c, l, r in rows]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -159,10 +150,7 @@ def cmd_witt(args) -> int:
             f"expected {args.length} components, got {len(a)} and {len(b)}"
         )
     out = a + b if args.action == "add" else a * b
-    if args.json:
-        print(json.dumps({"result": list(out.comps)}, sort_keys=True))
-    else:
-        print(",".join(str(c) for c in out.comps))
+    _emit(args, {"result": list(out.comps)}, [",".join(str(c) for c in out.comps)])
     return EXIT_OK
 
 
@@ -171,29 +159,29 @@ def cmd_law_dump(args) -> int:
     law = hopf.formal_group_law(ring, args.degree)
 
     def mono_str(mono):
-        if not mono:
-            return "1"
-        bits = []
-        for fam, u, j in mono:
-            name = "x" if fam == 0 else "y"
-            bits.append(f"e{j}({name}_{ring.labels[u]})")
-        return "*".join(bits)
+        return "*".join(f"e{j}({'xy'[fam]}_{ring.labels[u]})" for fam, u, j in mono) or "1"
 
-    if args.json:
-        payload = {}
-        for (u, i), poly in sorted(law.components.items()):
-            payload[f"e{i}({ring.labels[u]})"] = {
-                mono_str(m): str(c) for m, c in sorted(poly.items())
-            }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for (u, i), poly in sorted(law.components.items()):
-            terms = " + ".join(
-                (f"{c}*" if c != 1 else "") + mono_str(m)
-                for m, c in sorted(poly.items())
-            )
-            print(f"e{i}({ring.labels[u]}) -> {terms}")
+    rows = [
+        (f"e{i}({ring.labels[u]})", sorted(poly.items()))
+        for (u, i), poly in sorted(law.components.items())
+    ]
+    payload = {name: {mono_str(m): str(c) for m, c in poly} for name, poly in rows}
+    lines = [
+        f"{name} -> " + " + ".join((f"{c}*" if c != 1 else "") + mono_str(m) for m, c in poly)
+        for name, poly in rows
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
+
+
+def _report_lines(reports, ok: bool):
+    for r in reports:
+        yield f"suite {r.suite} (ring={r.ring}, degree={r.degree}, seed={r.seed})"
+        for c in r.checks:
+            status = "PASS" if c.passed else "FAIL"
+            tail = f" [{c.detail}]" if c.detail and not c.passed else ""
+            yield f"  {status} {c.name}{tail}"
+    yield "all checks passed" if ok else "FAILURES above"
 
 
 def cmd_verify(args) -> int:
@@ -206,35 +194,13 @@ def cmd_verify(args) -> int:
             for ring in rings
         ]
     ok = all(r.passed for r in reports)
-    if args.json:
-        payload = {
-            "degree": args.degree,
-            "seed": args.seed,
-            "passed": ok,
-            "reports": [
-                {
-                    "suite": r.suite,
-                    "ring": r.ring,
-                    "degree": r.degree,
-                    "seed": r.seed,
-                    "passed": r.passed,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in r.checks
-                    ],
-                }
-                for r in reports
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for r in reports:
-            print(f"suite {r.suite} (ring={r.ring}, degree={r.degree}, seed={r.seed})")
-            for c in r.checks:
-                status = "PASS" if c.passed else "FAIL"
-                tail = f" [{c.detail}]" if c.detail and not c.passed else ""
-                print(f"  {status} {c.name}{tail}")
-        print("all checks passed" if ok else "FAILURES above")
+    payload = {
+        "degree": args.degree,
+        "seed": args.seed,
+        "passed": ok,
+        "reports": [{**asdict(r), "passed": r.passed} for r in reports],
+    }
+    _emit(args, payload, _report_lines(reports, ok))
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -269,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
 
-    def add_common(p, ring=True, degree=False, seed=False):
+    def add_common(p, run, ring=True, degree=False, seed=False):
+        """The options every leaf shares, and the handler main() calls."""
+        p.set_defaults(run=run)
         if ring:
             p.add_argument(
                 "--ring",
@@ -287,36 +255,39 @@ def build_parser() -> argparse.ArgumentParser:
     ring_p = sub.add_parser("ring", help="ring configuration utilities")
     ring_sub = ring_p.add_subparsers(dest="action", required=True)
     val = ring_sub.add_parser("validate", help="validate a ring config")
-    add_common(val)
+    add_common(val, cmd_ring_validate)
 
     groth_p = sub.add_parser("groth", help="compute in the multipartition basis")
     groth_sub = groth_p.add_subparsers(dest="action", required=True)
     mul = groth_sub.add_parser("mul", help="product of two basis elements")
     mul.add_argument("operands", nargs=2, help="two literals like 'Z{e:[1]}'")
-    add_common(mul)
-    for name, what in (("e", "e_n"), ("h", "h_n"), ("decompose", "e_n expanded")):
+    add_common(mul, cmd_groth_mul)
+    for name, what, generator in (
+        ("e", "e_n", gr.e_of), ("h", "h_n", gr.h_element), ("decompose", "e_n expanded", gr.e_of)
+    ):
         p = groth_sub.add_parser(name, help=f"{what} of a ring element")
         p.add_argument("--elem", required=True, help="ring element literal, e.g. 'e+g'")
         p.add_argument("--n", type=int, required=True)
-        add_common(p)
+        p.set_defaults(generator=generator)
+        add_common(p, cmd_groth_generator)
     xb = groth_sub.add_parser("xbasis", help="second basis element in the Z basis")
     xb.add_argument("operands", nargs=1, help="multipartition literal")
-    add_common(xb)
+    add_common(xb, cmd_groth_xbasis)
 
     oracle_p = sub.add_parser("oracle", help="enveloping-algebra side computations")
     oracle_sub = oracle_p.add_subparsers(dest="action", required=True)
     omul = oracle_sub.add_parser("mul", help="product via the PBW realization")
     omul.add_argument("operands", nargs=2)
-    add_common(omul)
+    add_common(omul, cmd_oracle_mul)
     zel = oracle_sub.add_parser("zelement", help="basis element in normal-ordered words")
     zel.add_argument("operands", nargs=1)
-    add_common(zel)
+    add_common(zel, cmd_oracle_zelement)
 
     hopf_p = sub.add_parser("hopf", help="Hopf-structure computations")
     hopf_sub = hopf_p.add_subparsers(dest="action", required=True)
     delta = hopf_sub.add_parser("delta", help="coproduct of a basis element")
     delta.add_argument("--elem", required=True, help="literal like 'Z{e:[2,1]}'")
-    add_common(delta)
+    add_common(delta, cmd_hopf_delta)
 
     witt_p = sub.add_parser("witt", help="truncated big Witt vectors")
     witt_sub = witt_p.add_subparsers(dest="action", required=True)
@@ -325,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--length", type=int, required=True)
         p.add_argument("--a", required=True, help="comma list, e.g. '1,2,3'")
         p.add_argument("--b", required=True)
-        add_common(p, ring=False)
+        add_common(p, cmd_witt, ring=False)
 
     law_p = sub.add_parser("law", help="the formal group law on e-coordinates")
     law_sub = law_p.add_subparsers(dest="action", required=True)
     dump = law_sub.add_parser("dump", help="print the law components")
-    add_common(dump, degree=True)
+    add_common(dump, cmd_law_dump, degree=True)
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
     verify_p.add_argument(
@@ -341,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="builtin:integers",
         help="one ring spec, or a comma-separated list to verify in turn",
     )
-    add_common(verify_p, ring=False, degree=True, seed=True)
+    add_common(verify_p, cmd_verify, ring=False, degree=True, seed=True)
     return parser
 
 
@@ -355,31 +326,13 @@ def main(argv=None) -> int:
         empty = [name for name, value in vars(args).items() if value == []]
         if empty:  # argparse stores [] for an option whose value is "--" (--elem=--)
             raise ConfigError(f"--{empty[0]} needs a value")
-        if args.command == "ring":
-            return cmd_ring_validate(args)
-        if args.command == "groth":
-            return cmd_groth(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        if args.command == "hopf":
-            return cmd_hopf_delta(args)
-        if args.command == "witt":
-            return cmd_witt(args)
-        if args.command == "law":
-            return cmd_law_dump(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        parser.error(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return args.run(args)
     except MissingDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -285,10 +285,7 @@ def _blocks_within(caps: tuple, total: int) -> int:
 
 
 def product_table(ring: BaseRing) -> ProductTable:
-    table = ring._caches.get("product_table")
-    if table is None:
-        table = ring._caches["product_table"] = ProductTable(ring)
-    return table
+    return ring.memo("product_table", lambda: ProductTable(ring))
 
 
 def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
@@ -303,13 +300,6 @@ def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
 def _check_degree(n: int):
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-
-
-def _memo(ring, key, build):
-    got = ring._caches.get(key)
-    if got is None:
-        got = ring._caches[key] = build()
-    return got
 
 
 def mobius(n: int) -> int:
@@ -369,14 +359,14 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     u = W.basis_index()
     if u is not None:
         return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * n))
-    memo = _memo(ring, "e_of", dict)
+    memo = ring.memo("e_of", dict)
     key = (W.key(), n)
     got = memo.get(key)
     if got is not None:
         return got
     # F_W(t) = sum_U a_U F_U(t); the t^n coefficient of the left side carries
     # e_n(W) with coefficient -(-1)^n, everything else is known recursively
-    f_basis = _memo(ring, "f_basis", dict)
+    f_basis = ring.memo("f_basis", dict)
     rhs = GrothElement.zero(ring)
     for u_idx, a in W.coeffs.items():
         f = f_basis.get((u_idx, n))
@@ -399,7 +389,7 @@ def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
-    memo = _memo(ring, "h_of", dict)
+    memo = ring.memo("h_of", dict)
     key = (W.key(), n)
     got = memo.get(key)
     if got is not None:

@@ -117,7 +117,7 @@ def antipode(x: GrothElement) -> GrothElement:
     x must have integer coefficients; that is asserted on every call, so a
     bad image in the memo fails each time it is used."""
     ring = x.ring
-    images = ring._caches.setdefault("antipode", {})
+    images = ring.memo("antipode", dict)
     terms: dict[MultiPartition, Fraction] = {}
     for lam, c in x.terms.items():
         image = images.get(lam)
@@ -161,7 +161,7 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
     """
     if ring.unit is None:
         raise DomainError("dual antipode needs a unital ring")
-    memo = ring._caches.setdefault("dual_antipode", {})
+    memo = ring.memo("dual_antipode", dict)
     images = memo.get((l, degree))
     if images is None:
         base = pbw.RingSeries(

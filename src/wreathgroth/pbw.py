@@ -29,7 +29,7 @@ cleared once with their lcm, the loops multiply and add ints, and one
 Fraction is built per output term.  The cores take nothing from ``groth``'s
 ``ProductTable``, so the oracle stays an independent route.  The product of
 two normal words comes from the kernel once per ring and word pair and is
-kept in ``ring._caches`` under ``pbw_products``: the oracle revisits a few
+kept in the ring's ``pbw_products`` memo: the oracle revisits a few
 thousand pairs many times over.
 The inverse of the Z-table, ``word_to_z``, holds each row as integer
 numerators over one denominator.  It is triangular by degree and the block of
@@ -116,9 +116,7 @@ def _word_products(ring: BaseRing):
     tuple of (normal word, int) items.  Each pair goes to the kernel once per
     ring; the ring's ``pbw_products`` memo keeps the items as a tuple, which
     holds less memory than a dict, and interns their words."""
-    memo = ring._caches.get("pbw_products")
-    if memo is None:
-        memo = ring._caches["pbw_products"] = _ProductMemo()
+    memo = ring.memo("pbw_products", _ProductMemo)
     comm = ring.commutator_table()
     get, intern = memo.get, memo.words.setdefault
 
@@ -405,11 +403,10 @@ def to_z_basis(x: PBWElement) -> GrothElement:
     return GrothElement(x.ring, from_numerators(*_z_numerators(data.word_to_z, x.terms)))
 
 
-def oracle_multiply(ring: BaseRing, mu, nu, degree=None) -> GrothElement:
+def oracle_multiply(ring: BaseRing, mu, nu) -> GrothElement:
     """Z_mu Z_nu computed wholly on the enveloping-algebra side."""
     mu, nu = tuple(mu), tuple(nu)
-    if degree is None:
-        degree = mp_total(mu) + mp_total(nu)
+    degree = mp_total(mu) + mp_total(nu)
     a = z_element_pbw(ring, mu, degree)
     b = z_element_pbw(ring, nu, degree)
     prod = PBWElement(ring, degree, a.terms) * b

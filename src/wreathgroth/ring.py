@@ -162,13 +162,17 @@ class BaseRing:
         return RingElement(self, {i: 1})
 
     def element(self, coeffs) -> RingElement:
+        """An element from a literal such as ``2*e - g`` or {index: coefficient}."""
         if isinstance(coeffs, str):
             return parse_element(self, coeffs)
-        if isinstance(coeffs, dict) and all(isinstance(k, str) for k in coeffs):
-            return RingElement(
-                self, {self.labels.index(k): v for k, v in coeffs.items()}
-            )
         return RingElement(self, dict(coeffs))
+
+    def memo(self, name: str, build):
+        """The ring's cache ``name``, made by ``build()`` on first use."""
+        got = self._caches.get(name)
+        if got is None:
+            got = self._caches[name] = build()
+        return got
 
     def unit_index(self):
         """Basis index of the unit, or None when 1 is not a basis element."""
@@ -184,16 +188,15 @@ class BaseRing:
 
     def commutator_table(self) -> dict[tuple[int, int], tuple]:
         """(u, v) with u > v  ->  expansion of uv - vu, for PBW rewriting."""
-        got = self._caches.get("comm")
-        if got is None:
-            got = {}
-            for u in range(self.rank()):
-                for v in range(u):
-                    diff = accumulate(dict(self.tensor[(u, v)]), self.tensor[(v, u)], -1)
-                    if diff:
-                        got[(u, v)] = tuple(sorted(diff.items()))
-            self._caches["comm"] = got
-        return got
+        def build():
+            diffs = {
+                (u, v): accumulate(dict(self.tensor[(u, v)]), self.tensor[(v, u)], -1)
+                for u in range(self.rank())
+                for v in range(u)
+            }
+            return {uv: tuple(sorted(diff.items())) for uv, diff in diffs.items() if diff}
+
+        return self.memo("comm", build)
 
     def is_commutative(self) -> bool:
         return not self.commutator_table()
@@ -334,41 +337,32 @@ class BaseRing:
 # ---------------------------------------------------------------------------
 # element literals: `2*e - g`, `E12`, `-3*x + 1`
 
-_TERM_RE = re.compile(r"^(?:([+-]?\d+)\s*\*\s*)?([A-Za-z0-9_]+)$")
+_TERM_RE = re.compile(r"(?:(\d+)\*)?([A-Za-z0-9_]+)")
 
 
 def parse_element(ring: BaseRing, text: str) -> RingElement:
-    src = text.strip()
+    """Terms ``[N*]label`` joined by signs, spaces ignored; the first sign may
+    be left out, and every sign must be followed by a term."""
+    src = text.strip().replace(" ", "")
     if not src:
         raise ConfigError("empty element literal")
+    pieces = re.split(r"([+-])", src if src[0] in "+-" else "+" + src)
     out: Vec = {}
-    i = 0
-    s = src.replace(" ", "")
-    sign = 1
-    while i < len(s):
-        if s[i] == "+":
-            sign = 1
-            i += 1
+    terms = pieces[2::2]
+    for sign, term in zip(pieces[1::2], terms):
+        if not term:  # a sign with no term: reported after every other fault
             continue
-        if s[i] == "-":
-            sign = -1
-            i += 1
-            continue
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        m = _TERM_RE.match(s[i:j])
+        m = _TERM_RE.fullmatch(term)
         if not m:
-            raise ConfigError(f"bad term {s[i:j]!r} in element literal {text!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        label = m.group(2)
+            raise ConfigError(f"bad term {term!r} in element literal {text!r}")
+        coeff, label = int(m.group(1) or 1), m.group(2)
         if label not in ring.labels:
             raise ConfigError(
                 f"unknown basis label {label!r}; ring has {list(ring.labels)}"
             )
-        accumulate(out, {ring.labels.index(label): coeff}, sign)
-        sign = 1
-        i = j
+        accumulate(out, {ring.labels.index(label): coeff}, -1 if sign == "-" else 1)
+    if "" in terms:
+        raise ConfigError(f"bad term '' in element literal {text!r}")
     return RingElement(ring, out)
 
 
@@ -554,6 +548,8 @@ def resolve_ring(spec: str) -> BaseRing:
         if not m:
             raise ConfigError(f"bad builtin ring spec {spec!r}")
         name, arg = m.group(1), m.group(2)
+        if arg is not None and name in ("integers", "golden"):
+            raise ConfigError(f"builtin {name!r} takes no argument, got {spec!r}")
         if name == "integers":
             return integers()
         if name == "cyclic":

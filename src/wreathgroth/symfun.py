@@ -168,10 +168,6 @@ def power_to_schur(f: SymSeries) -> SymSeries:
     return _from_numerators(f.labels, "s", f.degree, _convert_int(nums, p_to_schur_row), den)
 
 
-def as_power(f: SymSeries) -> SymSeries:
-    return f if f.basis == "p" else schur_to_power(f)
-
-
 def as_schur(f: SymSeries) -> SymSeries:
     return f if f.basis == "s" else power_to_schur(f)
 

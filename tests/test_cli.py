@@ -56,6 +56,17 @@ def test_parse_error_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["groth", "mul", "onlyone"]) == 2
     capsys.readouterr()
+    # a sign with no term after it
+    for text in ("e-+g", "e--g", "-", "+", "e+", "2*e-"):
+        argv = ["groth", "e", "--ring", "builtin:cyclic(2)", "--n", "1", f"--elem={text}"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), text
+        assert err == f"error: bad term '' in element literal {text!r}\n"
+    # an argument to a built-in ring that takes none
+    for spec in ("builtin:integers(3)", "builtin:golden(7)"):
+        code, out, err = run(capsys, "ring", "validate", "--ring", spec)
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, spec
     # a built-in ring of rank 0 is refused, whatever command asks for it
     for spec in ("builtin:matrix(0)", "builtin:cyclic(0)"):
         for argv in (
@@ -206,6 +217,9 @@ def test_law_dump(capsys):
     code, out, _ = run(capsys, "law", "dump", "--degree", "1")
     assert code == 0
     assert out.strip() == "e1(1) -> e1(x_1) + e1(y_1)"
+    # at degree 0 the law has no components: text prints nothing, --json {}
+    assert run(capsys, "law", "dump", "--degree", "0") == (0, "", "")
+    assert run(capsys, "law", "dump", "--degree", "0", "--json") == (0, "{}\n", "")
 
 
 def test_verify_suite_pass(capsys):

@@ -316,7 +316,8 @@ def theta_twist(f: SymSeries, ring, inverse: bool = False) -> SymSeries:
         raise DomainError("the twist needs the ring unit to be a basis element")
     slot = f.labels.index(ring.labels[one])
     shift = Fraction(1 if inverse else -1)
-    f = sf.as_power(f)
+    if f.basis != "p":
+        f = sf.schur_to_power(f)
     terms = {}
     for key, coeff in f.terms.items():
         expansions = [((), Fraction(1))]

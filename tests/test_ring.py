@@ -159,6 +159,12 @@ def test_element_literals():
         rg.parse_element(R, "2*q")
     with pytest.raises(ConfigError):
         rg.parse_element(R, "")
+    assert rg.parse_element(R, "+e") == R.basis_element(0)
+    assert rg.parse_element(R, "3 * e").coeffs == {0: 3}
+    # every sign must be followed by a term
+    for text in ("e-+g", "e--g", "-", "+", "e+", "2*e-"):
+        with pytest.raises(ConfigError, match=r"^bad term '' in element literal"):
+            rg.parse_element(R, text)
     Z = rg.integers()
     assert rg.parse_element(Z, "3*1").coeffs == {0: 3}
 
@@ -204,8 +210,23 @@ def test_resolve_ring_builtins():
     assert rg.resolve_ring("builtin:cyclic(2)").name == "ZC2"
     assert rg.resolve_ring("builtin:matrix(2)").name == "Mat2"
     assert rg.resolve_ring("builtin:golden").name == "golden"
-    with pytest.raises(ConfigError):
-        rg.resolve_ring("builtin:nope")
+    for spec in ("builtin:nope", "builtin:integers(3)", "builtin:golden(7)"):
+        with pytest.raises(ConfigError):
+            rg.resolve_ring(spec)
+
+
+def test_memo_builds_once_per_name_and_ring():
+    R, S = rg.cyclic_group_algebra.__wrapped__(2), rg.cyclic_group_algebra.__wrapped__(2)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return {}
+
+    first = R.memo("test", build)
+    assert R.memo("test", build) is first and len(calls) == 1
+    assert R.memo("other", build) is not first and len(calls) == 2
+    assert S.memo("test", build) is not first and len(calls) == 3
 
 
 # sha256 over repr((labels, tensor, unit, adams, lambda_ops, lambda_rmax,

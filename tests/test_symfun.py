@@ -317,7 +317,7 @@ def test_omega():
 def hall_pairing(a: SymSeries, b: SymSeries) -> Fraction:
     """<p_lam, p_mu> = delta z_lam, extended multiplicatively over labels."""
     a._check_compatible(b)
-    pa, pb = sf.as_power(a), sf.as_power(b)
+    pa, pb = (f if f.basis == "p" else sf.schur_to_power(f) for f in (a, b))
     total = Fraction(0)
     for key, ca in pa.terms.items():
         cb = pb.terms.get(key)

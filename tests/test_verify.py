@@ -250,8 +250,8 @@ def test_oracle_crosscheck_witness_names_first_differing_coefficient(monkeypatch
     oracle = pbw.oracle_multiply
     square = ((1,), ())
 
-    def perturbed(ring, mu, nu, degree=None):
-        out = oracle(ring, mu, nu, degree)
+    def perturbed(ring, mu, nu):
+        out = oracle(ring, mu, nu)
         if mu == nu == square:
             out = out + gr.GrothElement(ring, {((1, 1), ()): 5, ((2,), ()): 2})
         return out

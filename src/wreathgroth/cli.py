@@ -12,7 +12,6 @@ fixed inputs (including --seed).
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from . import groth as gr
@@ -198,7 +197,10 @@ def cmd_verify(args) -> int:
         "degree": args.degree,
         "seed": args.seed,
         "passed": ok,
-        "reports": [{**asdict(r), "passed": r.passed} for r in reports],
+        "reports": [
+            {**vars(r), "checks": [vars(c) for c in r.checks], "passed": r.passed}
+            for r in reports
+        ],
     }
     _emit(args, payload, _report_lines(reports, ok))
     return EXIT_OK if ok else EXIT_FAILED

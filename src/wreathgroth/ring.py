@@ -169,10 +169,11 @@ class BaseRing:
 
     def memo(self, name: str, build):
         """The ring's cache ``name``, made by ``build()`` on first use."""
-        got = self._caches.get(name)
-        if got is None:
+        try:
+            return self._caches[name]
+        except KeyError:
             got = self._caches[name] = build()
-        return got
+            return got
 
     def unit_index(self):
         """Basis index of the unit, or None when 1 is not a basis element."""

@@ -126,11 +126,12 @@ def cmd_hopf_delta(args) -> int:
     ring = resolve_ring(args.ring)
     lam = _parse_groth_literal(ring, args.elem)
     delta = hopf.comultiply(GrothElement.basis(ring, lam))
+    terms = sorted(
+        delta.terms.items(), key=lambda kv: (mp_sort_key(kv[0][0]), mp_sort_key(kv[0][1]))
+    )
     rows = [
         (c, format_multipartition(mu, ring.labels), format_multipartition(nu, ring.labels))
-        for (mu, nu), c in sorted(
-            delta.terms.items(), key=lambda kv: (mp_sort_key(kv[0][0]), mp_sort_key(kv[0][1]))
-        )
+        for (mu, nu), c in terms
     ]
     payload = {"terms": [{"coeff": str(c), "left": l, "right": r} for c, l, r in rows]}
     lines = [("" if c == 1 else f"{c}*") + f"Z{l} (x) Z{r}" for c, l, r in rows]

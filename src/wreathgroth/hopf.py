@@ -9,13 +9,18 @@ basis and kept in the ring's ``antipode`` memo; S(x) sums those images and
 asserts integrality on every call.  The dual algebra appears twice: as
 Schur-monomial arithmetic (`dual_multiply`) and through its antipode on power
 sums, whose images S(p_l(x_U)) are kept per (l, degree) in the ring's
-``dual_antipode`` memo; both are checked against the primal structure by
-exact pairings, so the dual antipode stays an independent route to S.
+``dual_antipode`` memo.  `dual_antipode_on_schur` takes a Schur key in
+through ``symfun.schur_to_power`` and returns a power-sum series, whose
+Schur coefficients (``symfun.power_to_schur``) pair with the primal antipode;
+both routes are checked by exact pairings, so the dual antipode stays an
+independent route to S.
 
 The coproduct dual to *multiplication* is the substitution rule behind the
 structure constants; restricted to the e-coordinates it is a formal group
 law on the ring of Witt vectors with coefficients twisted to the origin,
-extracted symbolically by `formal_group_law`.
+extracted symbolically by `formal_group_law`.  Its checks (first order, zero
+laws, associativity) return None or the first differing component and
+monomial with both coefficients.
 """
 
 from fractions import Fraction
@@ -32,6 +37,7 @@ from .partitions import (
     MultiPartition,
     Partition,
     mp_empty,
+    mp_single,
     partitions,
 )
 from .ring import BaseRing
@@ -166,10 +172,7 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
     if images is None:
         base = pbw.RingSeries(
             ring, degree,
-            {
-                tuple((l,) if i == u else () for i in range(ring.rank())): {u: 1}
-                for u in range(ring.rank())
-            },
+            {mp_single(ring.rank(), u, (l,)): {u: 1} for u in range(ring.rank())},
         )
         total = power_sum(
             base, pbw.RingSeries.one(ring, degree), degree // l, lambda r: (-1) ** r,
@@ -177,8 +180,7 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
         )
         images = memo[l, degree] = {
             u: SymSeries(
-                ring.labels, "p", degree,
-                {key: c for (key, v), c in total.terms.items() if v == u},
+                ring.labels, degree, {key: c for (key, v), c in total.terms.items() if v == u}
             )
             for u in range(ring.rank())
         }
@@ -191,18 +193,10 @@ def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> 
     The dual of a Hopf algebra antipode is an algebra map here (the dual is
     commutative), so expand into power-sum monomials and substitute each
     p_l(x_U) by its image."""
-    one = SymSeries.one(ring.labels, "p", degree)
-    base = one
-    for u, kappa in enumerate(tuple(lam)):
-        if kappa:
-            f = sf.schur_to_power(
-                SymSeries.generator(ring.labels, ring.labels[u], "s", kappa, degree)
-            )
-            base = f if base is one else base * f
     return substitute(
-        base.terms,
+        sf.schur_to_power(ring.labels, degree, {tuple(lam): 1}).terms,
         lambda s: dual_antipode_power_sum(ring, s[1], degree)[s[0]],
-        one,
+        SymSeries.one(ring.labels, degree),
         letters=lambda key: [(u, l) for u, p in enumerate(key) for l in p],
     )
 
@@ -280,7 +274,7 @@ def formal_group_law(ring: BaseRing, degree: int) -> GroupLaw:
     components = {}
     for u in range(k):
         for i in range(1, degree + 1):
-            base = SymSeries.generator(ring.labels, ring.labels[u], "s", (1,) * i, degree)
+            base = sf.e_series(ring.labels, ring.labels[u], i, degree)
             series = sf.substitute_variable_sets(base, plan, out_labels)
             poly: Poly = {}
             for key, coeff in series.terms.items():
@@ -307,31 +301,35 @@ def formal_group_law(ring: BaseRing, degree: int) -> GroupLaw:
     return GroupLaw(ring, degree, components)
 
 
-def law_first_order(law: GroupLaw) -> bool:
-    """F(a, b) = a + b + higher order: the linear part must be addition."""
-    for (u, i), poly in law.components.items():
-        for fam in (0, 1):
-            if poly.get(((fam, u, i),), Fraction(0)) != 1:
-                return False
-        for mono, c in poly.items():
-            if len(mono) == 1 and mono not in (((0, u, i),), ((1, u, i),)):
-                return False
-    return True
+def _by_degree(mono: Monomial):
+    return _mono_degree(mono), mono
 
 
-def law_zero_laws(law: GroupLaw) -> bool:
-    """F(a, 0) = a and F(0, b) = b."""
+def _addition_defect(law: GroupLaw, part):
+    """None when part(F's component at (u, i)) is a_i(U) + b_i(U) for every
+    component; else ((u, i), monomial, got, want) for the first component in
+    order and its least differing monomial, by degree, with both
+    coefficients."""
     for (u, i), poly in law.components.items():
-        for fam in (0, 1):
-            # kill the other family and compare with the bare symbol
-            kept = {
-                mono: c
-                for mono, c in poly.items()
-                if all(s[0] == fam for s in mono)
-            }
-            if kept != {((fam, u, i),): Fraction(1)}:
-                return False
-    return True
+        diff = first_difference(part(poly), {((0, u, i),): 1, ((1, u, i),): 1}, _by_degree)
+        if diff:
+            return ((u, i), *diff)
+    return None
+
+
+def law_first_order(law: GroupLaw):
+    """F(a, b) = a + b + higher order: the linear part must be addition.
+    None, or the witness of ``_addition_defect``."""
+    return _addition_defect(law, lambda poly: {m: c for m, c in poly.items() if len(m) == 1})
+
+
+def law_zero_laws(law: GroupLaw):
+    """F(a, 0) = a and F(0, b) = b: the monomials in one family alone, the
+    constant included, must be a_i(U) + b_i(U).  None, or the witness of
+    ``_addition_defect``."""
+    return _addition_defect(
+        law, lambda poly: {m: c for m, c in poly.items() if len({s[0] for s in m}) <= 1}
+    )
 
 
 def law_associative(law: GroupLaw, degree: int) -> bool:
@@ -364,7 +362,7 @@ def associativity_defect(law: GroupLaw, degree: int):
         diff = first_difference(
             substitute(poly, left_map, one).terms,
             substitute(poly, right_map, one).terms,
-            lambda m: (_mono_degree(m), m),
+            _by_degree,
         )
         if diff:
             return ((u, i), *diff)

@@ -114,6 +114,11 @@ class RingElement:
         return f"<{format_element(self)}>"
 
 
+# a basis label: what element literals (`2*e - g`) and multipartition
+# literals (`Z{e:[1];g:[2]}`, split at ':' and ';') can name
+_LABEL = "[A-Za-z0-9_]+"
+
+
 class BaseRing:
     """Finite free Z-module with a (total) structure tensor over its basis."""
 
@@ -124,6 +129,9 @@ class BaseRing:
             raise ConfigError(f"ring {name} has an empty basis")
         if len(set(self.labels)) != len(self.labels):
             raise ConfigError("duplicate basis labels")
+        for label in self.labels:
+            if not re.fullmatch(_LABEL, label):
+                raise ConfigError(f"basis label {label!r} is not of the form {_LABEL}")
         n = len(self.labels)
         self.tensor: dict[tuple[int, int], Vec] = {}
         for i in range(n):
@@ -338,7 +346,7 @@ class BaseRing:
 # ---------------------------------------------------------------------------
 # element literals: `2*e - g`, `E12`, `-3*x + 1`
 
-_TERM_RE = re.compile(r"(?:(\d+)\*)?([A-Za-z0-9_]+)")
+_TERM_RE = re.compile(rf"(?:(\d+)\*)?({_LABEL})")
 
 
 def parse_element(ring: BaseRing, text: str) -> RingElement:

@@ -1,18 +1,20 @@
 """Truncated symmetric functions in finitely many labeled variable sets.
 
-A SymSeries is a sparse linear combination of basis monomials indexed by
-multipartitions over its label list, held either in the Schur basis ('s') or
-the power-sum basis ('p'), with every key of total degree <= the truncation
-degree.  Coefficients are exact Fractions at the interface; products are key
-merges in the power-sum basis, where the standard plethystic substitutions
-are diagonal.
+A SymSeries is a sparse linear combination of power-sum monomials
+prod_U p_{key(U)}(x_U), keyed by multipartitions over its label list, every
+key of total degree <= the truncation degree, with exact Fraction
+coefficients.  Power sums are the one basis held: products are key merges
+there, and the standard plethystic substitutions are diagonal (Macdonald,
+I.7).  Schur functions come in through ``schur_to_power``, from a
+``{Schur key: coefficient}`` dict (``SymSeries.schur`` for one term), and go
+out through ``power_to_schur``, which returns such a dict.
 
 The inner loops (basis change, product, substitution) are private cores on
 integer numerators, ``{key: int}`` dicts.  A public function clears its
 input's denominators with their lcm, runs the cores and builds one Fraction
 per output term.  ``SymSeries`` gives ``_exact`` the power-sum product as its
 integer core, so ``multiply`` and the truncated exp and log (``cauchy_kernel``)
-share it.  Schur keys enter the cores as |kappa|! s_kappa, whose
+share it.  Schur keys enter the cores as prod |kappa|! s_kappa, whose
 power-sum coefficients are integers because z_mu divides |mu|! (Macdonald,
 I.7); ``scaled_schur_to_p_row`` asserts that division.
 
@@ -42,7 +44,9 @@ from .partitions import (
     MultiPartition,
     Partition,
     epsilon_sign,
+    format_multipartition,
     mn_character,
+    mp_single,
     mp_sort_key,
     mp_total,
     partitions,
@@ -51,24 +55,15 @@ from .partitions import (
 
 
 @cache
-def schur_to_p_row(kappa: Partition) -> dict[Partition, Fraction]:
-    """s_kappa = sum_mu (chi^kappa_mu / z_mu) p_mu."""
-    return {
-        mu: Fraction(mn_character(kappa, mu), z_factor(mu))
-        for mu in partitions(sum(kappa))
-        if mn_character(kappa, mu)
-    }
-
-
-@cache
 def scaled_schur_to_p_row(kappa: Partition) -> dict[Partition, int]:
     """|kappa|! s_kappa = sum_mu (|kappa|! chi^kappa_mu / z_mu) p_mu, all integers."""
     n = factorial(sum(kappa))
     out = {}
-    for mu, c in schur_to_p_row(kappa).items():
-        q, r = divmod(n * c.numerator, c.denominator)
+    for mu in partitions(sum(kappa)):
+        q, r = divmod(n * mn_character(kappa, mu), z_factor(mu))
         assert not r, (kappa, mu)
-        out[mu] = q
+        if q:
+            out[mu] = q
     return out
 
 
@@ -90,14 +85,12 @@ def merge_parts(a: Partition, b: Partition) -> Partition:
 
 
 class SymSeries(Combination):
-    __slots__ = ("labels", "basis", "degree")
-    _context = ("labels", "basis", "degree")
+    __slots__ = ("labels", "degree")
+    _context = ("labels", "degree")
     _compared = _context
 
-    def __init__(self, labels, basis, degree, terms=None):
-        assert basis in ("p", "s")
+    def __init__(self, labels, degree, terms=None):
         self.labels = tuple(labels)
-        self.basis = basis
         self.degree = degree
         super().__init__(terms)
 
@@ -106,23 +99,30 @@ class SymSeries(Combination):
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def zero(cls, labels, basis, degree):
-        return cls(labels, basis, degree)
+    def zero(cls, labels, degree):
+        return cls(labels, degree)
 
     @classmethod
-    def one(cls, labels, basis, degree):
+    def one(cls, labels, degree):
         key = ((),) * len(labels)
-        return cls(labels, basis, degree, {key: Fraction(1)})
+        return cls(labels, degree, {key: Fraction(1)})
 
     @classmethod
-    def generator(cls, labels, label, basis, partition, degree):
+    def generator(cls, labels, label, partition, degree):
+        """p_partition of the variable set ``label``."""
         labels = tuple(labels)
-        key = [()] * len(labels)
-        key[labels.index(label)] = tuple(partition)
-        return cls(labels, basis, degree, {tuple(key): Fraction(1)})
+        key = mp_single(len(labels), labels.index(label), tuple(partition))
+        return cls(labels, degree, {key: Fraction(1)})
+
+    @classmethod
+    def schur(cls, labels, label, kappa, degree):
+        """s_kappa of the variable set ``label``, in power sums."""
+        labels = tuple(labels)
+        key = mp_single(len(labels), labels.index(label), tuple(kappa))
+        return schur_to_power(labels, degree, {key: 1})
 
     # -- bookkeeping --------------------------------------------------------
-    def _check_compatible(self, other: "SymSeries"):
+    def _check(self, other: "SymSeries"):
         if self.labels != other.labels:
             raise DomainError(f"label mismatch: {self.labels} vs {other.labels}")
         if self.degree != other.degree:
@@ -130,78 +130,40 @@ class SymSeries(Combination):
                 f"truncation mismatch: {self.degree} vs {other.degree}"
             )
 
-    def _check(self, other: "SymSeries"):
-        self._check_compatible(other)
-        if self.basis != other.basis:
-            raise DomainError("cannot add series held in different bases")
-
     def __repr__(self):
-        return f"SymSeries({self.basis}, D={self.degree}, {format_series(self)})"
+        return f"SymSeries(D={self.degree}, {format_series(self)})"
 
     def __mul__(self, other: "SymSeries") -> "SymSeries":
         return multiply(self, other)
-
-    # the integer core works in power sums whatever the basis
-    def _ints(self) -> tuple[dict, int]:
-        return _power_numerators(self)
 
     def _int_product(self, a: dict, b: dict) -> dict:
         box = _Box((self.degree,) * len(self.labels), self.degree)
         return _multiply_int(a, box.encode(b), box)
 
-    def _from_ints(self, nums: dict, den: int) -> "SymSeries":
-        if self.basis == "s":
-            nums = _convert_int(nums, p_to_schur_row)
-        return _from_numerators(self.labels, self.basis, self.degree, nums, den)
 
-
-def schur_to_power(f: SymSeries) -> SymSeries:
-    if f.basis != "s":
-        raise DomainError("schur_to_power wants a Schur-basis series")
-    return _from_numerators(f.labels, "p", f.degree, *_power_numerators(f))
-
-
-def power_to_schur(f: SymSeries) -> SymSeries:
-    if f.basis != "p":
-        raise DomainError("power_to_schur wants a power-sum series")
-    nums, den = _power_numerators(f)
-    return _from_numerators(f.labels, "s", f.degree, _convert_int(nums, p_to_schur_row), den)
-
-
-def as_schur(f: SymSeries) -> SymSeries:
-    return f if f.basis == "s" else power_to_schur(f)
-
-
-def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
-    """Product truncated at the common degree.
-
-    Power-sum keys multiply by merging each slot's parts; Schur operands take
-    the power-sum route and convert back.
-    """
-    a._check_compatible(b)
-    if a.basis != b.basis:
-        raise DomainError("operands must be held in the same basis")
-    return product(a, b)
-
-
-# -- between Fraction series and integer numerators ------------------------
-
-def _power_numerators(f: SymSeries) -> tuple[dict, int]:
-    """f in power sums, as integers over one common denominator: the lcm of
-    its denominators times, for Schur keys, that of their prod |kappa|!."""
-    nums, den = to_numerators(f.terms)
-    if f.basis == "p":
-        return nums, den
+def schur_to_power(labels, degree: int, schur: dict) -> SymSeries:
+    """sum_key c * prod_U s_{key(U)}(x_U), given as ``{Schur key: c}``, as a
+    power-sum series truncated at ``degree``: the numerators over the lcm of
+    the denominators times that of the scales prod_U |key(U)|!, so that each
+    key enters the core as the integral prod_U |key(U)|! s_{key(U)}."""
+    nums, den = to_numerators({k: c for k, c in schur.items() if mp_total(k) <= degree})
     scale = {k: prod(factorial(sum(p)) for p in k) for k in nums}
     m = lcm(*scale.values())
     nums = {k: c * (m // scale[k]) for k, c in nums.items()}
-    return _convert_int(nums, scaled_schur_to_p_row), den * m
+    return SymSeries(labels, degree)._from_ints(_convert_int(nums, scaled_schur_to_p_row), den * m)
 
 
-def _from_numerators(labels, basis, degree, nums: dict, den: int) -> SymSeries:
-    out = SymSeries(labels, basis, degree)
-    out.terms = from_numerators(nums, den)
-    return out
+def power_to_schur(f: SymSeries) -> dict[MultiPartition, Fraction]:
+    """The Schur coefficients of f, ``{Schur key: Fraction}``."""
+    nums, den = f._ints()
+    return from_numerators(_convert_int(nums, p_to_schur_row), den)
+
+
+def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
+    """Product truncated at the common degree: power-sum keys multiply by
+    merging each slot's parts."""
+    a._check(b)
+    return product(a, b)
 
 
 # -- integer cores: {key: int} dicts, zero coefficients dropped -------------
@@ -336,10 +298,9 @@ def _substitute_int(terms: dict, labels, plan: dict, out_labels, degree: int) ->
 def schur_product_row(mu: Partition, nu: Partition) -> dict[Partition, int]:
     """Expansion of s_mu * s_nu in the Schur basis (all LR coefficients)."""
     n = sum(mu) + sum(nu)
-    f = SymSeries.generator(("x",), "x", "s", mu, n)
-    g = SymSeries.generator(("x",), "x", "s", nu, n)
+    f = SymSeries.schur(("x",), "x", mu, n) * SymSeries.schur(("x",), "x", nu, n)
     out = {}
-    for key, coeff in multiply(f, g).terms.items():
+    for key, coeff in power_to_schur(f).items():
         assert coeff.denominator == 1
         out[key[0]] = int(coeff)
     return out
@@ -361,43 +322,28 @@ def substitute_variable_sets(f: SymSeries, plan: dict, out_labels) -> SymSeries:
     p_l of a planned label becomes
         sum_j mult_j * prod_{L in monomial_j} p_l(L).
     Labels missing from the plan pass through unchanged and must exist among
-    the output labels.  The result is in the power-sum basis.
+    the output labels.
     """
     out_labels = tuple(out_labels)
-    nums, den = _power_numerators(f)
+    nums, den = f._ints()
     nums = _substitute_int(nums, f.labels, plan, out_labels, f.degree)
-    return _from_numerators(out_labels, "p", f.degree, nums, den)
+    return SymSeries(out_labels, f.degree)._from_ints(nums, den)
 
 
 def omega(f: SymSeries, label: str) -> SymSeries:
-    """The involution omega in one variable set: p_l -> (-1)^(l-1) p_l,
-    equivalently conjugation of that slot's partition on Schur keys."""
+    """The involution omega in one variable set: p_l -> (-1)^(l-1) p_l."""
     slot = f.labels.index(label)
-    terms = {}
-    if f.basis == "p":
-        for key, coeff in f.terms.items():
-            terms[key] = coeff * epsilon_sign(key[slot])
-    else:
-        from .partitions import conjugate
-
-        for key, coeff in f.terms.items():
-            k = list(key)
-            k[slot] = conjugate(k[slot])
-            terms[tuple(k)] = coeff
-    return SymSeries(f.labels, f.basis, f.degree, terms)
+    return f._like({key: c * epsilon_sign(key[slot]) for key, c in f.terms.items()})
 
 
 def e_series(labels, label: str, n: int, degree: int) -> SymSeries:
     """e_n = s_(1^n) as a power-sum series."""
-    return schur_to_power(
-        SymSeries.generator(labels, label, "s", (1,) * n, degree)
-    )
+    return SymSeries.schur(labels, label, (1,) * n, degree)
 
 
 def h_series(labels, label: str, n: int, degree: int) -> SymSeries:
     """h_n = s_(n) as a power-sum series."""
-    part = (n,) if n else ()
-    return schur_to_power(SymSeries.generator(labels, label, "s", part, degree))
+    return SymSeries.schur(labels, label, (n,) if n else (), degree)
 
 
 def cauchy_kernel(degree: int) -> SymSeries:
@@ -408,21 +354,14 @@ def cauchy_kernel(degree: int) -> SymSeries:
     """
     labels = ("x", "y")
     arg = SymSeries(
-        labels, "p", degree,
-        {((l,), (l,)): Fraction(1, l) for l in range(1, degree // 2 + 1)},
+        labels, degree, {((l,), (l,)): Fraction(1, l) for l in range(1, degree // 2 + 1)}
     )
-    return exp(arg, SymSeries.one(labels, "p", degree), degree)
+    return exp(arg, SymSeries.one(labels, degree), degree)
 
 
 def format_series(f: SymSeries) -> str:
-    """Sorted `coeff * s{...}`/`coeff * p{...}` rendering used by --dump."""
+    """Sorted `coeff * p{...}` rendering, as repr shows it."""
     return format_terms(
-        (f.basis + _format_mp(key, f.labels), f.terms[key])
+        ("p" + format_multipartition(key, f.labels), f.terms[key])
         for key in sorted(f.terms, key=mp_sort_key)
     )
-
-
-def _format_mp(key: MultiPartition, labels) -> str:
-    from .partitions import format_multipartition
-
-    return format_multipartition(key, tuple(labels))

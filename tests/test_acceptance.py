@@ -176,8 +176,8 @@ def test_criterion_09_witt_layer():
         assert (a * b).ghosts() == tuple(x * y for x, y in zip(ga, gb))
     for ring in RINGS[:2]:
         law = hopf.formal_group_law(ring, 3)
-        assert hopf.law_first_order(law)
-        assert hopf.law_zero_laws(law)
+        assert hopf.law_first_order(law) is None
+        assert hopf.law_zero_laws(law) is None
         assert hopf.law_associative(law, 3)
     announce(9, "Witt identities, ghost diagonalization (50 vectors), group law", t0)
 
@@ -206,9 +206,9 @@ def test_criterion_10_duality():
         # dual antipode pairs against the primal antipode
         if ring.rank() <= 2:
             for lam in keys:
-                image = sf.as_schur(hopf.dual_antipode_on_schur(ring, lam, 3))
+                image = sf.power_to_schur(hopf.dual_antipode_on_schur(ring, lam, 3))
                 for mu in keys:
-                    assert image.coefficient(mu) == hopf.antipode(
+                    assert image.get(mu, 0) == hopf.antipode(
                         GrothElement.basis(ring, mu)
                     ).coefficient(lam)
     announce(10, "pairings match: dual mult <-> Delta, dual comult <-> product, S* <-> S", t0)

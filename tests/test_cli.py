@@ -162,6 +162,22 @@ def test_malformed_ring_config_is_a_usage_error(tmp_path, capsys, override):
     ]
 
 
+@pytest.mark.parametrize("label", ["x.y", "x:y", "x;y", "x y", ""])
+def test_a_basis_label_no_literal_can_name_is_a_usage_error(tmp_path, capsys, label):
+    # element and multipartition literals name labels by [A-Za-z0-9_]+, so a
+    # ring with any other label could not be given an element
+    config = {
+        "basis": [label],
+        "unit": {label: 1},
+        "mult": [{"left": label, "right": label, "out": {label: 1}}],
+    }
+    p = tmp_path / "ring.json"
+    p.write_text(json.dumps(config))
+    code, out, err = run(capsys, "ring", "validate", "--ring", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: basis label {label!r} is not of the form [A-Za-z0-9_]+\n"
+
+
 def test_flags_a_command_does_not_read_are_rejected(capsys):
     code, _, _ = run(capsys, "groth", "mul", "Z{1:[1]}", "Z{1:[1]}", "--degree", "3")
     assert code == 2

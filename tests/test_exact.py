@@ -39,7 +39,7 @@ def power_letters(key):
 
 
 def power_sum_image(u, l, degree):
-    return SymSeries.generator(LABELS, LABELS[u], "p", (l,), degree)
+    return SymSeries.generator(LABELS, LABELS[u], (l,), degree)
 
 
 def inverse(rows):
@@ -107,8 +107,8 @@ def test_membership_in_an_echelon_span():
 
 def test_log_inverts_exp_on_a_truncated_symmetric_series():
     labels, D = ("x", "y"), 6
-    one = SymSeries.one(labels, "p", D)
-    x = SymSeries(labels, "p", D, {
+    one = SymSeries.one(labels, D)
+    x = SymSeries(labels, D, {
         ((1,), ()): F(2),
         ((), (2,)): F(-1, 3),
         ((1,), (1,)): F(5, 2),
@@ -138,8 +138,8 @@ def test_substitute_identity_image_returns_its_input():
     one = PBWElement.one(ring, 4)
     assert substitute(x.terms, lambda s: PBWElement(ring, 4, {(s,): 1}), one) == x
     keys = multipartitions_upto(2, 5)
-    f = SymSeries(LABELS, "p", 5, {rng.choice(keys): rng.randint(-5, 5) for _ in range(8)})
-    one = SymSeries.one(LABELS, "p", 5)
+    f = SymSeries(LABELS, 5, {rng.choice(keys): rng.randint(-5, 5) for _ in range(8)})
+    one = SymSeries.one(LABELS, 5)
     got = substitute(f.terms, lambda s: power_sum_image(*s, 5), one, letters=power_letters)
     assert got == f
 
@@ -174,11 +174,11 @@ def test_substitute_stops_a_word_at_a_vanishing_image():
     def sym_image(s):
         asked[s] += 1
         u, l = s
-        return SymSeries.zero(LABELS, "p", 6) if l == 2 else power_sum_image(u, l, 6)
+        return SymSeries.zero(LABELS, 6) if l == 2 else power_sum_image(u, l, 6)
 
     f = {((3, 2, 1), ()): F(1), ((1,), (1,)): F(5)}
-    got = substitute(f, sym_image, SymSeries.one(LABELS, "p", 6), letters=power_letters)
-    assert got == SymSeries(LABELS, "p", 6, {((1,), (1,)): 5})
+    got = substitute(f, sym_image, SymSeries.one(LABELS, 6), letters=power_letters)
+    assert got == SymSeries(LABELS, 6, {((1,), (1,)): 5})
     assert asked == {(0, 3): 1, (0, 2): 1, (0, 1): 1, (1, 1): 1}  # (0, 1) only for p_1 p_1
 
 
@@ -283,11 +283,11 @@ def test_dual_antipode_power_sum_on_the_one_loop_equals_the_reference():
 def test_cauchy_kernel_and_schur_series_on_the_one_loop_equal_the_reference():
     D = 6
     labels = ("x", "y")
-    arg = SymSeries(labels, "p", D, {((l,), (l,)): F(1, l) for l in range(1, D // 2 + 1)})
-    assert sf.cauchy_kernel(D) == reference_exp(arg, SymSeries.one(labels, "p", D), D)
-    # a Schur-basis series: the loop runs in power sums and converts back once
-    x = SymSeries(labels, "s", D, {((1,), ()): F(1, 2), ((2,), (1,)): F(-3), ((), (1, 1)): F(2, 5)})
-    assert_series_agree(x, SymSeries.one(labels, "s", D), D)
+    arg = SymSeries(labels, D, {((l,), (l,)): F(1, l) for l in range(1, D // 2 + 1)})
+    assert sf.cauchy_kernel(D) == reference_exp(arg, SymSeries.one(labels, D), D)
+    # a series given by Schur coefficients
+    x = sf.schur_to_power(labels, D, {((1,), ()): F(1, 2), ((2,), (1,)): F(-3), ((), (1, 1)): F(2, 5)})
+    assert_series_agree(x, SymSeries.one(labels, D), D)
 
 
 def test_power_sum_on_t_series_of_ring_elements():

@@ -91,14 +91,9 @@ def test_leading_term_is_symmetric_function_product():
         a = gr.e_of(ring, i, ring.basis_element(u))
         b = gr.e_of(ring, j, ring.basis_element(v))
         top = top_part(a * b)
-        fa = sf.SymSeries.generator(
-            ring.labels, ring.labels[u], "s", (1,) * i, i + j
-        )
-        fb = sf.SymSeries.generator(
-            ring.labels, ring.labels[v], "s", (1,) * j, i + j
-        )
-        prod = sf.as_schur(sf.multiply(sf.schur_to_power(fa), sf.schur_to_power(fb)))
-        want = GrothElement(ring, prod.terms)
+        fa = sf.SymSeries.schur(ring.labels, ring.labels[u], (1,) * i, i + j)
+        fb = sf.SymSeries.schur(ring.labels, ring.labels[v], (1,) * j, i + j)
+        want = GrothElement(ring, sf.power_to_schur(sf.multiply(fa, fb)))
         assert top == want
 
 

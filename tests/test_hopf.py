@@ -262,13 +262,13 @@ def test_dual_comultiplication_matches_product_constants():
     table = gr.product_table(C2)
     keys = multipartitions_upto(2, 2)
     for lam in multipartitions_upto(2, 2):
-        f = SymSeries.one(C2.labels, "s", 4)
+        f = SymSeries.one(C2.labels, 4)
         for u, kappa in enumerate(lam):
-            f = f * SymSeries.generator(C2.labels, C2.labels[u], "s", kappa, 4)
-        dual = sf.as_schur(sf.substitute_variable_sets(f, plan, labels))
+            f = f * SymSeries.schur(C2.labels, C2.labels[u], kappa, 4)
+        dual = sf.power_to_schur(sf.substitute_variable_sets(f, plan, labels))
         for mu in keys:
             for nu in keys:
-                assert dual.coefficient(mu + nu) == table.constants(mu, nu).get(lam, 0)
+                assert dual.get(mu + nu, 0) == table.constants(mu, nu).get(lam, 0)
 
 
 def test_dual_antipode_power_sum_integers():
@@ -304,7 +304,7 @@ def test_dual_antipode_pairs_with_primal():
         for mu in keys:
             s = antipode(GrothElement.basis(ring, mu))
             for lam in keys:
-                got = sf.as_schur(duals[lam]).coefficient(mu)
+                got = sf.power_to_schur(duals[lam]).get(mu, 0)
                 assert got == s.coefficient(lam), (lam, mu)
 
 
@@ -316,8 +316,6 @@ def theta_twist(f: SymSeries, ring, inverse: bool = False) -> SymSeries:
         raise DomainError("the twist needs the ring unit to be a basis element")
     slot = f.labels.index(ring.labels[one])
     shift = Fraction(1 if inverse else -1)
-    if f.basis != "p":
-        f = sf.schur_to_power(f)
     terms = {}
     for key, coeff in f.terms.items():
         expansions = [((), Fraction(1))]
@@ -331,7 +329,7 @@ def theta_twist(f: SymSeries, ring, inverse: bool = False) -> SymSeries:
             k2 = list(key)
             k2[slot] = tuple(sorted(parts, reverse=True))
             accumulate(terms, {tuple(k2): c}, coeff)
-    return SymSeries(f.labels, "p", f.degree, terms)
+    return SymSeries(f.labels, f.degree, terms)
 
 
 def test_theta_twist():
@@ -343,7 +341,7 @@ def test_theta_twist():
     # theta(e_i) = e_i - e_{i-1} + e_{i-2} - ...
     for i in range(1, 5):
         ei = sf.e_series(Z.labels, "1", i, D)
-        want = SymSeries.zero(Z.labels, "p", D)
+        want = SymSeries.zero(Z.labels, D)
         for j in range(i + 1):
             want = want + sf.e_series(Z.labels, "1", i - j, D).scale((-1) ** j)
         assert theta_twist(ei, Z) == want
@@ -377,8 +375,8 @@ def test_formal_group_law_rank_one():
 def test_formal_group_law_properties():
     for ring in (Z, C2):
         law = hopf.formal_group_law(ring, 3)
-        assert hopf.law_first_order(law)
-        assert hopf.law_zero_laws(law)
+        assert hopf.law_first_order(law) is None
+        assert hopf.law_zero_laws(law) is None
         assert hopf.law_associative(law, 3)
 
 

@@ -193,10 +193,7 @@ def test_z_leading_terms():
             for u, kappa in enumerate(lam):
                 if not kappa:
                     continue
-                f = sf.SymSeries.generator(
-                    ring.labels, ring.labels[u], "s", kappa, mp_total(lam)
-                )
-                f = sf.schur_to_power(f)
+                f = sf.SymSeries.schur(ring.labels, ring.labels[u], kappa, mp_total(lam))
                 series = f if series is None else sf.multiply(series, f)
             if series is None:
                 assert z.terms == {(): 1}
@@ -380,7 +377,7 @@ def test_x_basis_matches_generating_series():
         unit = ring.unit_index()
         corr = {}
         for r in range(D + 1):
-            for rho, c in sf.schur_to_p_row((1,) * r).items():
+            for (rho,), c in sf.e_series(("x",), "x", r, r).terms.items():
                 key = [()] * ring.rank()
                 key[unit] = rho
                 k = (tuple(key), ())

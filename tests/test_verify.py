@@ -14,7 +14,7 @@ from wreathgroth import pbw
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
 from wreathgroth import verify
-from wreathgroth._exact import row_reduce
+from wreathgroth._exact import accumulate, row_reduce
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
 
 
@@ -143,13 +143,29 @@ def test_symfun_witness_names_the_power_sum_key_and_both_values(monkeypatch):
     def perturbed(labels, label, n, degree):
         out = h_series(labels, label, n, degree)
         if (n, degree) == (2, 5):
-            out = out + sf.SymSeries.generator(labels, label, "p", (2,), degree)
+            out = out + sf.SymSeries.generator(labels, label, (2,), degree)
         return out
 
     monkeypatch.setattr(sf, "h_series", perturbed)
     report = verify.suite_symfun(Z, 6, 0)
     assert _detail(report, "omega is an involution") == (
         "omega(e_2) != h_2: coefficient of p{x:[2]}: left side 1/2, right side 3/2"
+    )
+
+
+def test_cauchy_witness_names_the_schur_key_and_both_values(monkeypatch):
+    # p_1(x) p_1(y) = s_1(x) s_1(y); one more of it in the kernel leaves the
+    # diagonal pair at s{x:[1];y:[1]} at 2 against 1
+    kernel = sf.cauchy_kernel
+
+    def perturbed(degree):
+        out = kernel(degree)
+        return out + sf.SymSeries(out.labels, degree, {((1,), (1,)): 1})
+
+    monkeypatch.setattr(sf, "cauchy_kernel", perturbed)
+    report = verify.suite_symfun(Z, 6, 0)
+    assert _detail(report, "Cauchy kernel") == (
+        "coefficient of s{x:[1];y:[1]}: left side 2, right side 1"
     )
 
 
@@ -288,22 +304,40 @@ def test_adams_witness_names_the_pair_word_and_both_values(monkeypatch):
     )
 
 
-def test_group_law_witness_names_component_monomial_and_both_values(monkeypatch):
-    # over Z, F_1(a, b) = a1 + b1 + a1*b1; adding a1^2*b1 keeps the linear part
-    # and the zero laws but puts 2*a1*b1*c1 more into F_1(F(a,b),c) than into
-    # F_1(a,F(b,c)), where the plain law has 1
+def _perturbed_law(monkeypatch, extra):
+    """The witt suite at degree 3 over Z with F_1(a, b) = a1 + b1 + a1*b1
+    changed by the terms ``extra``; the failing group-law check's witness."""
     law = hopf.formal_group_law
 
     def perturbed(ring, degree):
         out = law(ring, degree)
-        out.components[(0, 1)] = {**out.components[(0, 1)], ((0, 0, 1), (0, 0, 1), (1, 0, 1)): 1}
+        out.components[(0, 1)] = accumulate(dict(out.components[(0, 1)]), extra)
         return out
 
     monkeypatch.setattr(hopf, "formal_group_law", perturbed)
     report = verify.run_suite("witt", rg.integers.__wrapped__(), 3, 0)
-    check = next(c for c in report.checks if c.name.startswith("the coproduct's formal group law"))
-    assert not check.passed
-    assert check.detail == (
+    return _detail(report, "the coproduct's formal group law")
+
+
+def test_group_law_first_order_witness_names_component_monomial_and_both_values(monkeypatch):
+    # one more a1 makes the linear part 2*a1 + b1
+    assert _perturbed_law(monkeypatch, {((0, 0, 1),): 1}) == (
+        "F is not a + b to first order: in component e_1(1), a1(1) has 2 in F(a,b), 1 in a + b"
+    )
+
+
+def test_group_law_zero_law_witness_names_component_monomial_and_both_values(monkeypatch):
+    # a1^2 keeps the linear part but makes F(a, 0) = a1 + a1^2
+    assert _perturbed_law(monkeypatch, {((0, 0, 1), (0, 0, 1)): 1}) == (
+        "F(a,0) != a or F(0,b) != b: in component e_1(1), a1(1)^2 has 1 in F(a,b), 0 in a + b"
+    )
+
+
+def test_group_law_witness_names_component_monomial_and_both_values(monkeypatch):
+    # adding a1^2*b1 keeps the linear part and the zero laws but puts
+    # 2*a1*b1*c1 more into F_1(F(a,b),c) than into F_1(a,F(b,c)), where the
+    # plain law has 1
+    assert _perturbed_law(monkeypatch, {((0, 0, 1), (0, 0, 1), (1, 0, 1)): 1}) == (
         "F is not associative: in component e_1(1), a1(1)*b1(1)*c1(1) has 3 in"
         " F(F(a,b),c), 1 in F(a,F(b,c))"
     )

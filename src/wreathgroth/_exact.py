@@ -10,8 +10,8 @@ every decision about such dicts that more than one layer needs:
   Fraction coefficients and the integer numerators over one common
   denominator that the integer cores compute on;
 - ``Combination`` is the base of the flat element classes (linear structure,
-  equality, integrality), ``PowerSeries`` the truncated t-series over any of
-  them;
+  equality, the one integrality assertion), ``PowerSeries`` the truncated
+  t-series over any of them;
 - ``product`` is the one ``__mul__`` of every algebra with an integer core
   (below): clear both operands, run the core, build one Fraction per term;
 - ``exp`` and ``log1p`` are the one truncated exponential and logarithm,
@@ -32,12 +32,14 @@ entries; ``_from_ints(nums, den)`` builds the element of that context.  The
 cores are ``z_multiply``'s table lookup (``GrothElement``), the word products
 of ``PBWElement``, the slotwise key merges of the oracle's power-sum series,
 ``symfun``'s power-sum product (``SymSeries``), the structure tensor of
-``RingElement`` (denominator 1) and, for ``PowerSeries``, the t-degree pairs
-over its coefficients' core.
+``RingElement`` (whose coefficients are integers, so its denominator is 1)
+and, for ``PowerSeries``, the t-degree pairs over its coefficients' core.
 """
 
 from fractions import Fraction
 from math import factorial, lcm
+
+from .errors import IntegralityError
 
 
 def accumulate(dst: dict, src: dict, c=1) -> dict:
@@ -154,6 +156,14 @@ class Combination:
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
+
+    def assert_integral(self, where="element", error=IntegralityError):
+        """self, or ``error`` naming a non-integer coefficient: the one
+        integrality assertion."""
+        if not self.is_integral():
+            bad = next(c for c in self.terms.values() if c.denominator != 1)
+            raise error(f"{where} has non-integer coefficient {bad}")
+        return self
 
     def __eq__(self, other):
         return (

@@ -77,12 +77,6 @@ class GrothElement(Combination):
         """Filtration degree: largest total key size (0 for zero/scalars)."""
         return _degree(self.terms)
 
-    def assert_integral(self, where="element") -> "GrothElement":
-        if not self.is_integral():
-            bad = next(c for c in self.terms.values() if c.denominator != 1)
-            raise IntegralityError(f"{where} has non-integer coefficient {bad}")
-        return self
-
     def __mul__(self, other: "GrothElement") -> "GrothElement":
         return z_multiply(self, other)
 
@@ -368,7 +362,7 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     # e_n(W) with coefficient -(-1)^n, everything else is known recursively
     f_basis = ring.memo("f_basis", dict)
     rhs = GrothElement.zero(ring)
-    for u_idx, a in W.coeffs.items():
+    for u_idx, a in W.terms.items():
         f = f_basis.get((u_idx, n))
         if f is None:
             f = f_basis[u_idx, n] = _f_coefficient(ring, ring.basis_element(u_idx), n)
@@ -425,15 +419,15 @@ def commutation_sides(ring, i: int, j: int, U: RingElement, V: RingElement):
 
 
 def verify_commutation(ring, i, j, U, V):
-    """Check the commutation identity at bidegree (i, j); returns
-    (ok, witness) where the witness names the first differing coefficient
-    and its value on each side."""
+    """Check the commutation identity at bidegree (i, j); returns None when
+    it holds, else a witness naming the first differing coefficient and its
+    value on each side."""
     lhs, rhs = commutation_sides(ring, i, j, U, V)
     diff = first_difference(lhs.terms, rhs.terms, mp_sort_key)
     if diff is None:
-        return True, None
+        return None
     key, left, right = diff
-    return False, (
+    return (
         f"coefficient of Z{format_multipartition(key, ring.labels)}: "
         f"left side {left}, right side {right}"
     )

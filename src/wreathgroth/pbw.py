@@ -159,7 +159,7 @@ class PBWElement(Combination):
     @classmethod
     def generator(cls, ring, degree, l, element: RingElement):
         return cls(
-            ring, degree, {(sym(l, u),): Fraction(c) for u, c in element.coeffs.items()}
+            ring, degree, {(sym(l, u),): c for u, c in element.terms.items()}
         )
 
     def _int_product(self, a: dict, b: dict) -> dict:
@@ -459,7 +459,7 @@ def e_series_pbw(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
     """E_W(t) = prod_l Theta_l(1 - (-t)^l W): generating function of e_r(W)."""
     out = TSeries.one(ring, degree)
     for l in range(1, degree + 1):
-        arg = {0: dict(ring.unit), l: {u: -((-1) ** l) * c for u, c in W.coeffs.items()}}
+        arg = {0: dict(ring.unit), l: {u: -((-1) ** l) * c for u, c in W.terms.items()}}
         out = out * theta_t(l, arg, ring, degree)
     return out
 
@@ -548,7 +548,7 @@ def lambda_on_e1(ring: BaseRing, n: int, U: RingElement, degree=None) -> GrothEl
         for r in range(0, degree // l + 1):
             vec = ring.lambda_apply(r, U)
             sign = (-1) ** (r * (l - 1))
-            arg[r * l] = {u: sign * c for u, c in vec.coeffs.items()}
+            arg[r * l] = {u: sign * c for u, c in vec.terms.items()}
         out = out * theta_t(l, arg, ring, degree)
     res = to_z_basis(out.coefficient(n))
     res.assert_integral(f"lambda^{n}(e_1({U!r}))")

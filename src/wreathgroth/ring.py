@@ -1,6 +1,12 @@
 """The coefficient ring R: a free Z-module of finite rank with an integer
 structure tensor, optional Adams operations and optional lambda-operation
-tables.
+tables.  An element of R is a ``RingElement``, the ``Combination`` of basis
+indices whose coefficients are integers.
+
+``BaseRing`` checks every ring, built in or read from a file: its labels
+and a total structure tensor and unit with integer entries.  The JSON
+parser checks only what a file alone can get wrong: types, unknown labels,
+duplicate rows and the keys of the Adams and lambda tables.
 
 Rings are immutable after construction.  ``validate`` never raises on a
 mathematically broken ring; it returns the full list of violations so a CLI
@@ -11,62 +17,53 @@ import json
 import re
 from functools import cache
 
-from fractions import Fraction
-
-from ._exact import PowerSeries, accumulate, format_terms, power_sum, product
-from .errors import ConfigError, DomainError, IntegralityError, MissingDataError
+from ._exact import (
+    Combination, PowerSeries, accumulate, format_terms, from_numerators, power_sum, product,
+)
+from .errors import ConfigError, DomainError, MissingDataError
 
 Vec = dict[int, int]  # sparse integer vector over basis indices
 
 
-def _vec_scale(a: Vec, c: int) -> Vec:
-    return {i: c * x for i, x in a.items()} if c else {}
+class RingElement(Combination):
+    """An element of R: its basis indices with integer coefficients.  R is a
+    Z-module, so a non-integer coefficient or scalar is refused with a
+    DomainError, never floored."""
 
+    __slots__ = ("ring",)
+    _context = ("ring",)
+    _compared = _context
 
-class RingElement:
-    """Integer vector over the ring's basis, in canonical sparse form."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: "BaseRing", coeffs: Vec):
+    def __init__(self, ring: "BaseRing", terms=None):
         self.ring = ring
-        self.coeffs = {i: int(c) for i, c in sorted(coeffs.items()) if c}
+        super().__init__(terms)
+        self.assert_integral("ring element", DomainError)
+
+    def _like(self, terms: dict) -> "RingElement":
+        return super()._like(terms).assert_integral("ring element", DomainError)
 
     def key(self) -> tuple:
-        return tuple(self.coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        """The terms in basis order: equal elements give equal keys."""
+        return tuple(sorted(self.terms.items()))
 
     def basis_index(self):
         """Index if this is a single basis element with coefficient 1."""
-        if len(self.coeffs) == 1:
-            ((i, c),) = self.coeffs.items()
+        if len(self.terms) == 1:
+            ((i, c),) = self.terms.items()
             if c == 1:
                 return i
         return None
 
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.ring, accumulate(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.ring, accumulate(dict(self.coeffs), other.coeffs, -1))
-
     def __neg__(self):
-        return RingElement(self.ring, _vec_scale(self.coeffs, -1))
-
-    def scale(self, c: int):
-        return RingElement(self.ring, _vec_scale(self.coeffs, int(c)))
-
-    __rmul__ = scale
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElement(self.ring, _vec_scale(self.coeffs, other))
+            return self.scale(other)
         self._check(other)
         return product(self, other)
+
+    __rmul__ = Combination.scale
 
     def __pow__(self, n: int):
         if n < 0:
@@ -76,42 +73,28 @@ class RingElement:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.ring is other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.key())
-
     def _check(self, other):
         if not isinstance(other, RingElement) or other.ring is not self.ring:
             raise DomainError("ring elements belong to different rings")
-
-    # the integer core of _exact: the structure tensor, denominator 1
-    def _ints(self) -> tuple[Vec, int]:
-        return self.coeffs, 1
 
     def _int_product(self, a: Vec, b: Vec) -> Vec:
         return self.ring.multiply_vec(a, b)
 
     def _from_ints(self, nums: dict, den: int) -> "RingElement":
-        """The element nums / den, which must have integer coefficients (the
-        constructor's int() would floor a fraction)."""
-        out = {}
-        for i, n in nums.items():
-            q, r = divmod(n, den)
-            if r:
-                raise IntegralityError(
-                    f"ring element has non-integer coefficient {Fraction(n, den)}"
-                )
-            out[i] = q
-        return RingElement(self.ring, out)
+        """A product of integral elements: a fraction here is a fault of the
+        core, an IntegralityError."""
+        return super()._like(from_numerators(nums, den)).assert_integral("ring element")
 
     def __repr__(self):
         return f"<{format_element(self)}>"
+
+
+def _int_vec(vec: dict, where: str) -> Vec:
+    """vec's nonzero entries as ints; a non-integer is refused, not floored."""
+    for c in vec.values():
+        if c != int(c):
+            raise ConfigError(f"{where} has non-integer coefficient {c}")
+    return {k: int(c) for k, c in vec.items() if c}
 
 
 # a basis label: what element literals (`2*e - g`) and multipartition
@@ -136,16 +119,14 @@ class BaseRing:
         self.tensor: dict[tuple[int, int], Vec] = {}
         for i in range(n):
             for j in range(n):
+                a, b = self.labels[i], self.labels[j]
                 if (i, j) not in tensor:
                     raise ConfigError(
-                        f"structure tensor missing product {self.labels[i]}*{self.labels[j]}"
+                        f"mult table is missing ({a},{b}); "
+                        "zero products must be written explicitly"
                     )
-                self.tensor[(i, j)] = {
-                    k: int(c) for k, c in tensor[(i, j)].items() if c
-                }
-        self.unit: Vec | None = (
-            {i: int(c) for i, c in unit.items() if c} if unit is not None else None
-        )
+                self.tensor[(i, j)] = _int_vec(tensor[(i, j)], f"product {a}*{b}")
+        self.unit: Vec | None = None if unit is None else _int_vec(unit, "unit")
         # adams[d] = list of image vectors, one per basis element
         self.adams: dict[int, list[Vec]] | None = adams
         # lambda_ops[(u, r)] = vector for lambda^r(basis u), 0 <= r <= lambda_rmax
@@ -159,7 +140,7 @@ class BaseRing:
         return len(self.labels)
 
     def zero(self) -> RingElement:
-        return RingElement(self, {})
+        return RingElement(self)
 
     def one(self) -> RingElement:
         if self.unit is None:
@@ -173,7 +154,7 @@ class BaseRing:
         """An element from a literal such as ``2*e - g`` or {index: coefficient}."""
         if isinstance(coeffs, str):
             return parse_element(self, coeffs)
-        return RingElement(self, dict(coeffs))
+        return RingElement(self, coeffs)
 
     def memo(self, name: str, build):
         """The ring's cache ``name``, made by ``build()`` on first use."""
@@ -230,7 +211,7 @@ class BaseRing:
             raise MissingDataError(f"ring {self.name} has no Adams operation psi_{d}")
         cols = self.adams[d]
         out: Vec = {}
-        for i, c in a.coeffs.items():
+        for i, c in a.terms.items():
             accumulate(out, cols[i], c)
         return RingElement(self, out)
 
@@ -266,14 +247,14 @@ class BaseRing:
             )
         one = PowerSeries(self.zero(), n, {0: self.one()})
         series = one  # lambda_t(a)
-        for u, c in a.coeffs.items():
+        for u, c in a.terms.items():
             col = PowerSeries(
                 one.zero, n, {r: self.lambda_basis(u, r) for r in range(n + 1)}
             )
             if c < 0:
                 # lambda_t(U)^(-1) = sum_k (-x)^k for x = lambda_t(U) - 1
                 col = power_sum(col - one, one, n, lambda k: (-1) ** k, one)
-            for _ in range(abs(c)):
+            for _ in range(abs(int(c))):
                 series = series * col
         return series.coefficient(n)
 
@@ -376,7 +357,7 @@ def parse_element(ring: BaseRing, text: str) -> RingElement:
 
 
 def format_element(a: RingElement) -> str:
-    return format_terms((a.ring.labels[i], c) for i, c in a.coeffs.items())
+    return format_terms((a.ring.labels[i], c) for i, c in sorted(a.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +403,8 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
     if not isinstance(data, dict):
         raise ConfigError("ring config must be a JSON object")
     labels = data.get("basis")
-    if not isinstance(labels, list) or not labels or not all(
-        isinstance(x, str) for x in labels
-    ):
-        raise ConfigError("'basis' must be a non-empty list of labels")
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ConfigError("'basis' must be a list of labels")
     labels = tuple(labels)
     tensor: dict[tuple[int, int], Vec] = {}
     mult = data.get("mult", [])
@@ -442,13 +421,6 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
         if key in tensor:
             raise ConfigError(f"duplicate mult row for ({left},{right})")
         tensor[key] = _parse_vec(labels, out, f"mult[{left},{right}]")
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            if (i, j) not in tensor:
-                raise ConfigError(
-                    f"mult table is missing ({labels[i]},{labels[j]}); "
-                    "zero products must be written explicitly"
-                )
     unit = None
     if "unit" in data:
         unit = _parse_vec(labels, data["unit"], "unit")

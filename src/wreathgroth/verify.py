@@ -278,8 +278,8 @@ def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
                 U, V = ring.basis_element(u), ring.basis_element(v)
                 for i in range(bd + 1):
                     for j in range(bd + 1):
-                        ok, witness = gr.verify_commutation(ring, i, j, U, V)
-                        if not ok:
+                        witness = gr.verify_commutation(ring, i, j, U, V)
+                        if witness:
                             return (
                                 f"bidegree ({i},{j}) at ({ring.labels[u]},{ring.labels[v]}): {witness}"
                             )
@@ -339,7 +339,7 @@ def _change_basis(ring: BaseRing, mat: list[list[int]]) -> BaseRing:
         for j in range(n):
             bi = RingElement(ring, {p: mat[i][p] for p in range(n)})
             bj = RingElement(ring, {q: mat[j][q] for q in range(n)})
-            tensor[(i, j)] = in_new_basis((bi * bj).coeffs)
+            tensor[(i, j)] = in_new_basis((bi * bj).terms)
     unit = None if ring.unit is None else in_new_basis(ring.unit)
     labels = tuple(f"b{i}" for i in range(n))
     return BaseRing(labels, tensor, unit=unit, name=f"{ring.name}'")

@@ -155,11 +155,11 @@ def test_theta_of_one_and_inverse():
     for ring in (Z, C2):
         for l in (1, 2):
             U = ring.basis_element(ring.rank() - 1)
-            plus = pbw.theta_t(l, {0: dict(ring.unit), l: dict(U.coeffs)}, ring, D)
+            plus = pbw.theta_t(l, {0: dict(ring.unit), l: dict(U.terms)}, ring, D)
             inv_arg = {}
             # (1 + t^l U)^{-1} = sum_k (-1)^k t^(lk) U^k
             for k in range(0, D // l + 1):
-                vec = (U ** k).coeffs if k else dict(ring.unit)
+                vec = (U ** k).terms if k else dict(ring.unit)
                 inv_arg[l * k] = {u: (-1) ** k * c for u, c in vec.items()}
             minus = pbw.theta_t(l, inv_arg, ring, D)
             assert (plus * minus) == pbw.TSeries.one(ring, D)

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from wreathgroth import ring as rg
-from wreathgroth.errors import ConfigError, MissingDataError
+from wreathgroth.errors import ConfigError, DomainError, MissingDataError
 
 
 def test_integers_valid():
@@ -45,6 +46,23 @@ def test_golden_ring_not_monomial():
     one, x = rg.RingElement(R, {0: 1}), rg.RingElement(R, {1: 1})
     assert x * x == one + x
     assert not R.is_monomial_algebra()
+
+
+def test_ring_elements_have_integer_coefficients():
+    # R is a Z-module: a fraction is refused, never floored or kept as zero
+    R = rg.golden_ring()
+    for make in (
+        lambda: rg.RingElement(R, {0: F(1, 2), 1: F(3, 2)}),
+        lambda: R.element({0: 2.7}),
+        lambda: R.one().scale(F(1, 2)),
+    ):
+        with pytest.raises(DomainError, match="^ring element has non-integer coefficient"):
+            make()
+    assert R.element({0: F(4, 2)}) == R.element({0: 2})
+    # so does a ring's structure tensor or unit
+    for tensor, unit in (({(0, 0): {0: F(1, 2)}}, {0: 1}), ({(0, 0): {0: 1}}, {0: 2.5})):
+        with pytest.raises(ConfigError, match="non-integer coefficient"):
+            rg.BaseRing(("1",), tensor, unit=unit)
 
 
 def test_unit_neutral_and_associativity_random():
@@ -150,9 +168,9 @@ def test_lambda_missing_data():
 def test_element_literals():
     R = rg.cyclic_group_algebra(2)
     a = rg.parse_element(R, "2*e - g")
-    assert a.coeffs == {0: 2, 1: -1}
+    assert a.terms == {0: 2, 1: -1}
     assert rg.format_element(a) == "2*e - g"
-    assert rg.parse_element(R, "e+g").coeffs == {0: 1, 1: 1}
+    assert rg.parse_element(R, "e+g").terms == {0: 1, 1: 1}
     assert rg.parse_element(R, "-e") == -R.basis_element(0)
     assert rg.parse_element(R, "g - g").is_zero()
     with pytest.raises(ConfigError):
@@ -160,13 +178,13 @@ def test_element_literals():
     with pytest.raises(ConfigError):
         rg.parse_element(R, "")
     assert rg.parse_element(R, "+e") == R.basis_element(0)
-    assert rg.parse_element(R, "3 * e").coeffs == {0: 3}
+    assert rg.parse_element(R, "3 * e").terms == {0: 3}
     # every sign must be followed by a term
     for text in ("e-+g", "e--g", "-", "+", "e+", "2*e-"):
         with pytest.raises(ConfigError, match=r"^bad term '' in element literal"):
             rg.parse_element(R, text)
     Z = rg.integers()
-    assert rg.parse_element(Z, "3*1").coeffs == {0: 3}
+    assert rg.parse_element(Z, "3*1").terms == {0: 3}
 
 
 def test_config_round_trip(tmp_path):
@@ -201,8 +219,10 @@ def test_config_missing_pair_is_error():
         "unit": {"a": 1},
         "mult": [],
     }
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(ConfigError, match=r"missing \(a,a\); zero products must be written"):
         rg.ring_from_config(cfg)
+    with pytest.raises(ConfigError, match="empty basis"):
+        rg.ring_from_config({"basis": [], "mult": []})
 
 
 def test_resolve_ring_builtins():

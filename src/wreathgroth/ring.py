@@ -154,7 +154,7 @@ class BaseRing:
         """An element from a literal such as ``2*e - g`` or {index: coefficient}."""
         if isinstance(coeffs, str):
             return parse_element(self, coeffs)
-        return RingElement(self, coeffs)
+        return RingElement(self, dict(coeffs))
 
     def memo(self, name: str, build):
         """The ring's cache ``name``, made by ``build()`` on first use."""

@@ -37,7 +37,7 @@ and, for ``PowerSeries``, the t-degree pairs over its coefficients' core.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import IntegralityError
 
@@ -238,13 +238,16 @@ class PowerSeries:
         the coefficients."""
         core = self.zero._int_product
         out: dict = {}
+        get = out.get
         right = _by_degree(b).items()
         for t1, x1 in _by_degree(a).items():
             for t2, x2 in right:
                 t = t1 + t2
                 if t <= self.degree:
-                    accumulate(out, {(t, key): c for key, c in core(x1, x2).items()})
-        return out
+                    for key, c in core(x1, x2).items():
+                        key = (t, key)
+                        out[key] = get(key, 0) + c
+        return {key: c for key, c in out.items() if c}
 
     def _from_ints(self, nums: dict, den: int):
         return self._like(
@@ -272,25 +275,26 @@ def _by_degree(nums: dict) -> dict:
 # ---------------------------------------------------------------------------
 # truncated power series: the one loop, exp and log
 
-def power_sum(x, one, degree: int, coefficient, out):
+def power_sum(x, degree: int, coefficient, out):
     """out + sum_{k>=1} coefficient(k) x^k, stopping after k = degree or at
     the first power of x that vanishes: the one loop behind every truncated
-    power series of an element x of an algebra with an integer core (``one``
-    its unit, ``out`` in the same algebra; coefficient(k) an int or
-    Fraction).
+    power series of an element x of an algebra with an integer core (``out``
+    in the same algebra; coefficient(k) an int or Fraction).
 
-    x is cleared once and each power is the core applied to the last one and
-    x's numerators; the sum is taken in ints over one denominator, the lcm
-    over k of den(c_k) den(one) den(x)^k and den(out), and one Fraction is
-    built per output term."""
+    x is cleared once; its first power is x itself, not a product with the
+    unit, and each later one is the core applied to the last one and x's
+    numerators.  The sum is taken in ints over one denominator, the lcm over
+    k of den(c_k) den(x)^k and den(out), and one Fraction is built per
+    output term."""
     xn, xd = x._ints()
-    power, pd = one._ints()
+    power, pd = xn, xd
     terms = []  # (numerator of c_k, denominator of c_k x^k, x^k numerators)
     for k in range(1, degree + 1):
-        power = x._int_product(power, xn)
+        if k > 1:
+            power = x._int_product(power, xn)
+            pd *= xd
         if not power:
             break
-        pd *= xd
         c = coefficient(k)
         terms.append((c.numerator, c.denominator * pd, power))
     start, sd = out._ints()
@@ -306,13 +310,13 @@ def power_sum(x, one, degree: int, coefficient, out):
 
 def exp(x, one, degree: int):
     """exp(x) for x without constant term, truncated as in ``power_sum``."""
-    return power_sum(x, one, degree, lambda k: Fraction(1, factorial(k)), one)
+    return power_sum(x, degree, lambda k: Fraction(1, factorial(k)), one)
 
 
 def log1p(x, one, degree: int):
     """log(one + x) for x without constant term, truncated like ``exp``."""
     zero = one.scale(0)
-    return power_sum(x, one, degree, lambda k: Fraction((-1) ** (k - 1), k), zero)
+    return power_sum(x, degree, lambda k: Fraction((-1) ** (k - 1), k), zero)
 
 
 def substitute(terms: dict, image, one, letters=tuple):
@@ -357,44 +361,74 @@ def row_reduce(rows):
     (vector, tags), the vector being 1 at the pivot and 0 at every other
     pivot column; ``det`` is the determinant of the square matrix the rows
     form with columns in sorted order (0 when the rows are dependent).
+
+    The elimination runs on integer rows: each row is cleared of
+    denominators, a row operation cross-multiplies, and every row it
+    changes is divided by the gcd of its entries.  ``scale`` tracks the
+    factor between a new row and the rational row it stands for, so the
+    determinant is exact; Fractions are built only for the result.
     """
-    pivots: dict = {}
+    pivots: dict = {}  # col -> (vec, tags) in ints, 0 at every other pivot column
     order = []
     det = Fraction(1)
     for vec, tags in rows:
-        vec, tags = _eliminate(dict(vec), dict(tags), pivots)
+        den = lcm(*(c.denominator for part in (vec, tags) for c in part.values()))
+        vec = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
+        tags = {k: c.numerator * (den // c.denominator) for k, c in tags.items() if c}
+        scale = Fraction(den)
+        hit = [col for col in vec if col in pivots]
+        if hit:
+            m = lcm(*(pivots[col][0][col] for col in hit))
+            factors = [(col, vec[col] * (m // pivots[col][0][col])) for col in hit]
+            vec = {k: v * m for k, v in vec.items()}
+            tags = {k: v * m for k, v in tags.items()}
+            for col, f in factors:
+                prow, ptags = pivots[col]
+                accumulate(vec, prow, -f)
+                accumulate(tags, ptags, -f)
+            scale *= m
         if not vec:
             det = Fraction(0)
             continue
+        g = gcd(*vec.values(), *tags.values())
+        vec, tags = _divide(vec, g), _divide(tags, g)
         col = min(vec)
-        lead = Fraction(vec[col])
-        det *= lead
-        vec = {k: v / lead for k, v in vec.items()}
-        tags = {k: v / lead for k, v in tags.items()}
-        for other, other_tags in pivots.values():
+        p = vec[col]
+        det *= p * g / scale  # the rational row is g / scale times (vec, tags)
+        for other_col, (other, other_tags) in pivots.items():
             f = other.get(col)
             if f:
+                # p * other - f * vec is 0 at col and still 0 at the other pivots
+                other = {k: v * p for k, v in other.items()}
+                other_tags = {k: v * p for k, v in other_tags.items()}
                 accumulate(other, vec, -f)
                 accumulate(other_tags, tags, -f)
+                g = gcd(*other.values(), *other_tags.values())
+                pivots[other_col] = (_divide(other, g), _divide(other_tags, g))
         pivots[col] = (vec, tags)
         order.append(col)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    return pivots, -det if inversions & 1 else det
+    reduced = {}
+    for col, (vec, tags) in pivots.items():
+        p = vec[col]
+        reduced[col] = (
+            {k: Fraction(v, p) for k, v in vec.items()},
+            {k: Fraction(v, p) for k, v in tags.items()},
+        )
+    return reduced, -det if inversions & 1 else det
 
 
-def _eliminate(vec: dict, tags: dict, pivots: dict):
-    for col in [c for c in vec if c in pivots]:
-        f = -vec[col]
-        prow, ptags = pivots[col]
-        accumulate(vec, prow, f)
-        accumulate(tags, ptags, f)
-    return vec, tags
+def _divide(row: dict, g: int) -> dict:
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def reduce(vec: dict, pivots: dict) -> dict:
     """What is left of vec after subtracting its part in the span of the
     reduced rows ``pivots`` (from ``row_reduce``); empty iff vec lies in it."""
-    return _eliminate(dict(vec), {}, pivots)[0]
+    vec = dict(vec)
+    for col in [c for c in vec if c in pivots]:
+        accumulate(vec, pivots[col][0], -vec[col])
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,17 @@ def _degree(keys) -> int:
 
 
 def format_groth(x: GrothElement) -> str:
-    return format_terms(
-        ("Z" + format_multipartition(key, x.ring.labels), x.terms[key])
-        for key in sorted(x.terms, key=mp_sort_key)
-    )
+    """x as text, keys in ``mp_sort_key`` order.  Each key's sort key and
+    text are made once per ring and kept in its ``z_text`` memo."""
+    memo = x.ring.memo("z_text", dict)
+    rows = []
+    for key, c in x.terms.items():
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (mp_sort_key(key), "Z" + format_multipartition(key, x.ring.labels))
+        rows.append((entry, c))
+    rows.sort(key=lambda row: row[0][0])
+    return format_terms((text, c) for (_, text), c in rows)
 
 
 # ---------------------------------------------------------------------------

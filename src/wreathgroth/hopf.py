@@ -174,10 +174,7 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
             ring, degree,
             {mp_single(ring.rank(), u, (l,)): {u: 1} for u in range(ring.rank())},
         )
-        total = power_sum(
-            base, pbw.RingSeries.one(ring, degree), degree // l, lambda r: (-1) ** r,
-            pbw.RingSeries(ring, degree),
-        )
+        total = power_sum(base, degree // l, lambda r: (-1) ** r, pbw.RingSeries(ring, degree))
         images = memo[l, degree] = {
             u: SymSeries(
                 ring.labels, degree, {key: c for (key, v), c in total.terms.items() if v == u}

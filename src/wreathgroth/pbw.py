@@ -30,12 +30,19 @@ Fraction is built per output term.  The cores take nothing from ``groth``'s
 ``ProductTable``, so the oracle stays an independent route.  The product of
 two normal words comes from the kernel once per ring and word pair and is
 kept in the ring's ``pbw_products`` memo: the oracle revisits a few
-thousand pairs many times over.
-The inverse of the Z-table, ``word_to_z``, holds each row as integer
-numerators over one denominator.  It is triangular by degree and the block of
-degree n depends only on Z_lam with |lam| <= n, which a larger truncation
-does not change, so asking for a larger degree solves only the new blocks;
-the generating series itself is still built whole at the new degree.
+thousand pairs many times over.  The same memo holds each word's degree,
+summed once, for the truncations.
+
+The Z-table holds each Z_lam as integer numerators over one denominator,
+({word: int}, den), and so does its inverse, ``word_to_z``, for each word's
+Z-basis row.  There is one change to the Z basis, ``_in_z_basis``: word
+numerators in, one Fraction per Z key out.  ``oracle_multiply`` multiplies
+two table entries with the word core and hands the product's numerators
+straight to it; ``to_z_basis`` clears a ``PBWElement`` once and does the
+same.  The inverse is triangular by degree and the block of degree n
+depends only on Z_lam with |lam| <= n, which a larger truncation does not
+change, so asking for a larger degree solves only the new blocks; the
+generating series itself is still built whole at the new degree.
 """
 
 from fractions import Fraction
@@ -100,35 +107,49 @@ def format_word(w: tuple, ring: BaseRing) -> str:
     return "*".join(f"T{sym_level(s)}({ring.labels[sym_index(s)]})" for s in w)
 
 
+class _Degrees(dict):
+    """{word: filtration degree}, each word's sum taken once."""
+
+    __slots__ = ()
+
+    def __missing__(self, w):
+        d = self[w] = word_degree(w)
+        return d
+
+
 class _ProductMemo(dict):
-    """{(w1, w2): items} with one tuple per distinct output word: a few
-    hundred words recur across thousands of items."""
+    """{(w1, w2): the product of two normal words in normal order, as a
+    tuple of (normal word, int) items}.  A pair goes to the kernel the first
+    time it is looked up.  The items are kept as a tuple, which holds less
+    memory than a dict, with one tuple per distinct output word: a few
+    hundred words recur across thousands of items.  ``degrees`` holds the
+    degree of every word the ring's products and truncations have met."""
 
-    __slots__ = ("words",)
+    __slots__ = ("comm", "words", "degrees")
 
-    def __init__(self):
+    def __init__(self, comm: dict):
         super().__init__()
+        self.comm = comm
         self.words: dict[tuple, tuple] = {}
+        self.degrees = _Degrees()
 
-
-def _word_products(ring: BaseRing):
-    """The function (w1, w2) -> product of two words in normal order, as a
-    tuple of (normal word, int) items.  Each pair goes to the kernel once per
-    ring; the ring's ``pbw_products`` memo keeps the items as a tuple, which
-    holds less memory than a dict, and interns their words."""
-    memo = ring.memo("pbw_products", _ProductMemo)
-    comm = ring.commutator_table()
-    get, intern = memo.get, memo.words.setdefault
-
-    def product(w1: tuple, w2: tuple) -> tuple:
-        items = get((w1, w2))
-        if items is None:
-            items = memo[w1, w2] = tuple(
-                (intern(w, w), c) for w, c in kernels.normalize_product(w1, w2, comm).items()
-            )
+    def __missing__(self, pair: tuple) -> tuple:
+        intern = self.words.setdefault
+        items = self[pair] = tuple(
+            (intern(w, w), c)
+            for w, c in kernels.normalize_product(*pair, self.comm).items()
+        )
         return items
 
-    return product
+
+def _word_products(ring: BaseRing) -> _ProductMemo:
+    """The ring's ``pbw_products`` memo: ``memo[w1, w2]`` is the product of
+    two normal words, taken by the kernel once per ring and pair."""
+    return ring.memo("pbw_products", lambda: _ProductMemo(ring.commutator_table()))
+
+
+def _word_degrees(ring: BaseRing) -> _Degrees:
+    return _word_products(ring).degrees
 
 
 class PBWElement(Combination):
@@ -146,7 +167,7 @@ class PBWElement(Combination):
         super().__init__(terms)
 
     def _fits(self, w) -> bool:
-        return word_degree(w) <= self.degree
+        return _word_degrees(self.ring)[w] <= self.degree
 
     @classmethod
     def zero(cls, ring, degree):
@@ -165,16 +186,17 @@ class PBWElement(Combination):
     def _int_product(self, a: dict, b: dict) -> dict:
         """Word by word, truncated at ``degree``."""
         product = _word_products(self.ring)
+        degree = _word_degrees(self.ring)
         D = self.degree
-        bw = [(w, word_degree(w), c) for w, c in b.items()]
+        bw = [(w, degree[w], c) for w, c in b.items()]
         out: dict[tuple, int] = {}
         get = out.get
         for w1, c1 in a.items():
-            room = D - word_degree(w1)
+            room = D - degree[w1]
             for w2, d2, c2 in bw:
                 if d2 <= room:
                     c = c1 * c2
-                    for w, n in product(w1, w2):
+                    for w, n in product[w1, w2]:
                         out[w] = get(w, 0) + c * n
         return {w: c for w, c in out.items() if c}
 
@@ -190,8 +212,8 @@ class PBWElement(Combination):
 class _PowerSumSeries(Combination):
     """Sparse map (power-sum multipartition key, tag) -> coefficient,
     truncated above symmetric-function degree ``degree``.  Keys multiply
-    slotwise and tags through ``_tag_product(ring)``, a function of two tags
-    giving (tag, int) items; ``_int_product`` is the integer core."""
+    slotwise and tags through ``_tag_product(ring)``, which maps a pair of
+    tags to (tag, int) items; ``_int_product`` is the integer core."""
 
     __slots__ = ("ring", "degree")
     _context = ("ring", "degree")
@@ -218,7 +240,7 @@ class _PowerSumSeries(Combination):
                     continue
                 key = tuple(map(merge_parts, k1, k2))
                 c = c1 * c2
-                for w, n in product(w1, w2):
+                for w, n in product[w1, w2]:
                     kw = (key, w)
                     out[kw] = get(kw, 0) + c * n
         return {kw: c for kw, c in out.items() if c}
@@ -238,8 +260,7 @@ class RingSeries(_PowerSumSeries):
 
     @staticmethod
     def _tag_product(ring):
-        tensor = ring.tensor
-        return lambda i, j: tensor[i, j].items()
+        return {ij: vec.items() for ij, vec in ring.tensor.items()}
 
     @classmethod
     def one(cls, ring, degree):
@@ -291,12 +312,13 @@ def generating_series(ring: BaseRing, degree: int) -> MixedSeries:
 
 
 class _ZData:
-    """The Z-table to ``degree`` and its inverse, ``word_to_z``: each normal
-    word of degree <= ``degree`` -> its Z-basis row ({mp: int}, den)."""
+    """The Z-table to ``degree`` and its inverse.  ``ztable`` holds each Z_lam
+    as ({normal word: int}, den) in lowest terms, ``word_to_z`` each normal
+    word of degree <= ``degree`` as its Z-basis row ({mp: int}, den)."""
 
     def __init__(self, degree: int, ztable: dict, word_to_z: dict):
         self.degree = degree
-        self.ztable: dict[MultiPartition, PBWElement] = ztable
+        self.ztable: dict[MultiPartition, tuple[dict[tuple, int], int]] = ztable
         self.word_to_z: dict[tuple, tuple[dict[MultiPartition, int], int]] = word_to_z
 
 
@@ -311,19 +333,25 @@ def _zdata(ring: BaseRing, degree: int) -> _ZData:
     return data
 
 
-def schur_coefficients(series: MixedSeries) -> dict[MultiPartition, PBWElement]:
+def schur_coefficients(series: MixedSeries) -> dict[MultiPartition, tuple[dict, int]]:
     """Re-expand the power-sum symmetric side of a mixed series in Schur
-    keys, giving each key's PBW coefficient: the series is cleared to integer
-    numerators once and each word's power-sum part converted as one block."""
+    keys, giving each key's PBW coefficient as ({word: int}, den) in lowest
+    terms: the series is cleared to integer numerators once and each word's
+    power-sum part converted as one block."""
     nums, den = to_numerators(series.terms)
     by_word: dict[tuple, dict[MultiPartition, int]] = {}
     for (pkey, w), c in nums.items():
         by_word.setdefault(w, {})[pkey] = c
-    table: dict[MultiPartition, dict[tuple, Fraction]] = {}
+    table: dict[MultiPartition, dict[tuple, int]] = {}
     for w, terms in by_word.items():
         for skey, c in _convert_int(terms, p_to_schur_row).items():
-            table.setdefault(skey, {})[w] = Fraction(c, den)
-    return {mp: PBWElement(series.ring, series.degree, terms) for mp, terms in table.items()}
+            table.setdefault(skey, {})[w] = c
+    return {mp: _lowest_terms(terms, den) for mp, terms in table.items()}
+
+
+def _lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
+    g = gcd(den, *nums.values())
+    return {k: c // g for k, c in nums.items()}, den // g
 
 
 def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
@@ -343,74 +371,84 @@ def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
     else:
         word_to_z = dict(done.word_to_z)
         start = done.degree + 1
+    word_deg = _word_degrees(ring)
     for n in range(start, degree + 1):
         mps = multipartitions(ring.rank(), n)
-        top, top_in_z = {}, {}
+        top, top_in_z = [], {}
         for lam in mps:
-            terms = ztable[lam].terms
-            top[lam] = {w: c for w, c in terms.items() if word_degree(w) == n}
+            nums, den = ztable[lam]
+            # the numerators over den, tagged den * lam: the row is den times
+            # (top part of Z_lam, lam)
+            top.append(({w: c for w, c in nums.items() if word_deg[w] == n}, {lam: den}))
             # the top part of Z_lam in the Z basis: Z_lam minus its
             # lower-degree tail, whose rows are already known
-            tail = {w: c for w, c in terms.items() if word_degree(w) < n}
-            nums, den = _z_numerators(word_to_z, tail)
-            nums = {mu: -c for mu, c in nums.items()}
-            nums[lam] = den
-            top_in_z[lam] = (nums, den)
+            tail = {w: c for w, c in nums.items() if word_deg[w] < n}
+            tail, tail_den = _z_numerators(word_to_z, tail, den)
+            tail = {mu: -c for mu, c in tail.items()}
+            tail[lam] = tail_den
+            top_in_z[lam] = (tail, tail_den)
         # the reduced row at pivot word w is sum_lam c_lam Z_lam with top part w
-        pivots, _ = row_reduce((top[lam], {lam: 1}) for lam in mps)
+        pivots, _ = row_reduce(top)
         if len(pivots) < len(mps):
             raise IntegralityError("degenerate leading-term block; bug in the series")
         for lam in mps:
             w = word_for_mp(lam)
-            nums, den = _z_numerators(top_in_z, pivots[w][1])
-            nums = {mu: c for mu, c in nums.items() if c}
-            g = gcd(den, *nums.values())
-            word_to_z[w] = ({mu: c // g for mu, c in nums.items()}, den // g)
+            nums, den = _z_numerators(top_in_z, *to_numerators(pivots[w][1]))
+            word_to_z[w] = _lowest_terms({mu: c for mu, c in nums.items() if c}, den)
     return word_to_z
 
 
-def _z_numerators(rows: dict, terms: dict) -> tuple[dict, int]:
-    """sum_k terms[k] * rows[k] for Fraction terms and integer rows
-    (numerators, den), as integer numerators over the product of the terms'
-    common denominator and the lcm of the rows' denominators."""
-    xn, xd = to_numerators(terms)
-    den = lcm(*(rows[k][1] for k in xn))
+def _z_numerators(rows: dict, nums: dict, den: int) -> tuple[dict, int]:
+    """sum_k nums[k] / den * rows[k] for integer rows (numerators, den), as
+    integer numerators over den times the lcm of the rows' denominators."""
+    rows_den = lcm(*(rows[k][1] for k in nums))
     out: dict = {}
     get = out.get
-    for k, c in xn.items():
+    for k, c in nums.items():
         row, d = rows[k]
-        c *= den // d
+        c *= rows_den // d
         for mu, r in row.items():
             out[mu] = get(mu, 0) + c * r
-    return out, xd * den
+    return out, den * rows_den
+
+
+def _in_z_basis(ring: BaseRing, nums: dict, den: int) -> GrothElement:
+    """The combination nums / den of normal words in the Z basis: the one
+    change of basis, on integer numerators, with one Fraction per Z key.
+    The table is sized by the words present, not by a truncation bound, so
+    sparse elements with generous truncations stay cheap."""
+    word_deg = _word_degrees(ring)
+    data = _zdata(ring, max((word_deg[w] for w in nums), default=0))
+    return GrothElement(ring, from_numerators(*_z_numerators(data.word_to_z, nums, den)))
 
 
 def z_element_pbw(ring: BaseRing, mp: MultiPartition, degree=None) -> PBWElement:
-    """The basis element Z_mp written in normal-ordered words."""
+    """The basis element Z_mp written in normal-ordered words, truncated at
+    the degree of the Z-table it is read from (at least ``degree``, by
+    default |mp|)."""
     mp = tuple(mp)
     if degree is None:
         degree = mp_total(mp)
     data = _zdata(ring, degree)
-    return data.ztable.get(mp, PBWElement.zero(ring, degree))
+    if mp not in data.ztable:
+        return PBWElement.zero(ring, degree)
+    return PBWElement(ring, data.degree, from_numerators(*data.ztable[mp]))
 
 
 def to_z_basis(x: PBWElement) -> GrothElement:
-    """Exact change of basis from normal words to the Z basis.
-
-    The table is sized by the words actually present, not the truncation
-    bound, so sparse elements with generous truncations stay cheap."""
-    data = _zdata(x.ring, max((word_degree(w) for w in x.terms), default=0))
-    return GrothElement(x.ring, from_numerators(*_z_numerators(data.word_to_z, x.terms)))
+    """Exact change of basis from normal words to the Z basis."""
+    return _in_z_basis(x.ring, *x._ints())
 
 
 def oracle_multiply(ring: BaseRing, mu, nu) -> GrothElement:
-    """Z_mu Z_nu computed wholly on the enveloping-algebra side."""
+    """Z_mu Z_nu computed wholly on the enveloping-algebra side: the word
+    product of the two Z-table numerators, taken to the Z basis."""
     mu, nu = tuple(mu), tuple(nu)
     degree = mp_total(mu) + mp_total(nu)
-    a = z_element_pbw(ring, mu, degree)
-    b = z_element_pbw(ring, nu, degree)
-    prod = PBWElement(ring, degree, a.terms) * b
-    out = to_z_basis(prod)
+    ztable = _zdata(ring, degree).ztable
+    (a, da), (b, db) = (ztable.get(k, ({}, 1)) for k in (mu, nu))
+    prod = PBWElement.zero(ring, degree)._int_product(a, b)
+    out = _in_z_basis(ring, prod, da * db)
     out.assert_integral(f"oracle product of {mu} and {nu}")
     return out
 
@@ -564,5 +602,5 @@ def antipode_pbw(x: PBWElement) -> PBWElement:
     product = _word_products(x.ring)
     terms: dict[tuple, Fraction] = {}
     for w, c in x.terms.items():
-        accumulate(terms, dict(product(tuple(reversed(w)), ())), -c if len(w) & 1 else c)
+        accumulate(terms, dict(product[tuple(reversed(w)), ()]), -c if len(w) & 1 else c)
     return PBWElement(x.ring, x.degree, terms)

@@ -16,6 +16,7 @@ report can show every witness.
 import json
 import re
 from functools import cache
+from numbers import Real
 
 from ._exact import (
     Combination, PowerSeries, accumulate, format_terms, from_numerators, power_sum, product,
@@ -43,8 +44,9 @@ class RingElement(Combination):
         return super()._like(terms).assert_integral("ring element", DomainError)
 
     def key(self) -> tuple:
-        """The terms in basis order: equal elements give equal keys."""
-        return tuple(sorted(self.terms.items()))
+        """The terms in basis order, as (basis index, integer coefficient):
+        equal elements give equal keys."""
+        return tuple(sorted((u, c.numerator) for u, c in self.terms.items()))
 
     def basis_index(self):
         """Index if this is a single basis element with coefficient 1."""
@@ -58,7 +60,7 @@ class RingElement(Combination):
         return self.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, Real):
             return self.scale(other)
         self._check(other)
         return product(self, other)
@@ -253,7 +255,7 @@ class BaseRing:
             )
             if c < 0:
                 # lambda_t(U)^(-1) = sum_k (-x)^k for x = lambda_t(U) - 1
-                col = power_sum(col - one, one, n, lambda k: (-1) ** k, one)
+                col = power_sum(col - one, n, lambda k: (-1) ** k, one)
             for _ in range(abs(int(c))):
                 series = series * col
         return series.coefficient(n)

@@ -10,7 +10,7 @@ import pytest
 from wreathgroth import groth as gr
 from wreathgroth import kernels, pbw
 from wreathgroth import ring as rg
-from wreathgroth._exact import accumulate
+from wreathgroth._exact import accumulate, from_numerators
 from wreathgroth.errors import DomainError, MissingDataError
 from wreathgroth.groth import GrothElement, mobius
 from wreathgroth.partitions import mp_empty, mp_total, multipartitions_upto
@@ -254,6 +254,41 @@ def test_oracle_agrees_with_combinatorial_product():
                 assert a == b, (mu, nu)
 
 
+@pytest.mark.parametrize("ring", [rg.golden_ring(), M2], ids=["golden", "matrix2"])
+def test_oracle_multiply_equals_the_product_of_z_elements(ring):
+    keys = multipartitions_upto(ring.rank(), 4)
+    for mu in keys:
+        for nu in keys:
+            degree = mp_total(mu) + mp_total(nu)
+            if degree > 4:
+                continue
+            a = pbw.z_element_pbw(ring, mu, degree)
+            b = pbw.z_element_pbw(ring, nu, degree)
+            assert pbw.oracle_multiply(ring, mu, nu) == pbw.to_z_basis(a * b), (mu, nu)
+
+
+def test_z_element_pbw_is_read_at_the_table_degree():
+    ring = rg.golden_ring.__wrapped__()  # a private instance: its caches start empty
+    lam = ((1,), (1,))
+    z = pbw.z_element_pbw(ring, lam)
+    assert z.degree == 2
+    pbw._zdata(ring, 4)
+    again = pbw.z_element_pbw(ring, lam)
+    assert again.degree == 4 and again.terms == z.terms
+    assert again.terms is not pbw.z_element_pbw(ring, lam).terms  # built on request
+    # a key the table does not hold is zero at the degree asked for
+    missing = pbw.z_element_pbw(ring, ((1,),), 3)
+    assert missing.is_zero() and missing.degree == 3
+
+
+def test_the_oracle_builds_no_product_table():
+    ring = rg.matrix_ring.__wrapped__(2)
+    mu, nu = ((1,), (), (), ()), ((), (1,), (), ())
+    assert pbw.oracle_multiply(ring, mu, nu) == pbw.oracle_multiply(ring, mu, nu)
+    assert "pbw_zdata" in ring._caches
+    assert "product_table" not in ring._caches
+
+
 def test_mobius():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     for n in range(1, 31):
@@ -385,13 +420,13 @@ def test_x_basis_matches_generating_series():
         series = pbw.MixedSeries(ring, D, corr) * pbw.generating_series(ring, D)
         table = pbw.schur_coefficients(series)
         for lam in multipartitions_upto(ring.rank(), D):
-            got = pbw.to_z_basis(table[lam])
+            got = pbw.to_z_basis(PBWElement(ring, D, from_numerators(*table[lam])))
             assert got == gr.x_basis_element(ring, lam), lam
     # p_1^2 - p_2 = 2 s_{1,1}: the contributions to s_2 cancel, and the key
     # is absent rather than held with a zero coefficient
     series = pbw.MixedSeries(Z, 2, {(((1, 1),), ()): 1, (((2,),), ()): -1})
     table = pbw.schur_coefficients(series)
-    assert {lam: x.terms for lam, x in table.items()} == {((1, 1),): {(): 2}}
+    assert table == {((1, 1),): ({(): 2}, 1)}
 
 
 def test_antipode_pbw():
@@ -489,9 +524,7 @@ def test_zdata_grown_equals_fresh_build():
     assert big is not small and small.degree == 3 and big.degree == 5
     assert grown._caches["pbw_zdata"] is big
     fresh = pbw._zdata(rg.ring_from_config(UPPER), 5)
-    assert {k: z.terms for k, z in big.ztable.items()} == {
-        k: z.terms for k, z in fresh.ztable.items()
-    }
+    assert big.ztable == fresh.ztable
     assert big.word_to_z == fresh.word_to_z
     # the rows of degree <= 3 are the smaller table's, kept as they were
     for w, row in small.word_to_z.items():

@@ -65,6 +65,17 @@ def test_ring_elements_have_integer_coefficients():
             rg.BaseRing(("1",), tensor, unit=unit)
 
 
+def test_a_scalar_on_the_right_scales_like_one_on_the_left():
+    R = rg.golden_ring()
+    a = R.element({0: 1, 1: -2})
+    assert a * F(2) == F(2) * a == a * 2 == a.scale(2)
+    with pytest.raises(DomainError, match="^ring element has non-integer coefficient 1/2$"):
+        a * F(1, 2)
+    # the memo key of e_of and h_of holds the integer numerators
+    assert a.key() == ((0, 1), (1, -2))
+    assert all(type(c) is int for _, c in a.key())
+
+
 def test_unit_neutral_and_associativity_random():
     rng = random.Random(11)
     for R in (rg.integers(), rg.cyclic_group_algebra(3), rg.matrix_ring(2), rg.golden_ring()):

@@ -9,11 +9,12 @@ every decision about such dicts that more than one layer needs:
 - ``to_numerators`` and ``from_numerators`` are the one conversion between
   Fraction coefficients and the integer numerators over one common
   denominator that the integer cores compute on;
-- ``Combination`` is the base of the flat element classes (linear structure,
-  equality, the one integrality assertion), ``PowerSeries`` the truncated
-  t-series over any of them;
+- ``Combination`` is the base of every element class (linear structure,
+  equality, the one operand check, the one integrality assertion), the
+  truncated t-series ``PowerSeries`` over any of them included;
 - ``product`` is the one ``__mul__`` of every algebra with an integer core
-  (below): clear both operands, run the core, build one Fraction per term;
+  (below): check the operands, clear both, run the core, build one Fraction
+  per term;
 - ``exp`` and ``log1p`` are the one truncated exponential and logarithm,
   both instances of ``power_sum``, which runs on integer numerators;
 - ``substitute`` is the one algebra map given by the images of letters;
@@ -39,7 +40,7 @@ and, for ``PowerSeries``, the t-degree pairs over its coefficients' core.
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import IntegralityError
+from .errors import DomainError, IntegralityError
 
 
 def accumulate(dst: dict, src: dict, c=1) -> dict:
@@ -87,8 +88,10 @@ def monomial_product(a: dict, b: dict, merge) -> dict:
 
 
 def product(a, b):
-    """a * b through their algebra's integer core (see the module docstring):
-    each operand cleared once, one core call, one Fraction per output term."""
+    """a * b through their algebra's integer core (see the module docstring),
+    once ``a._check(b)`` has passed: each operand cleared once, one core
+    call, one Fraction per output term."""
+    a._check(b)
     na, da = a._ints()
     nb, db = b._ints()
     return a._from_ints(a._int_product(na, nb), da * db)
@@ -101,10 +104,10 @@ class Combination:
     """A flat element: ``terms`` maps basis keys to nonzero Fractions.
 
     A subclass adds its context (ring, labels, truncation degree), its
-    compatibility check ``_check``, its truncation ``_fits`` and, to
-    multiply, its integer core ``_int_product``.
-    ``_context`` names the attributes a result inherits from its operand and
-    ``_compared`` those that equality compares besides the terms.
+    truncation ``_fits`` and, to multiply, its integer core
+    ``_int_product``.  ``_context`` names the attributes a result inherits
+    from its operand and ``_compared`` those that equality compares besides
+    the terms; ``_check`` refuses an operand that differs in one of them.
     """
 
     __slots__ = ("terms",)
@@ -123,7 +126,18 @@ class Combination:
         return True
 
     def _check(self, other):
-        pass
+        """The one operand check of ``+``, ``-`` and ``*``: other is of this
+        class and agrees with self in every attribute equality compares, so
+        rings, labels and truncations never mix."""
+        if type(other) is not type(self):
+            raise DomainError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        for name in self._compared:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                show = lambda v: getattr(v, "name", v)  # a ring by its name
+                raise DomainError(
+                    f"{type(self).__name__} operands differ in {name}: {show(mine)} vs {show(theirs)}"
+                )
 
     def _like(self, terms: dict):
         """Same class and context, given clean terms (nonzero Fractions that
@@ -184,54 +198,40 @@ class Combination:
     __mul__ = product
 
 
-class PowerSeries:
-    """sum_k coeffs[k] t^k truncated above t^degree, over any algebra with
-    an integer core whose elements have +, scale and is_zero; ``zero`` is
-    that algebra's zero and stands for every absent coefficient."""
+class PowerSeries(Combination):
+    """sum_k c_k t^k truncated above t^degree, over any ``Combination``
+    algebra with an integer core.  The terms are flat: (k, key) maps to the
+    coefficient of the basis key ``key`` in c_k.  ``zero`` is that algebra's
+    zero; it gives each coefficient its context, and an operand's
+    coefficients must pass its ``_check``."""
 
-    __slots__ = ("zero", "degree", "coeffs")
+    __slots__ = ("zero", "degree")
+    _context = ("zero", "degree")
+    _compared = ("degree",)
 
     def __init__(self, zero, degree: int, coeffs=None):
+        """coeffs: {k: c_k} with each c_k in zero's algebra."""
         self.zero = zero
         self.degree = degree
-        self.coeffs = {
-            k: v for k, v in (coeffs or {}).items() if k <= degree and not v.is_zero()
-        }
+        super().__init__(
+            {(t, key): c for t, x in (coeffs or {}).items() for key, c in x.terms.items()}
+        )
 
-    def _like(self, coeffs: dict):
-        out = object.__new__(type(self))
-        out.zero, out.degree = self.zero, self.degree
-        out.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-        return out
+    def _fits(self, key) -> bool:
+        return key[0] <= self.degree
+
+    def _check(self, other):
+        super()._check(other)
+        self.zero._check(other.zero)
 
     def coefficient(self, k: int):
-        return self.coeffs.get(k, self.zero)
+        """c_k, in zero's algebra."""
+        return self.zero._like({key: c for (t, key), c in self.terms.items() if t == k})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return self._like(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return self._like({k: v.scale(c) for k, v in self.coeffs.items()})
-
-    def _ints(self) -> tuple[dict, int]:
-        """{(t, key): int} over one denominator shared by every t-degree."""
-        parts = {t: v._ints() for t, v in self.coeffs.items()}
-        den = lcm(*(d for _, d in parts.values()))
-        return {
-            (t, key): n * (den // d)
-            for t, (nums, d) in parts.items()
-            for key, n in nums.items()
-        }, den
+    @property
+    def coeffs(self) -> dict:
+        """{k: c_k} over the k with c_k != 0."""
+        return {t: self.zero._like(x) for t, x in _by_degree(self.terms).items()}
 
     def _int_product(self, a: dict, b: dict) -> dict:
         """Pairs of t-degrees up to the truncation, each through the core of
@@ -250,24 +250,16 @@ class PowerSeries:
         return {key: c for key, c in out.items() if c}
 
     def _from_ints(self, nums: dict, den: int):
-        return self._like(
-            {t: self.zero._from_ints(x, den) for t, x in _by_degree(nums).items()}
-        )
-
-    __mul__ = product
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
+        """One Fraction per term through the coefficients' own ``_from_ints``,
+        which holds them to its integrality (a t-series of ring elements
+        stays integral); it reads no key, so the flat keys pass through."""
+        return self._like(self.zero._from_ints(nums, den).terms)
 
 
-def _by_degree(nums: dict) -> dict:
-    """{(t, key): int} as {t: {key: int}}."""
+def _by_degree(terms: dict) -> dict:
+    """{(t, key): c} as {t: {key: c}}."""
     out: dict = {}
-    for (t, key), c in nums.items():
+    for (t, key), c in terms.items():
         out.setdefault(t, {})[key] = c
     return out
 

@@ -17,7 +17,7 @@ numerators.
 The module also hosts the generator family e_r(U)/h_n(W), the recursive
 expansion of e_n(W) for W outside the basis (through the Moebius/logarithm
 identity of the F-series, with the F-coefficients of basis elements taken
-once per ring), the commutation-relation checker, the second
+once per ring), both sides of the commutation relation, the second
 (unitriangular) multipartition basis X, and spanning sets of the subalgebras
 generated in bounded degree.
 """
@@ -31,7 +31,6 @@ from ._exact import (
     Combination,
     PowerSeries,
     accumulate,
-    first_difference,
     format_terms,
     log1p,
     product,
@@ -94,10 +93,6 @@ class GrothElement(Combination):
                 for lam, k in pairs[mu, nu].items():
                     out[lam] = get(lam, 0) + c * k
         return {lam: c for lam, c in out.items() if c}
-
-    def _check(self, other):
-        if not isinstance(other, GrothElement) or other.ring is not self.ring:
-            raise DomainError("elements belong to different rings")
 
     def __repr__(self):
         return f"Groth({format_groth(self)})"
@@ -291,7 +286,6 @@ def product_table(ring: BaseRing) -> ProductTable:
 
 def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
     """The product of two elements of one ring, on integer numerators."""
-    a._check(b)
     return product(a, b)
 
 
@@ -423,21 +417,6 @@ def commutation_sides(ring, i: int, j: int, U: RingElement, V: RingElement):
             e_of(ring, i - k, U),
         )
     return lhs, rhs
-
-
-def verify_commutation(ring, i, j, U, V):
-    """Check the commutation identity at bidegree (i, j); returns None when
-    it holds, else a witness naming the first differing coefficient and its
-    value on each side."""
-    lhs, rhs = commutation_sides(ring, i, j, U, V)
-    diff = first_difference(lhs.terms, rhs.terms, mp_sort_key)
-    if diff is None:
-        return None
-    key, left, right = diff
-    return (
-        f"coefficient of Z{format_multipartition(key, ring.labels)}: "
-        f"left side {left}, right side {right}"
-    )
 
 
 def commutator(ring, i, j, U, V) -> GrothElement:

@@ -78,6 +78,7 @@ class TensorGroth(Combination):
         return cls(a.ring, out)
 
     def __mul__(self, other: "TensorGroth") -> "TensorGroth":
+        self._check(other)
         table = product_table(self.ring)
         terms: dict[tuple, Fraction] = {}
         for (m1, n1), c1 in self.terms.items():
@@ -231,6 +232,7 @@ class LawPoly(Combination):
         return _mono_degree(mono) <= self.degree
 
     def __mul__(self, other: "LawPoly") -> "LawPoly":
+        self._check(other)
         out: dict = {}
         left = self.terms.items()
         for kb, cb in other.terms.items():

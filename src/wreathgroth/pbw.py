@@ -23,8 +23,11 @@ and a ``MixedSeries`` maps (power-sum multipartition, normal word).
 The products (``PBWElement`` and both series) and the change to the Z basis
 run on integer numerators.  ``PBWElement`` and ``_PowerSumSeries`` each give
 ``_exact`` one integer core, ``_int_product``, used by their products and by
-the truncated exp and log of ``_exact.power_sum``; ``TSeries`` multiplies
-through the core of its PBW coefficients.  Each operand's Fractions are
+the truncated exp and log of ``_exact.power_sum``.  A ``TSeries`` is an
+``_exact.PowerSeries``: flat (t, word) terms, multiplied through the core
+of its PBW coefficients, and ``theta_t`` and the substitution t -> -t^r
+of ``f_series_mobius`` rewrite those terms in one pass.  Each operand's
+Fractions are
 cleared once with their lcm, the loops multiply and add ints, and one
 Fraction is built per output term.  The cores take nothing from ``groth``'s
 ``ProductTable``, so the oracle stays an independent route.  The product of
@@ -457,7 +460,7 @@ def oracle_multiply(ring: BaseRing, mu, nu) -> GrothElement:
 # univariate series in t with PBW coefficients
 
 class TSeries(PowerSeries):
-    """A t-series with PBW coefficients."""
+    """A t-series with PBW coefficients: (t, normal word) -> coefficient."""
 
     __slots__ = ()
 
@@ -477,19 +480,21 @@ def theta_t(l: int, arg: dict[int, dict[int, int]], ring, degree) -> TSeries:
     """Theta_l of a t-series with ring coefficients (constant term 1).
 
     The argument is held as a t-series whose coefficients are constant
-    RingSeries (elements of R (x) Q), so the one truncated log applies."""
+    RingSeries (elements of R (x) Q), so the one truncated log applies; its
+    term (k, (empty key, u)) becomes the term (k, T_l(U)) of the exponent."""
     empty = mp_empty(ring.rank())
     const = RingSeries.one(ring, 0)  # 1 in R (x) Q
     one = PowerSeries(const.scale(0), degree, {0: const})
     x = PowerSeries(
         one.zero, degree, {k: RingSeries(ring, 0, {empty: vec}) for k, vec in arg.items()}
     ) - one
-    if 0 in x.coeffs:
+    if any(k == 0 for k, _ in x.terms):
         raise DomainError("theta argument needs constant term 1")
-    lin = TSeries(ring, degree, {
-        k: PBWElement(ring, degree, {(sym(l, u),): c for (_, u), c in v.terms.items()})
-        for k, v in log1p(x, one, degree).coeffs.items()
-    })
+    lin = TSeries(ring, degree)
+    if l <= degree:  # T_l above the truncation vanishes
+        lin = lin._like({
+            (k, (sym(l, u),)): c for (k, (_, u)), c in log1p(x, one, degree).terms.items()
+        })
     return exp(lin, TSeries.one(ring, degree), degree)
 
 
@@ -518,13 +523,9 @@ def f_series_mobius(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
         if not m:
             continue
         e = e_series_pbw(ring, W ** r, degree // r)
-        # substitute t -> -t^r
-        sub = TSeries(
-            ring, degree,
-            {
-                r * k: PBWElement(ring, degree, v.terms).scale((-1) ** k)
-                for k, v in e.coeffs.items()
-            },
+        # substitute t -> -t^r; the words of degree <= degree // r fit
+        sub = TSeries(ring, degree)._like(
+            {(r * k, w): -c if k & 1 else c for (k, w), c in e.terms.items()}
         )
         one = TSeries.one(ring, degree)
         total = total + log1p(sub - one, one, degree).scale(Fraction(-m, r))

@@ -62,7 +62,6 @@ class RingElement(Combination):
     def __mul__(self, other):
         if isinstance(other, Real):
             return self.scale(other)
-        self._check(other)
         return product(self, other)
 
     __rmul__ = Combination.scale
@@ -74,10 +73,6 @@ class RingElement(Combination):
         for _ in range(n):
             out = out * self
         return out
-
-    def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring is not self.ring:
-            raise DomainError("ring elements belong to different rings")
 
     def _int_product(self, a: Vec, b: Vec) -> Vec:
         return self.ring.multiply_vec(a, b)

@@ -18,12 +18,14 @@ share it.  Schur keys enter the cores as prod |kappa|! s_kappa, whose
 power-sum coefficients are integers because z_mu divides |mu|! (Macdonald,
 I.7); ``scaled_schur_to_p_row`` asserts that division.
 
-Truncation is strict: operations discard keys above the degree and refuse to
-mix operands with different truncations, since silently combining series
-that remember different amounts of information is the main correctness
-hazard in this layer.  The cores truncate to a box of slot sizes (``_Box``):
-per-slot caps and a total cap.  The public operations use the box of their
-degree; the product table of ``groth`` sweeps smaller boxes.
+Truncation is strict: operations discard keys above the degree, and
+``Combination._check``, which every +, - and * runs, refuses operands with
+different labels or truncations with a DomainError: silently combining
+series that remember different amounts of information is the main
+correctness hazard in this layer.  The cores truncate to a box of slot
+sizes (``_Box``): per-slot caps and a total cap.  The public operations use
+the box of their degree; the product table of ``groth`` sweeps smaller
+boxes.
 """
 
 from fractions import Fraction
@@ -122,14 +124,6 @@ class SymSeries(Combination):
         return schur_to_power(labels, degree, {key: 1})
 
     # -- bookkeeping --------------------------------------------------------
-    def _check(self, other: "SymSeries"):
-        if self.labels != other.labels:
-            raise DomainError(f"label mismatch: {self.labels} vs {other.labels}")
-        if self.degree != other.degree:
-            raise DomainError(
-                f"truncation mismatch: {self.degree} vs {other.degree}"
-            )
-
     def __repr__(self):
         return f"SymSeries(D={self.degree}, {format_series(self)})"
 
@@ -162,7 +156,6 @@ def power_to_schur(f: SymSeries) -> dict[MultiPartition, Fraction]:
 def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
     """Product truncated at the common degree: power-sum keys multiply by
     merging each slot's parts."""
-    a._check(b)
     return product(a, b)
 
 

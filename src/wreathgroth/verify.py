@@ -113,6 +113,14 @@ def _differ(x, y, show=None, order=None) -> str:
     return f"coefficient of {show(key)}: left side {left}, right side {right}"
 
 
+def _differ_at(x, y, what="component") -> str:
+    """The witness of x != y for two sequences of integers numbered from 1
+    (a Witt vector's components or its ghosts): the first place where they
+    differ and the value on each side."""
+    n, left, right = first_difference(dict(enumerate(x, 1)), dict(enumerate(y, 1)))
+    return f"{what} {n}: left side {left}, right side {right}"
+
+
 # ---------------------------------------------------------------------------
 
 def suite_symfun(ring: BaseRing, degree: int, seed: int) -> Report:
@@ -276,11 +284,10 @@ def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
                 U, V = ring.basis_element(u), ring.basis_element(v)
                 for i in range(bd + 1):
                     for j in range(bd + 1):
-                        witness = gr.verify_commutation(ring, i, j, U, V)
-                        if witness:
-                            return (
-                                f"bidegree ({i},{j}) at ({ring.labels[u]},{ring.labels[v]}): {witness}"
-                            )
+                        lhs, rhs = gr.commutation_sides(ring, i, j, U, V)
+                        if lhs != rhs:
+                            at = f"({ring.labels[u]},{ring.labels[v]})"
+                            return f"bidegree ({i},{j}) at {at}: {_differ(lhs, rhs)}"
 
     rep.run(
         "E_U(u) E_{VU}(-uv)^{-1} E_V(v) = E_V(v) E_{UV}(-uv)^{-1} E_U(u) "
@@ -556,7 +563,7 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
         k, D = 2, min(3, degree)
         span = gr.gk_spanning_set(ring, k, D)
         echelon, _ = row_reduce((el.terms, {}) for _, el in span)
-        for _, el in span:
+        for mono, el in span:
             # matrix over (key1, key2); membership in span (x) span means
             # both the column space and the row space lie in the span
             rows: dict = {}
@@ -564,9 +571,15 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
             for (mu, nu), c in hopf.comultiply(el).terms.items():
                 rows.setdefault(mu, {})[nu] = c
                 cols.setdefault(nu, {})[mu] = c
-            for vec in list(rows.values()) + list(cols.values()):
-                if reduce(vec, echelon):
-                    return "coproduct leaves the bounded-degree subalgebra"
+            for where, part in (("{} (x) -", rows), ("- (x) {}", cols)):
+                for key, vec in part.items():
+                    rest = reduce(vec, echelon)
+                    if rest:  # vec against its part in the span
+                        of = "*".join(f"e_{i}({ring.labels[u]})" for i, u in mono) or "1"
+                        at = where.format(_z(ring, key))
+                        inside = accumulate(dict(vec), rest, -1)
+                        witness = _differ(vec, inside, lambda k: _z(ring, k), mp_sort_key)
+                        return f"Delta({of}) at {at} leaves the span: {witness}"
 
     rep.run(
         "the subalgebra generated by e_i(U), i <= 2, is closed under Delta "
@@ -660,12 +673,13 @@ def suite_witt(ring: BaseRing, degree: int, seed: int) -> Report:
     rng = random.Random(seed)
 
     def identities():
+        zero, one = WittVector.zero(6), WittVector.one(6)
         for _ in range(10):
             a = WittVector([rng.randint(-6, 6) for _ in range(6)])
-            if a + WittVector.zero(6) != a or WittVector.zero(6) + a != a:
-                return f"additive identity fails at {a}"
-            if a * WittVector.one(6) != a or WittVector.one(6) * a != a:
-                return f"multiplicative identity fails at {a}"
+            for law, lhs in (("a + 0", a + zero), ("0 + a", zero + a), ("a * 1", a * one),
+                             ("1 * a", one * a)):
+                if lhs != a:
+                    return f"{law} = a fails at a = {a}: {_differ_at(lhs.comps, a.comps)}"
 
     rep.run("(0,0,...) and (1,0,0,...) are the Witt identities (length 6)", identities)
 
@@ -676,10 +690,12 @@ def suite_witt(ring: BaseRing, degree: int, seed: int) -> Report:
             s = (a + b).ghosts()
             p = (a * b).ghosts()
             ga, gb = a.ghosts(), b.ghosts()
-            if s != tuple(x + y for x, y in zip(ga, gb)):
-                return f"ghost additivity fails at ({a},{b})"
-            if p != tuple(x * y for x, y in zip(ga, gb)):
-                return f"ghost multiplicativity fails at ({a},{b})"
+            for law, lhs, rhs in (
+                ("w(a + b) = w(a) + w(b)", s, tuple(x + y for x, y in zip(ga, gb))),
+                ("w(a * b) = w(a) w(b)", p, tuple(x * y for x, y in zip(ga, gb))),
+            ):
+                if lhs != rhs:
+                    return f"{law} fails at a = {a}, b = {b}: {_differ_at(lhs, rhs, 'ghost')}"
 
     rep.run("ghost components diagonalize Witt addition and multiplication", ghost_diagonalization)
 
@@ -688,12 +704,16 @@ def suite_witt(ring: BaseRing, degree: int, seed: int) -> Report:
             a = WittVector([rng.randint(-5, 5) for _ in range(5)])
             b = WittVector([rng.randint(-5, 5) for _ in range(5)])
             c = WittVector([rng.randint(-5, 5) for _ in range(5)])
-            if (a + b) + c != a + (b + c) or a + b != b + a:
-                return "addition laws fail"
-            if (a * b) * c != a * (b * c) or a * b != b * a:
-                return "multiplication laws fail"
-            if a * (b + c) != a * b + a * c:
-                return "distributivity fails"
+            for law, lhs, rhs in (
+                ("(a + b) + c = a + (b + c)", (a + b) + c, a + (b + c)),
+                ("a + b = b + a", a + b, b + a),
+                ("(a * b) * c = a * (b * c)", (a * b) * c, a * (b * c)),
+                ("a * b = b * a", a * b, b * a),
+                ("a * (b + c) = a * b + a * c", a * (b + c), a * b + a * c),
+            ):
+                if lhs != rhs:
+                    at = f"a = {a}, b = {b}, c = {c}"
+                    return f"{law} fails at {at}: {_differ_at(lhs.comps, rhs.comps)}"
 
     rep.run("Witt vectors form a commutative ring (random length-5 checks)", ring_laws)
 

@@ -13,6 +13,7 @@ from wreathgroth import hopf, pbw
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
 from wreathgroth._exact import (
+    Combination,
     PowerSeries,
     accumulate,
     exp,
@@ -24,7 +25,7 @@ from wreathgroth._exact import (
     row_reduce,
     substitute,
 )
-from wreathgroth.errors import IntegralityError
+from wreathgroth.errors import DomainError, IntegralityError
 from wreathgroth.groth import GrothElement
 from wreathgroth.partitions import mp_single, mp_total, multipartitions_upto
 from wreathgroth.pbw import PBWElement, sym, word_for_mp
@@ -387,3 +388,75 @@ def test_power_sum_stops_at_the_first_vanishing_power(monkeypatch):
     one = PBWElement.one(ring, 4)
     assert exp(x, one, 4) == one + x
     assert calls["core"] <= 2
+
+
+# ---------------------------------------------------------------------------
+# the one operand check: every Combination class refuses an operand of
+# another class or context in +, - and *
+
+C2 = rg.cyclic_group_algebra(2)
+C2_COPY = rg.cyclic_group_algebra.__wrapped__(2)  # same labels and tensor, another ring
+
+
+def _groth_series(ring, degree):
+    return PowerSeries(GrothElement.zero(ring), degree, {0: GrothElement.one(ring)})
+
+
+# each class: (an element, {what differs: an element differing in just that});
+# the other ring is a copy of the first, so nothing but the check can tell
+FACTORIES = {
+    rg.RingElement: lambda: (C2.one(), {"ring": C2_COPY.one()}),
+    GrothElement: lambda: (GrothElement.one(C2), {"ring": GrothElement.one(C2_COPY)}),
+    SymSeries: lambda: (SymSeries.one(("x", "y"), 3), {
+        "labels": SymSeries.one(("x", "z"), 3), "degree": SymSeries.one(("x", "y"), 4),
+    }),
+    PBWElement: lambda: (PBWElement.one(C2, 3), {"ring": PBWElement.one(C2_COPY, 3)}),
+    pbw._PowerSumSeries: lambda: (pbw._PowerSumSeries(C2, 2), {
+        "ring": pbw._PowerSumSeries(C2_COPY, 2), "degree": pbw._PowerSumSeries(C2, 3),
+    }),
+    pbw.RingSeries: lambda: (pbw.RingSeries.one(C2, 2), {
+        "ring": pbw.RingSeries.one(C2_COPY, 2), "degree": pbw.RingSeries.one(C2, 3),
+    }),
+    pbw.MixedSeries: lambda: (pbw.MixedSeries.one(C2, 2), {
+        "ring": pbw.MixedSeries.one(C2_COPY, 2), "degree": pbw.MixedSeries.one(C2, 3),
+    }),
+    hopf.TensorGroth: lambda: (
+        hopf.TensorGroth.of(GrothElement.one(C2), GrothElement.one(C2)),
+        {"ring": hopf.TensorGroth.of(GrothElement.one(C2_COPY), GrothElement.one(C2_COPY))},
+    ),
+    hopf.LawPoly: lambda: (hopf.LawPoly(2, {(): 1}), {"degree": hopf.LawPoly(3, {(): 1})}),
+    PowerSeries: lambda: (_groth_series(C2, 3), {
+        "zero": _groth_series(C2_COPY, 3), "degree": _groth_series(C2, 5),
+    }),
+    pbw.TSeries: lambda: (pbw.TSeries.one(C2, 3), {
+        "zero": pbw.TSeries.one(C2_COPY, 3), "degree": pbw.TSeries.one(C2, 4),
+    }),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(_subclasses(Combination), key=lambda c: c.__qualname__),
+                         ids=lambda c: c.__qualname__)
+def test_every_operation_refuses_operands_of_another_context(cls):
+    assert cls in FACTORIES, f"{cls.__qualname__} has no factory here"
+    a, variants = FACTORIES[cls]()
+    assert type(a) is cls and a + a == a.scale(2)
+    assert set(cls._compared) <= set(variants)
+    for what, b in variants.items():
+        assert type(b) is cls
+        for x, y in ((a, b), (b, a)):
+            for op in (x.__add__, x.__sub__, x.__mul__):
+                with pytest.raises(DomainError):
+                    op(y)
+    for other in FACTORIES:
+        if other is not cls:
+            b = FACTORIES[other]()[0]
+            for op in (a.__add__, a.__sub__, a.__mul__):
+                with pytest.raises(DomainError):
+                    op(b)
+

@@ -65,3 +65,31 @@ def test_first_queries_of_the_seed_0_plans_match_the_references(child, monkeypat
     _, ops, failures, _ = child.run_stream(workload, 0, None)
     assert failures == []
     assert len(ops) == 3 and all(ok for _, ok in ops)
+
+
+def _first_of_each_kind(plan):
+    """The first query of each kind: a key reads ring|kind|... or
+    witt|index|kind|..., so its kind is its first field after the first
+    that is not a number."""
+    seen, out = set(), []
+    for query in plan:
+        kind = next(f for f in query[0].split("|")[1:] if not f.isdigit())
+        if kind not in seen:
+            seen.add(kind)
+            out.append(query)
+    return out
+
+
+@pytest.mark.parametrize("workload", ["generators", "oracle", "witt"])
+def test_the_first_query_of_each_kind_matches_the_references(child, monkeypatch, workload):
+    # beyond the first three queries: generators h, oracle f (which reads
+    # a t-series' coeffs and ring) and lambda, witt ghosts and law
+    import workloads
+
+    plan = workloads.PLANS[workload]
+    monkeypatch.setitem(workloads.PLANS, workload, lambda seed: _first_of_each_kind(plan(seed)))
+    _, ops, failures, _ = child.run_stream(workload, 0, None)
+    assert failures == []
+    kinds = {"generators": 2, "oracle": 3, "witt": 4}[workload]  # e h; mul f lambda; mul add ghosts law
+    assert len(ops) == kinds and all(ok for _, ok in ops)
+

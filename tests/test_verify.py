@@ -16,6 +16,7 @@ from wreathgroth import symfun as sf
 from wreathgroth import verify
 from wreathgroth._exact import accumulate, row_reduce
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
+from wreathgroth.witt import WittVector
 
 
 Z = rg.integers()
@@ -183,6 +184,93 @@ def test_commutation_witness_names_the_z_key_and_both_values(monkeypatch):
     report = verify.suite_commutation(rg.integers.__wrapped__(), 2, 0)
     assert _detail(report, "e_i(U) and e_j(U) commute") == (
         "[e_1, e_1] of 1: coefficient of Z{1:[1]}: left side 2, right side 0"
+    )
+
+
+def test_commutation_series_witness_names_the_z_key_and_both_sides(monkeypatch):
+    # replace both sides at bidegree (1,1) by 1 + 3*Z{g:[2]} and
+    # 1 + Z{g:[2]} + Z{e:[1,1,1]}: in graded order they first differ at
+    # Z{g:[2]}, 3 against 1
+    sides = gr.commutation_sides
+
+    def perturbed(ring, i, j, U, V):
+        if (i, j) != (1, 1):
+            return sides(ring, i, j, U, V)
+        one, z = gr.GrothElement.one(ring), gr.GrothElement.basis(ring, ((), (2,)))
+        return one + z.scale(3), one + z + gr.GrothElement.basis(ring, ((1, 1, 1), ()))
+
+    monkeypatch.setattr(gr, "commutation_sides", perturbed)
+    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
+    report = verify.suite_commutation(ring, 1, 0)
+    assert _detail(report, "E_U(u) E_{VU}(-uv)^{-1}") == (
+        "bidegree (1,1) at (e,e): coefficient of Z{g:[2]}: left side 3, right side 1"
+    )
+
+
+def test_sub_hopf_closure_witness_names_the_element_the_key_and_both_values(monkeypatch):
+    # one more Z{} (x) Z{1:[3]} in the coproduct of every element of positive
+    # degree puts the row of Delta(e_1(1)) at Z{} outside the span of the
+    # products of e_1 and e_2: Z{1:[3]} has 1 in the row (left side) and 0 in
+    # the row's part in the span (right side)
+    comultiply = hopf.comultiply
+
+    def perturbed(x):
+        out = comultiply(x)
+        if x.degree() >= 1:
+            out = out + hopf.TensorGroth(x.ring, {(((),), ((3,),)): 1})
+        return out
+
+    monkeypatch.setattr(hopf, "comultiply", perturbed)
+    report = verify.suite_hopf(rg.integers.__wrapped__(), 3, 0)
+    assert _detail(report, "the subalgebra generated by e_i(U)") == (
+        "Delta(e_1(1)) at Z{} (x) - leaves the span: "
+        "coefficient of Z{1:[3]}: left side 1, right side 0"
+    )
+
+
+def _witt_detail(prefix):
+    return _detail(verify.suite_witt(rg.integers.__wrapped__(), 2, 0), prefix)
+
+
+def test_witt_identity_witness_names_the_vector_component_and_both_values(monkeypatch):
+    # length-6 products gain 1 in their last component, so a * 1 = a first
+    # fails at the first draw of seed 0, component 6: 3 against 2
+    mul = WittVector.__mul__
+
+    def perturbed(a, b):
+        out = mul(a, b)
+        return WittVector(out.comps[:-1] + (out.comps[-1] + 1,)) if len(a) == 6 else out
+
+    monkeypatch.setattr(WittVector, "__mul__", perturbed)
+    assert _witt_detail("(0,0,...) and (1,0,0,...) are the Witt identities") == (
+        "a * 1 = a fails at a = (0,6,0,-6,-2,2): component 6: left side 3, right side 2"
+    )
+
+
+def test_ghost_witness_names_both_vectors_the_ghost_and_both_values(monkeypatch):
+    # every ghost vector gains 1 in its first ghost: w_1(a + b) = 3 + 1
+    # against (6 + 1) + (-3 + 1)
+    ghosts = WittVector.ghosts
+    monkeypatch.setattr(WittVector, "ghosts", lambda a: (ghosts(a)[0] + 1,) + ghosts(a)[1:])
+    assert _witt_detail("ghost components diagonalize") == (
+        "w(a + b) = w(a) + w(b) fails at a = (6,1,-2,1,-7), b = (-3,9,-2,-2,-5): "
+        "ghost 1: left side 4, right side 5"
+    )
+
+
+def test_ring_law_witness_names_the_law_the_vectors_and_both_values(monkeypatch):
+    # length-5 sums gain the left operand's first component in their last,
+    # so (a + b) + c and a + (b + c) differ there by b_1 = 3
+    add = WittVector.__add__
+
+    def perturbed(a, b):
+        out = add(a, b)
+        return WittVector(out.comps[:-1] + (out.comps[-1] + a.comps[0],)) if len(a) == 5 else out
+
+    monkeypatch.setattr(WittVector, "__add__", perturbed)
+    assert _witt_detail("Witt vectors form a commutative ring") == (
+        "(a + b) + c = a + (b + c) fails at a = (3,2,-4,-4,0), b = (3,2,-4,-1,3), "
+        "c = (-1,-4,3,0,3): component 5: left side 32, right side 29"
     )
 
 

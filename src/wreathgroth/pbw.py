@@ -27,14 +27,13 @@ the truncated exp and log of ``_exact.power_sum``.  A ``TSeries`` is an
 ``_exact.PowerSeries``: flat (t, word) terms, multiplied through the core
 of its PBW coefficients, and ``theta_t`` and the substitution t -> -t^r
 of ``f_series_mobius`` rewrite those terms in one pass.  Each operand's
-Fractions are
-cleared once with their lcm, the loops multiply and add ints, and one
-Fraction is built per output term.  The cores take nothing from ``groth``'s
-``ProductTable``, so the oracle stays an independent route.  The product of
-two normal words comes from the kernel once per ring and word pair and is
-kept in the ring's ``pbw_products`` memo: the oracle revisits a few
-thousand pairs many times over.  The same memo holds each word's degree,
-summed once, for the truncations.
+Fractions are cleared once with their lcm, the loops multiply and add
+ints, and one Fraction is built per output term.  The cores take nothing
+from ``groth``'s ``ProductTable``, so the oracle stays an independent
+route.  The product of two normal words comes from the kernel once per
+ring and word pair and is kept in the ring's ``pbw_products`` memo: the
+oracle revisits a few thousand pairs many times over.  The same memo holds
+each word's degree, summed once, for the truncations.
 
 The Z-table holds each Z_lam as integer numerators over one denominator,
 ({word: int}, den), and so does its inverse, ``word_to_z``, for each word's

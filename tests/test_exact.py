@@ -447,7 +447,7 @@ def test_every_operation_refuses_operands_of_another_context(cls):
     a, variants = FACTORIES[cls]()
     assert type(a) is cls and a + a == a.scale(2)
     assert set(cls._compared) <= set(variants)
-    for what, b in variants.items():
+    for b in variants.values():
         assert type(b) is cls
         for x, y in ((a, b), (b, a)):
             for op in (x.__add__, x.__sub__, x.__mul__):
@@ -459,4 +459,3 @@ def test_every_operation_refuses_operands_of_another_context(cls):
             for op in (a.__add__, a.__sub__, a.__mul__):
                 with pytest.raises(DomainError):
                     op(b)
-

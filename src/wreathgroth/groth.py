@@ -14,12 +14,11 @@ are dictionary lookups; ``GrothElement._int_product``, the integer core of
 ``z_multiply`` and of ``_exact.power_sum``, adds them up on integer
 numerators.
 
-The module also hosts the generator family e_r(U)/h_n(W), the recursive
-expansion of e_n(W) for W outside the basis (through the Moebius/logarithm
-identity of the F-series, with the F-coefficients of basis elements taken
-once per ring), both sides of the commutation relation, the second
-(unitriangular) multipartition basis X, and spanning sets of the subalgebras
-generated in bounded degree.
+The module also hosts the generator family e_r(U)/h_n(W), the expansion of
+e_n(W) for W outside the basis (by Newton's identity, whose power sums are
+signed hook sums of the powers of W), both sides of the commutation
+relation, the second (unitriangular) multipartition basis X, and spanning
+sets of the subalgebras generated in bounded degree.
 """
 
 from fractions import Fraction
@@ -27,14 +26,7 @@ from math import comb, factorial, gcd
 from operator import le
 
 from . import symfun as sf
-from ._exact import (
-    Combination,
-    PowerSeries,
-    accumulate,
-    format_terms,
-    log1p,
-    product,
-)
+from ._exact import Combination, accumulate, format_terms, product
 from .errors import DomainError, IntegralityError
 from .partitions import (
     MultiPartition,
@@ -297,55 +289,32 @@ def _check_degree(n: int):
         raise DomainError(f"n must be >= 0, got {n}")
 
 
-def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def _f_coefficient(ring, V: RingElement, n: int, skip_top=False) -> GrothElement:
-    """[t^n] F_V(t) where F_V(t) = -sum_{r>=1} mu(r)/r log(E_{V^r}(-t^r)).
-
-    With skip_top the e_n(V) slot is zeroed, leaving the part of the
-    coefficient that only involves lower data (used to solve for e_n(V)).
-    """
-    zero = total = GrothElement.zero(ring)
-    for r in range(1, n + 1):
-        if n % r:
-            continue
-        m = mobius(r)
-        if not m:
-            continue
-        q = n // r
-        Vr = V ** r
-        # E_{V^r}(-t) - 1, with the unknown e_n(V) left out under skip_top
-        x = PowerSeries(zero, q, {
-            kk: e_of(ring, kk, Vr).scale((-1) ** kk)
-            for kk in range(1, q + 1)
-            if not (skip_top and r == 1 and kk == n)
-        })
-        one = PowerSeries(zero, q, {0: GrothElement.one(ring)})
-        total = total + log1p(x, one, q).coefficient(q).scale(Fraction(-m, r))
-    return total
+def _hooks(ring: BaseRing, m: int, V: RingElement) -> dict:
+    """m T_m(V) in the Z basis: sum_U V_U sum_{j<m} (-1)^j Z_{(m-j, 1^j) at U},
+    the signed hooks of size m in the slot of each U."""
+    rank = ring.rank()
+    return {
+        mp_single(rank, u, (m - j,) + (1,) * j): -c if j & 1 else c
+        for u, c in V.terms.items()
+        for j in range(m)
+    }
 
 
 def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """e_n(W) for any W, expanded in the Z basis: for W in the basis the
-    single-column key at W, for any other W the F-series recursion.  Both
-    memos live on the ring: ``e_of`` keeps e_n(W), and ``f_basis`` keeps
-    [t^n] F_U(t) per basis index u and n, which every W with u in its
-    support needs."""
+    single-column key at W, for any other W Newton's identity
+
+        n e_n(W) = sum_{k=1..n} (-1)^(k-1) P_k(W) e_{n-k}(W),
+        P_k(W) = sum_{s | k} (k/s) T_{k/s}(W^s),
+
+    the power sums of E_W(t) = sum_n e_n(W) t^n, read off the F-series
+    identity -log E_W(-t) = sum_s F_{W^s}(t^s)/s.  Each m T_m(V) is a signed
+    hook sum (``_hooks``).  The coefficients of E_W(t) commute with each
+    other for noncommutative R too, so the identity holds there.  One call
+    builds P_1..P_n anew from the powers W, W^2, ..., W^n and takes e_1(W),
+    ..., e_n(W) in turn, each division by m checked by ``assert_integral``;
+    the ring's ``e_of`` memo keeps every e_m(W) and supplies those it
+    holds."""
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
@@ -355,24 +324,31 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     if u is not None:
         return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * n))
     memo = ring.memo("e_of", dict)
-    key = (W.key(), n)
-    got = memo.get(key)
+    w = W.key()
+    got = memo.get((w, n))
     if got is not None:
         return got
-    # F_W(t) = sum_U a_U F_U(t); the t^n coefficient of the left side carries
-    # e_n(W) with coefficient -(-1)^n, everything else is known recursively
-    f_basis = ring.memo("f_basis", dict)
-    rhs = GrothElement.zero(ring)
-    for u_idx, a in W.terms.items():
-        f = f_basis.get((u_idx, n))
-        if f is None:
-            f = f_basis[u_idx, n] = _f_coefficient(ring, ring.basis_element(u_idx), n)
-        rhs = rhs + f.scale(a)
-    lower = _f_coefficient(ring, W, n, skip_top=True)
-    result = (rhs - lower).scale((-1) ** (n + 1))
-    result.assert_integral(f"e_{n}({W!r})")
-    memo[key] = result
-    return result
+    powers = [W]
+    while len(powers) < n:
+        powers.append(powers[-1] * W)
+    sums = [None]  # sums[k] = (-1)^(k-1) P_k(W), signed as Newton's identity adds it
+    for k in range(1, n + 1):
+        p_k = {}
+        for s in range(1, k + 1):
+            if k % s == 0:
+                p_k.update(_hooks(ring, k // s, powers[s - 1]))  # disjoint: keys of size k/s
+        sums.append(GrothElement(ring, p_k if k & 1 else {key: -c for key, c in p_k.items()}))
+    es = [GrothElement.one(ring)]  # es[m] = e_m(W)
+    for m in range(1, n + 1):
+        e = memo.get((w, m))
+        if e is None:
+            terms = {}
+            for k in range(1, m + 1):
+                accumulate(terms, z_multiply(sums[k], es[m - k]).terms)
+            e = GrothElement(ring, terms).scale(Fraction(1, m)).assert_integral(f"e_{m}({W!r})")
+            memo[w, m] = e
+        es.append(e)
+    return es[n]
 
 
 def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:

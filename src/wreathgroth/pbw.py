@@ -60,12 +60,13 @@ from ._exact import (
     format_terms,
     from_numerators,
     log1p,
+    product,
     row_reduce,
     substitute,
     to_numerators,
 )
 from .errors import DomainError, IntegralityError, MissingDataError
-from .groth import GrothElement, mobius
+from .groth import GrothElement
 from .partitions import (
     MultiPartition,
     mp_empty,
@@ -170,6 +171,15 @@ class PBWElement(Combination):
 
     def _fits(self, w) -> bool:
         return _word_degrees(self.ring)[w] <= self.degree
+
+    def __mul__(self, other: "PBWElement") -> "PBWElement":
+        """The product, truncated at the smaller of the two degrees: neither
+        operand is known above its own."""
+        self._check(other)
+        left = self
+        if other.degree < self.degree:
+            left = PBWElement(self.ring, other.degree, self.terms)
+        return product(left, other)
 
     @classmethod
     def zero(cls, ring, degree):
@@ -512,6 +522,19 @@ def f_series_closed(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
         ring, degree,
         {i: PBWElement.generator(ring, degree, i, W) for i in range(1, degree + 1)},
     )
+
+
+def mobius(n: int) -> int:
+    """0 when a square divides n, else (-1)^(the number of prime factors)."""
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
 
 
 def f_series_mobius(ring: BaseRing, W: RingElement, degree: int) -> TSeries:

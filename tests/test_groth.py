@@ -1,6 +1,5 @@
 import hashlib
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -420,19 +419,13 @@ def test_e_of_outside_the_basis_is_pinned():
     assert hashlib.sha256(lines.encode()).hexdigest() == E_OF_SHA256
 
 
-def test_basis_f_coefficients_are_taken_once_per_ring(monkeypatch):
+def test_e_of_memoises_only_w_itself():
+    # Newton's identity reads e_n(W) off the hook sums of W, W^2, ...: no
+    # e_n of a power W^r is taken and no F-coefficient is kept
     ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
-    calls = Counter()
-    real = gr._f_coefficient
-
-    def counted(ring, V, n, skip_top=False):
-        if V.basis_index() is not None:
-            calls[V.basis_index(), n] += 1
-        return real(ring, V, n, skip_top)
-
-    monkeypatch.setattr(gr, "_f_coefficient", counted)
-    for a, b in ((1, 1), (2, -1), (0, -1), (1, -2)):
+    elements = [ring.element({0: a, 1: b}) for a, b in ((1, 1), (2, -1), (0, -1), (1, -2))]
+    for W in elements:
         for n in range(1, 5):
-            gr.e_of(ring, n, ring.element({0: a, 1: b}))
-    assert calls == {(u, n): 1 for u in (0, 1) for n in range(1, 5)}
-    assert len(ring._caches["f_basis"]) == len(calls)
+            gr.e_of(ring, n, W)
+    assert set(ring._caches["e_of"]) == {(W.key(), n) for W in elements for n in range(1, 5)}
+    assert "f_basis" not in ring._caches

@@ -12,9 +12,9 @@ from wreathgroth import kernels, pbw
 from wreathgroth import ring as rg
 from wreathgroth._exact import accumulate, from_numerators
 from wreathgroth.errors import DomainError, MissingDataError
-from wreathgroth.groth import GrothElement, mobius
-from wreathgroth.partitions import mp_empty, mp_total, multipartitions_upto
-from wreathgroth.pbw import PBWElement, RingSeries, sym, word_degree
+from wreathgroth.groth import GrothElement
+from wreathgroth.partitions import mp_empty, mp_single, mp_total, multipartitions_upto
+from wreathgroth.pbw import PBWElement, RingSeries, mobius, sym, word_degree
 
 
 Z = rg.integers()
@@ -389,17 +389,53 @@ def test_lambda_on_e1_c2_integral():
 
 
 def test_e_of_general_elements_match_oracle_series():
-    # the combinatorial recursion for e_n(W) against the oracle E series
+    # e_n(W) by Newton's identity against the oracle E series, for W outside
+    # the basis: 44 cases, n <= 5 on the integers, 4 on golden and cyclic(2)
+    # and 3 on matrix(2)
+    golden = rg.golden_ring()
     cases = [
-        (C2, C2.element("e - g")),
-        (C2, C2.element("2*e + g")),
-        (M2, M2.element("E12 + E21")),
-        (M2, M2.element("E11 - E22")),
+        (Z, Z.element({0: 2}), 5),
+        (Z, Z.element({0: -1}), 5),
+        (Z, Z.element({0: 3}), 5),
+        (golden, golden.element("1 + x"), 4),
+        (golden, golden.element("2*1 - x"), 4),
+        (C2, C2.element("e - g"), 4),
+        (C2, C2.element("2*e + g"), 4),
+        (C2, C2.element("-e + 2*g"), 4),
+        (M2, M2.element("E12 + E21"), 3),
+        (M2, M2.element("E11 - E22"), 3),
+        (M2, M2.element("E11 + 2*E12 - E21"), 3),
     ]
-    for ring, W in cases:
-        E = pbw.e_series_pbw(ring, W, 3)
-        for n in range(4):
-            assert pbw.to_z_basis(E.coefficient(n)) == gr.e_of(ring, n, W), (ring.name, n)
+    for ring, W, N in cases:
+        E = pbw.e_series_pbw(ring, W, N)
+        for n in range(1, N + 1):
+            assert pbw.to_z_basis(E.coefficient(n)) == gr.e_of(ring, n, W), (ring.name, W, n)
+
+
+@pytest.mark.parametrize(
+    "ring", [Z, rg.golden_ring(), C2, rg.cyclic_group_algebra(3), M2], ids=lambda r: r.name
+)
+def test_generators_are_signed_hook_sums(ring):
+    # T_m(U) = (1/m) sum_{j<m} (-1)^j Z_{(m-j, 1^j) at U}: the power sums of
+    # groth.e_of are these hook sums, checked here on the oracle's side
+    for u in range(ring.rank()):
+        for m in range(1, 6):
+            hooks = GrothElement(ring, {
+                mp_single(ring.rank(), u, (m - j,) + (1,) * j): Fraction((-1) ** j, m)
+                for j in range(m)
+            })
+            got = pbw.to_z_basis(PBWElement.generator(ring, m, m, ring.basis_element(u)))
+            assert got == hooks, (ring.labels[u], m)
+
+
+def test_a_product_is_truncated_at_the_smaller_degree():
+    g = C2.basis_element(1)
+    a = PBWElement.generator(C2, 2, 1, g)
+    b = PBWElement.generator(C2, 4, 2, g)
+    for x, y in ((a, b), (b, a)):
+        assert x * y == PBWElement.zero(C2, 2) and (x * y).degree == 2
+    c = PBWElement.generator(C2, 3, 1, g)
+    assert b * c == c * b == PBWElement(C2, 3, words(C2, ([(1, 1), (2, 1)], 1)))
 
 
 def test_x_basis_matches_generating_series():

@@ -16,6 +16,7 @@ from wreathgroth import symfun as sf
 from wreathgroth import verify
 from wreathgroth._exact import accumulate, row_reduce
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
+from wreathgroth.partitions import mp_single
 from wreathgroth.witt import WittVector
 
 
@@ -345,6 +346,32 @@ def test_f_series_disagreement_names_degree_word_and_coefficients(monkeypatch):
     check = next(c for c in report.checks if c.name.startswith("F_U(t) from the Moebius/log"))
     assert not check.passed
     assert check.detail == f"AssertionError: {witness}"
+
+
+def test_a_non_integral_e_n_is_refused_and_fails_its_check(monkeypatch):
+    # add 1 to the coefficient of Z_{(2) at U} in every 2 T_2(V), U the first
+    # basis element of V: e_2(W) for W outside the basis gains -1/2 Z_{(2) at U}
+    # and the division by 2 in Newton's identity leaves a remainder
+    hooks = gr._hooks
+
+    def perturbed(ring, m, V):
+        out = hooks(ring, m, V)
+        if m == 2:
+            key = mp_single(ring.rank(), min(V.terms), (2,))
+            out[key] += 1
+        return out
+
+    monkeypatch.setattr(gr, "_hooks", perturbed)
+    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
+    W = ring.element("e - g")
+    with pytest.raises(IntegralityError) as exc:
+        gr.e_of(ring, 2, W)
+    assert str(exc.value) == "e_2(<e - g>) has non-integer coefficient -1/2"
+
+    report = verify.run_suite("presentation", ring, 2, 0)
+    check = next(c for c in report.checks if c.name == "e_n(W) of random integer combinations is integral")
+    assert not check.passed
+    assert check.detail == "IntegralityError: e_2(<2*e + g>) has non-integer coefficient 1/2"
 
 
 def test_oracle_crosscheck_witness_names_first_differing_coefficient(monkeypatch):

@@ -2,19 +2,22 @@
 computes with, and the tools that act on it.
 
 A combination is a dict ``{key: coefficient}`` holding no zero coefficient;
-coefficients are Fractions (ints in the integer cores).  This module owns
-every decision about such dicts that more than one layer needs:
+an integral coefficient is an int and any other a Fraction, whose
+denominator is then greater than 1 (``exact``).  An int and a Fraction
+compare, hash and print alike, so the form never shows in equality or
+output; integral arithmetic simply stays on ints.  This module owns every
+decision about such dicts that more than one layer needs:
 
 - ``accumulate`` adds one combination into another and drops what cancels;
 - ``to_numerators`` and ``from_numerators`` are the one conversion between
-  Fraction coefficients and the integer numerators over one common
-  denominator that the integer cores compute on;
+  coefficients and the integer numerators over one common denominator that
+  the integer cores compute on;
 - ``Combination`` is the base of every element class (linear structure,
   equality, the one operand check, the one integrality assertion), the
   truncated t-series ``PowerSeries`` over any of them included;
 - ``product`` is the one ``__mul__`` of every algebra with an integer core
-  (below): check the operands, clear both, run the core, build one Fraction
-  per term;
+  (below): check the operands, clear both, run the core, divide by the
+  common denominator (nothing to divide when both operands are integral);
 - ``exp`` and ``log1p`` are the one truncated exponential and logarithm,
   both instances of ``power_sum``, which runs on integer numerators;
 - ``substitute`` is the one algebra map given by the images of letters;
@@ -28,13 +31,14 @@ every decision about such dicts that more than one layer needs:
 An algebra has an integer core when its elements provide three methods:
 ``_ints()`` gives the element as ({key: int}, den), its terms over one common
 denominator; ``_int_product(a, b)`` multiplies two such numerator dicts in
-the element's context (ring, truncation) and returns one with no zero
-entries; ``_from_ints(nums, den)`` builds the element of that context.  The
-cores are ``z_multiply``'s table lookup (``GrothElement``), the word products
-of ``PBWElement``, the slotwise key merges of the oracle's power-sum series,
-``symfun``'s power-sum product (``SymSeries``), the structure tensor of
-``RingElement`` (whose coefficients are integers, so its denominator is 1)
-and, for ``PowerSeries``, the t-degree pairs over its coefficients' core.
+the element's context (ring, truncation), without changing them, and
+returns one with no zero entries; ``_from_ints(nums, den)`` builds the
+element of that context.  The cores are ``z_multiply``'s table lookup
+(``GrothElement``), the word products of ``PBWElement``, the slotwise key
+merges of the oracle's power-sum series, ``symfun``'s power-sum product
+(``SymSeries``), the structure tensor of ``RingElement`` (whose
+coefficients are integers, so its denominator is 1) and, for
+``PowerSeries``, the t-degree pairs over its coefficients' core.
 """
 
 from fractions import Fraction
@@ -45,7 +49,7 @@ from .errors import DomainError, IntegralityError
 
 def accumulate(dst: dict, src: dict, c=1) -> dict:
     """Add c * src into dst in place, dropping keys that cancel; returns dst."""
-    if c != 1:  # c == 1 spares a Fraction product per term
+    if c != 1:  # c == 1 spares a product per term
         if not c:
             return dst
         src = {k: c * v for k, v in src.items()}
@@ -64,6 +68,25 @@ def accumulate(dst: dict, src: dict, c=1) -> dict:
     return dst
 
 
+def exact(c):
+    """The number c as a coefficient: an int when it is integral, else a
+    Fraction."""
+    if type(c) is not int:
+        c = c if type(c) is Fraction else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def settle(terms: dict) -> dict:
+    """terms with each integral Fraction replaced by its int, in place: the
+    coefficients of a sum or product taken on Fractions."""
+    for k, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[k] = c.numerator
+    return terms
+
+
 def to_numerators(terms: dict) -> tuple[dict, int]:
     """terms as ({key: int}, den) with terms[key] == int / den, den being
     the lcm of the denominators (1 for no terms)."""
@@ -72,9 +95,16 @@ def to_numerators(terms: dict) -> tuple[dict, int]:
 
 
 def from_numerators(nums: dict, den: int) -> dict:
-    """{key: Fraction(n, den)} for the nonzero numerators: the one Fraction
-    per output term an integer core builds."""
-    return {k: Fraction(n, den) for k, n in nums.items() if n}
+    """{key: n / den} for the nonzero numerators, each an int when den
+    divides it and a Fraction otherwise."""
+    if den == 1:
+        return {k: n for k, n in nums.items() if n}
+    out = {}
+    for k, n in nums.items():
+        if n:
+            q, r = divmod(n, den)
+            out[k] = Fraction(n, den) if r else q
+    return out
 
 
 def monomial_product(a: dict, b: dict, merge) -> dict:
@@ -90,18 +120,17 @@ def monomial_product(a: dict, b: dict, merge) -> dict:
 def product(a, b):
     """a * b through their algebra's integer core (see the module docstring),
     once ``a._check(b)`` has passed: each operand cleared once, one core
-    call, one Fraction per output term."""
+    call, one division per output term by the product of the
+    denominators."""
     a._check(b)
     na, da = a._ints()
     nb, db = b._ints()
     return a._from_ints(a._int_product(na, nb), da * db)
 
 
-_ZERO = Fraction(0)  # the coefficient of every absent key; Fractions are immutable
-
-
 class Combination:
-    """A flat element: ``terms`` maps basis keys to nonzero Fractions.
+    """A flat element: ``terms`` maps basis keys to nonzero coefficients,
+    each an int or a Fraction with denominator greater than 1.
 
     A subclass adds its context (ring, labels, truncation degree), its
     truncation ``_fits`` and, to multiply, its integer core
@@ -120,7 +149,7 @@ class Combination:
             fits = self._fits
             for key, c in terms.items():
                 if c and fits(key):
-                    self.terms[key] = c if type(c) is Fraction else Fraction(c)
+                    self.terms[key] = c if type(c) is int else exact(c)
 
     def _fits(self, key) -> bool:
         return True
@@ -140,8 +169,8 @@ class Combination:
                 )
 
     def _like(self, terms: dict):
-        """Same class and context, given clean terms (nonzero Fractions that
-        fit the truncation)."""
+        """Same class and context, given clean terms (nonzero coefficients
+        in the form above that fit the truncation)."""
         out = object.__new__(type(self))
         for name in self._context:
             setattr(out, name, getattr(self, name))
@@ -150,20 +179,20 @@ class Combination:
 
     def __add__(self, other):
         self._check(other)
-        return self._like(accumulate(dict(self.terms), other.terms))
+        return self._like(settle(accumulate(dict(self.terms), other.terms)))
 
     def __sub__(self, other):
         self._check(other)
-        return self._like(accumulate(dict(self.terms), other.terms, -1))
+        return self._like(settle(accumulate(dict(self.terms), other.terms, -1)))
 
     def scale(self, c):
-        c = c if type(c) is Fraction else Fraction(c)
+        c = exact(c)
         if not c:
             return self._like({})
-        return self._like({k: v * c for k, v in self.terms.items()})
+        return self._like(settle({k: v * c for k, v in self.terms.items()}))
 
-    def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, _ZERO)
+    def coefficient(self, key):
+        return self.terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -190,7 +219,9 @@ class Combination:
         return hash(frozenset(self.terms.items()))
 
     def _ints(self) -> tuple[dict, int]:
-        return to_numerators(self.terms)
+        """The terms themselves when all are ints, which no core changes."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return (self.terms, 1) if den == 1 else to_numerators(self.terms)
 
     def _from_ints(self, nums: dict, den: int):
         return self._like(from_numerators(nums, den))
@@ -250,7 +281,7 @@ class PowerSeries(Combination):
         return {key: c for key, c in out.items() if c}
 
     def _from_ints(self, nums: dict, den: int):
-        """One Fraction per term through the coefficients' own ``_from_ints``,
+        """The terms through the coefficients' own ``_from_ints``,
         which holds them to its integrality (a t-series of ring elements
         stays integral); it reads no key, so the flat keys pass through."""
         return self._like(self.zero._from_ints(nums, den).terms)
@@ -276,7 +307,7 @@ def power_sum(x, degree: int, coefficient, out):
     x is cleared once; its first power is x itself, not a product with the
     unit, and each later one is the core applied to the last one and x's
     numerators.  The sum is taken in ints over one denominator, the lcm over
-    k of den(c_k) den(x)^k and den(out), and one Fraction is built per
+    k of den(c_k) den(x)^k and den(out), which is divided out once per
     output term."""
     xn, xd = x._ints()
     power, pd = xn, xd
@@ -325,7 +356,7 @@ def substitute(terms: dict, image, one, letters=tuple):
             if acc.is_zero():
                 break
         accumulate(out, acc.terms, c)
-    return one._like(out)
+    return one._like(settle(out))
 
 
 def first_difference(a: dict, b: dict, order=None):

@@ -146,7 +146,11 @@ class ProductTable:
     kappa = lam(U) (on integers, in power sums), multiplies, converts to
     Schur and divides every coefficient exactly by prod_U |lam(U)|!; a
     remainder raises IntegralityError.  Lams with a slot whose factor is
-    empty in the box are skipped.
+    empty in the box are skipped.  The conversion to Schur keys takes the mu
+    half and then the nu half of each power-sum key through one row each,
+    the product of ``p_to_schur_row`` over the half's filled slots
+    (``_schur_pairs``); a sweep makes each half's row once and drops the
+    rows when it ends.
 
     The table is complete for every pair with |mu| + |nu| <= ``degree`` and
     for every block inside one of ``boxes``; a box (caps, total) holds the
@@ -213,6 +217,7 @@ class ProductTable:
         box = sf._Box(caps, total)
         power = sf._power_images(_substitution_plan(ring), _doubled_labels(ring), box)
         encoded: dict[tuple, list] = {}
+        schur_row = sf._key_rows(sf.p_to_schur_row)
         new: dict[tuple, dict[MultiPartition, int]] = {}
 
         def factor(u: int, kappa) -> list:
@@ -236,11 +241,12 @@ class ProductTable:
                     factors.append(f)
                     scale *= factorial(sum(kappa))
             else:
-                series = {mp_empty(2 * k): 1}
-                for f in factors:
+                # a lone factor is the series as it is, with nothing to multiply
+                series = {key: c for key, _, c in factors[0]} if factors else {mp_empty(2 * k): 1}
+                for f in factors[1:]:
                     series = sf._multiply_int(series, f, box)
-                for key, coeff in sf._convert_int(series, sf.p_to_schur_row).items():
-                    mu, nu = key[:k], key[k:]
+                for pair, coeff in _schur_pairs(series, k, schur_row).items():
+                    mu, nu = pair
                     c, r = divmod(coeff, scale)
                     if r:
                         g = gcd(coeff, scale)
@@ -250,7 +256,7 @@ class ProductTable:
                             f" * Z{format_multipartition(nu, ring.labels)}"
                             f" is {coeff // g}/{scale // g}, not an integer"
                         )
-                    new.setdefault((mu, nu), {})[lam] = c
+                    new.setdefault(pair, {})[lam] = c
         for key, row in new.items():  # rows already held are the same
             self.pairs.setdefault(key, row)
 
@@ -262,6 +268,29 @@ class ProductTable:
             self.ensure(mp_total(mu) + mp_total(nu), ((key[0],), (key[1],)))
             row = self.pairs.get(key, {})
         return row
+
+
+def _schur_pairs(series: dict, k: int, schur_row) -> dict:
+    """An integer power-sum series over the 2k slots of a pair in Schur keys,
+    as {(mu, nu): int}, in two passes: the first k slots of each key go
+    through their row, and the keys that then agree are summed before the
+    last k slots go through theirs.  ``schur_row`` is ``symfun._key_rows``
+    of ``p_to_schur_row``, the row of k slots at a time."""
+    half: dict[tuple, int] = {}
+    get = half.get
+    for key, coeff in series.items():
+        p_nu = key[k:]
+        for mu, a in schur_row(key[:k]):
+            kk = mu, p_nu
+            half[kk] = get(kk, 0) + coeff * a
+    out: dict[tuple, int] = {}
+    get = out.get
+    for (mu, p_nu), c in half.items():
+        if c:
+            for nu, b in schur_row(p_nu):
+                pair = mu, nu
+                out[pair] = get(pair, 0) + c * b
+    return {pair: c for pair, c in out.items() if c}
 
 
 def _blocks_within(caps: tuple, total: int) -> int:
@@ -312,9 +341,9 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     hook sum (``_hooks``).  The coefficients of E_W(t) commute with each
     other for noncommutative R too, so the identity holds there.  One call
     builds P_1..P_n anew from the powers W, W^2, ..., W^n and takes e_1(W),
-    ..., e_n(W) in turn, each division by m checked by ``assert_integral``;
-    the ring's ``e_of`` memo keeps every e_m(W) and supplies those it
-    holds."""
+    ..., e_n(W) in turn, each division by m exact in ints, a remainder
+    raising IntegralityError; the ring's ``e_of`` memo keeps every e_m(W)
+    and supplies those it holds."""
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
@@ -345,8 +374,12 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
             terms = {}
             for k in range(1, m + 1):
                 accumulate(terms, z_multiply(sums[k], es[m - k]).terms)
-            e = GrothElement(ring, terms).scale(Fraction(1, m)).assert_integral(f"e_{m}({W!r})")
-            memo[w, m] = e
+            for c in terms.values():
+                if c % m:
+                    raise IntegralityError(
+                        f"e_{m}({W!r}) has non-integer coefficient {Fraction(c, m)}"
+                    )
+            e = memo[w, m] = GrothElement(ring, {key: c // m for key, c in terms.items()})
         es.append(e)
     return es[n]
 
@@ -416,7 +449,7 @@ def x_basis_element(ring: BaseRing, lam: MultiPartition) -> GrothElement:
         raise DomainError("the X basis needs the ring unit to be a basis element")
     lam = tuple(lam)
     target = lam[one]
-    terms: dict[MultiPartition, Fraction] = {}
+    terms: dict[MultiPartition, int] = {}
     for r in range(sum(target) + 1):
         for mu_size_part in partitions(sum(target) - r):
             c = sf.lr_coefficient((1,) * r, mu_size_part, target)
@@ -424,7 +457,7 @@ def x_basis_element(ring: BaseRing, lam: MultiPartition) -> GrothElement:
                 continue
             key = list(lam)
             key[one] = mu_size_part
-            accumulate(terms, {tuple(key): Fraction((-1) ** r * c)})
+            accumulate(terms, {tuple(key): (-1) ** r * c})
     return GrothElement(ring, terms)
 
 

@@ -29,7 +29,7 @@ from functools import cache
 from . import pbw
 from . import symfun as sf
 from ._exact import (
-    Combination, accumulate, first_difference, monomial_product, power_sum, substitute
+    Combination, accumulate, first_difference, monomial_product, power_sum, settle, substitute
 )
 from .errors import DomainError, IntegralityError
 from .groth import GrothElement, _substitution_plan, _doubled_labels, product_table
@@ -80,21 +80,21 @@ class TensorGroth(Combination):
     def __mul__(self, other: "TensorGroth") -> "TensorGroth":
         self._check(other)
         table = product_table(self.ring)
-        terms: dict[tuple, Fraction] = {}
+        terms: dict = {}
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
                 c = c1 * c2
                 right = table.constants(n1, n2)
                 for lm, cl in table.constants(m1, m2).items():
                     accumulate(terms, {(lm, ln): cr for ln, cr in right.items()}, c * cl)
-        return self._like(terms)
+        return self._like(settle(terms))
 
 
 def comultiply(x: GrothElement) -> TensorGroth:
     """Delta(Z_lam) = sum prod_U c^{lam(U)}_{mu(U),nu(U)} Z_mu (x) Z_nu."""
     ring = x.ring
     rank = ring.rank()
-    terms: dict[tuple, Fraction] = {}
+    terms: dict = {}
     for lam, coeff in x.terms.items():
         splits = {(mp_empty(rank), mp_empty(rank)): 1}
         for slot in range(rank):
@@ -111,7 +111,7 @@ def comultiply(x: GrothElement) -> TensorGroth:
     return TensorGroth(ring, terms)
 
 
-def counit(x: GrothElement) -> Fraction:
+def counit(x: GrothElement) -> int | Fraction:
     """Coefficient of the empty key (the algebra map killing all e_r, r>0)."""
     return x.coefficient(mp_empty(x.ring.rank()))
 
@@ -125,7 +125,7 @@ def antipode(x: GrothElement) -> GrothElement:
     bad image in the memo fails each time it is used."""
     ring = x.ring
     images = ring.memo("antipode", dict)
-    terms: dict[MultiPartition, Fraction] = {}
+    terms: dict = {}
     for lam, c in x.terms.items():
         image = images.get(lam)
         if image is None:
@@ -133,7 +133,7 @@ def antipode(x: GrothElement) -> GrothElement:
                 pbw.antipode_pbw(pbw.z_element_pbw(ring, lam))
             ).terms
         accumulate(terms, image, c)
-    out = x._like(terms)
+    out = x._like(settle(terms))
     if x.is_integral():
         out.assert_integral("antipode image")
     return out
@@ -204,7 +204,7 @@ def dual_antipode_on_schur(ring: BaseRing, lam: MultiPartition, degree: int) -> 
 
 Symbol = tuple[int, int, int]  # (family, basis index, e-degree)
 Monomial = tuple[Symbol, ...]
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, int]
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -239,15 +239,15 @@ class LawPoly(Combination):
             room = self.degree - _mono_degree(kb)
             part = {_merge_symbols(ka, kb): ca for ka, ca in left if _mono_degree(ka) <= room}
             accumulate(out, part, cb)
-        return self._like(out)
+        return self._like(settle(out))
 
 
 @cache
-def _p_in_e_row(rho: Partition) -> dict[Partition, Fraction]:
+def _p_in_e_row(rho: Partition) -> dict[Partition, int]:
     """p_rho expanded over e-monomials (integral via the Newton recursion)."""
     from .witt import power_in_e
 
-    out: dict[Partition, Fraction] = {(): Fraction(1)}
+    out: dict[Partition, int] = {(): 1}
     for l in rho:
         out = monomial_product(out, power_in_e(l), sf.merge_parts)
     return out
@@ -296,7 +296,7 @@ def formal_group_law(ring: BaseRing, degree: int) -> GroupLaw:
                     raise IntegralityError(
                         f"group law component ({ring.labels[u]}, {i}) is not integral"
                     )
-            components[(u, i)] = poly
+            components[(u, i)] = settle(poly)
     return GroupLaw(ring, degree, components)
 
 

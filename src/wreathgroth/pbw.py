@@ -28,7 +28,7 @@ the truncated exp and log of ``_exact.power_sum``.  A ``TSeries`` is an
 of its PBW coefficients, and ``theta_t`` and the substitution t -> -t^r
 of ``f_series_mobius`` rewrite those terms in one pass.  Each operand's
 Fractions are cleared once with their lcm, the loops multiply and add
-ints, and one Fraction is built per output term.  The cores take nothing
+ints, and the lcm is divided out of each output term.  The cores take nothing
 from ``groth``'s ``ProductTable``, so the oracle stays an independent
 route.  The product of two normal words comes from the kernel once per
 ring and word pair and is kept in the ring's ``pbw_products`` memo: the
@@ -38,7 +38,7 @@ each word's degree, summed once, for the truncations.
 The Z-table holds each Z_lam as integer numerators over one denominator,
 ({word: int}, den), and so does its inverse, ``word_to_z``, for each word's
 Z-basis row.  There is one change to the Z basis, ``_in_z_basis``: word
-numerators in, one Fraction per Z key out.  ``oracle_multiply`` multiplies
+numerators in, one coefficient per Z key out.  ``oracle_multiply`` multiplies
 two table entries with the word core and hands the product's numerators
 straight to it; ``to_z_basis`` clears a ``PBWElement`` once and does the
 same.  The inverse is triangular by degree and the block of degree n
@@ -75,7 +75,7 @@ from .partitions import (
     multipartitions,
 )
 from .ring import BaseRing, RingElement
-from .symfun import _convert_int, merge_parts, p_to_schur_row
+from .symfun import _convert_int, _key_rows, merge_parts, p_to_schur_row
 
 
 def sym(l: int, u: int) -> int:
@@ -172,14 +172,25 @@ class PBWElement(Combination):
     def _fits(self, w) -> bool:
         return _word_degrees(self.ring)[w] <= self.degree
 
-    def __mul__(self, other: "PBWElement") -> "PBWElement":
-        """The product, truncated at the smaller of the two degrees: neither
-        operand is known above its own."""
+    def _at_common_degree(self, other: "PBWElement") -> tuple:
+        """Both operands truncated at the smaller of their degrees, once the
+        operand check has passed: neither is known above its own."""
         self._check(other)
-        left = self
-        if other.degree < self.degree:
-            left = PBWElement(self.ring, other.degree, self.terms)
-        return product(left, other)
+        degree = min(self.degree, other.degree)
+        return tuple(
+            x if x.degree == degree else PBWElement(x.ring, degree, x.terms)
+            for x in (self, other)
+        )
+
+    def __add__(self, other: "PBWElement") -> "PBWElement":
+        return Combination.__add__(*self._at_common_degree(other))
+
+    def __sub__(self, other: "PBWElement") -> "PBWElement":
+        return Combination.__sub__(*self._at_common_degree(other))
+
+    def __mul__(self, other: "PBWElement") -> "PBWElement":
+        """The product, truncated at the smaller of the two degrees."""
+        return product(*self._at_common_degree(other))
 
     @classmethod
     def zero(cls, ring, degree):
@@ -187,7 +198,7 @@ class PBWElement(Combination):
 
     @classmethod
     def one(cls, ring, degree):
-        return cls(ring, degree, {(): Fraction(1)})
+        return cls(ring, degree, {(): 1})
 
     @classmethod
     def generator(cls, ring, degree, l, element: RingElement):
@@ -289,7 +300,7 @@ class MixedSeries(_PowerSumSeries):
 
     @classmethod
     def one(cls, ring, degree):
-        return cls(ring, degree, {(mp_empty(ring.rank()), ()): Fraction(1)})
+        return cls(ring, degree, {(mp_empty(ring.rank()), ()): 1})
 
 
 def apply_t(l: int, x: RingSeries, degree: int) -> MixedSeries:
@@ -355,8 +366,9 @@ def schur_coefficients(series: MixedSeries) -> dict[MultiPartition, tuple[dict, 
     for (pkey, w), c in nums.items():
         by_word.setdefault(w, {})[pkey] = c
     table: dict[MultiPartition, dict[tuple, int]] = {}
+    key_row = _key_rows(p_to_schur_row)
     for w, terms in by_word.items():
-        for skey, c in _convert_int(terms, p_to_schur_row).items():
+        for skey, c in _convert_int(terms, key_row).items():
             table.setdefault(skey, {})[w] = c
     return {mp: _lowest_terms(terms, den) for mp, terms in table.items()}
 
@@ -426,7 +438,7 @@ def _z_numerators(rows: dict, nums: dict, den: int) -> tuple[dict, int]:
 
 def _in_z_basis(ring: BaseRing, nums: dict, den: int) -> GrothElement:
     """The combination nums / den of normal words in the Z basis: the one
-    change of basis, on integer numerators, with one Fraction per Z key.
+    change of basis, on integer numerators, with one coefficient per Z key.
     The table is sized by the words present, not by a truncation bound, so
     sparse elements with generous truncations stay cheap."""
     word_deg = _word_degrees(ring)
@@ -605,7 +617,7 @@ def lambda_on_e1(ring: BaseRing, n: int, U: RingElement, degree=None) -> GrothEl
         raise MissingDataError(f"ring {ring.name} carries no lambda operations")
     out = TSeries.one(ring, degree)
     for l in range(1, degree + 1):
-        arg: dict[int, dict[int, Fraction]] = {}
+        arg: dict[int, dict[int, int]] = {}
         for r in range(0, degree // l + 1):
             vec = ring.lambda_apply(r, U)
             sign = (-1) ** (r * (l - 1))
@@ -623,7 +635,7 @@ def antipode_pbw(x: PBWElement) -> PBWElement:
     """The anti-automorphism with S(T_l(U)) = -T_l(U): reverse each word,
     flip the sign per letter, renormalize."""
     product = _word_products(x.ring)
-    terms: dict[tuple, Fraction] = {}
+    terms: dict = {}
     for w, c in x.terms.items():
         accumulate(terms, dict(product[tuple(reversed(w)), ()]), -c if len(w) & 1 else c)
     return PBWElement(x.ring, x.degree, terms)

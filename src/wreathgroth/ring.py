@@ -46,7 +46,7 @@ class RingElement(Combination):
     def key(self) -> tuple:
         """The terms in basis order, as (basis index, integer coefficient):
         equal elements give equal keys."""
-        return tuple(sorted((u, c.numerator) for u, c in self.terms.items()))
+        return tuple(sorted(self.terms.items()))
 
     def basis_index(self):
         """Index if this is a single basis element with coefficient 1."""

@@ -2,19 +2,19 @@
 
 A SymSeries is a sparse linear combination of power-sum monomials
 prod_U p_{key(U)}(x_U), keyed by multipartitions over its label list, every
-key of total degree <= the truncation degree, with exact Fraction
-coefficients.  Power sums are the one basis held: products are key merges
-there, and the standard plethystic substitutions are diagonal (Macdonald,
-I.7).  Schur functions come in through ``schur_to_power``, from a
+key of total degree <= the truncation degree, with exact coefficients.
+Power sums are the one basis held: products are key merges there, and the
+standard plethystic substitutions are diagonal (Macdonald, I.7).  Schur functions come in through ``schur_to_power``, from a
 ``{Schur key: coefficient}`` dict (``SymSeries.schur`` for one term), and go
 out through ``power_to_schur``, which returns such a dict.
 
 The inner loops (basis change, product, substitution) are private cores on
 integer numerators, ``{key: int}`` dicts.  A public function clears its
-input's denominators with their lcm, runs the cores and builds one Fraction
-per output term.  ``SymSeries`` gives ``_exact`` the power-sum product as its
-integer core, so ``multiply`` and the truncated exp and log (``cauchy_kernel``)
-share it.  Schur keys enter the cores as prod |kappa|! s_kappa, whose
+input's denominators with their lcm, runs the cores and divides the lcm out
+of each output term.  A basis change takes each key through one row, the
+product of the rows of its slots (``_key_rows``).  ``SymSeries`` gives
+``_exact`` the power-sum product as its integer core, so ``multiply`` and
+the truncated exp and log (``cauchy_kernel``) share it.  Schur keys enter the cores as prod |kappa|! s_kappa, whose
 power-sum coefficients are integers because z_mu divides |mu|! (Macdonald,
 I.7); ``scaled_schur_to_p_row`` asserts that division.
 
@@ -28,6 +28,7 @@ the box of their degree; the product table of ``groth`` sweeps smaller
 boxes.
 """
 
+import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -107,14 +108,14 @@ class SymSeries(Combination):
     @classmethod
     def one(cls, labels, degree):
         key = ((),) * len(labels)
-        return cls(labels, degree, {key: Fraction(1)})
+        return cls(labels, degree, {key: 1})
 
     @classmethod
     def generator(cls, labels, label, partition, degree):
         """p_partition of the variable set ``label``."""
         labels = tuple(labels)
         key = mp_single(len(labels), labels.index(label), tuple(partition))
-        return cls(labels, degree, {key: Fraction(1)})
+        return cls(labels, degree, {key: 1})
 
     @classmethod
     def schur(cls, labels, label, kappa, degree):
@@ -144,13 +145,14 @@ def schur_to_power(labels, degree: int, schur: dict) -> SymSeries:
     scale = {k: prod(factorial(sum(p)) for p in k) for k in nums}
     m = lcm(*scale.values())
     nums = {k: c * (m // scale[k]) for k, c in nums.items()}
-    return SymSeries(labels, degree)._from_ints(_convert_int(nums, scaled_schur_to_p_row), den * m)
+    nums = _convert_int(nums, _key_rows(scaled_schur_to_p_row))
+    return SymSeries(labels, degree)._from_ints(nums, den * m)
 
 
-def power_to_schur(f: SymSeries) -> dict[MultiPartition, Fraction]:
-    """The Schur coefficients of f, ``{Schur key: Fraction}``."""
+def power_to_schur(f: SymSeries) -> dict:
+    """The Schur coefficients of f, ``{Schur key: coefficient}``."""
     nums, den = f._ints()
-    return from_numerators(_convert_int(nums, p_to_schur_row), den)
+    return from_numerators(_convert_int(nums, _key_rows(p_to_schur_row)), den)
 
 
 def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
@@ -161,20 +163,36 @@ def multiply(a: SymSeries, b: SymSeries) -> SymSeries:
 
 # -- integer cores: {key: int} dicts, zero coefficients dropped -------------
 
-def _convert_int(terms: dict, row) -> dict:
-    """Change basis one slot at a time; row(p) is {q: int} for a partition."""
-    for slot in range(len(next(iter(terms), ()))):
-        out: dict[MultiPartition, int] = {}
-        for key, coeff in terms.items():
-            if not key[slot]:
-                out[key] = out.get(key, 0) + coeff
-                continue
-            head, tail = key[:slot], key[slot + 1:]
-            for q, rc in row(key[slot]).items():
-                k = head + (q,) + tail
-                out[k] = out.get(k, 0) + coeff * rc
-        terms = {k: c for k, c in out.items() if c}
-    return terms
+def _key_rows(row):
+    """The change of basis of whole keys given row(p), {q: int}, for one
+    partition: a function taking a key to its row, the list of (key, int)
+    pairs over every choice of one q per filled slot (an empty slot stays
+    empty), the coefficient being the product of the chosen entries.  Each
+    key's row is made once and kept as long as the function is."""
+    rows: dict[MultiPartition, list] = {}
+    empty = {(): 1}
+
+    def key_row(key) -> list:
+        got = rows.get(key)
+        if got is None:
+            slots = [row(p) if p else empty for p in key]
+            got = rows[key] = list(zip(
+                itertools.product(*(r.keys() for r in slots)),
+                map(prod, itertools.product(*(r.values() for r in slots))),
+            ))
+        return got
+
+    return key_row
+
+
+def _convert_int(terms: dict, key_row) -> dict:
+    """Change basis key by key, through one row per key (``_key_rows``)."""
+    out: dict[MultiPartition, int] = {}
+    get = out.get
+    for key, coeff in terms.items():
+        for k, rc in key_row(key):
+            out[k] = get(k, 0) + coeff * rc
+    return {k: c for k, c in out.items() if c}
 
 
 class _Box:

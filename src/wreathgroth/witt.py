@@ -5,7 +5,8 @@ of e_1..e_n under an algebra map out of symmetric functions.  Addition is
 dual to the coproduct e_n -> sum e_i (x) e_{n-i}; multiplication is dual to
 the Kronecker coproduct e_n -> sum_{lam} s_lam (x) s_lam'.  Ghost components,
 the images of the power sums, diagonalize both, so a product is taken on the
-ghosts and brought back by Newton's identity (Macdonald, I.2).
+ghosts; Newton's identity gives the ghosts from the components in O(n^2)
+steps and brings them back (Macdonald, I.2).
 
 Components here are plain Python ints (exact); the symbolic side of the
 story, the formal group law on the e-coordinates, lives in ``hopf``.
@@ -65,18 +66,20 @@ def power_in_e(n: int) -> EPoly:
     return out
 
 
-def evaluate_epoly(poly: EPoly, comps) -> int:
-    """Evaluate at e_i = comps[i-1] (and e_0 = 1)."""
-    total = 0
-    for key, coeff in poly.items():
-        val = coeff
-        for i in key:
-            if i > len(comps):
-                val = 0
-                break
-            val *= comps[i - 1]
-        total += val
-    return total
+def _ghosts(comps) -> list[int]:
+    """The ghost components w_1..w_n of a_1..a_n = comps, by the Newton
+    recursion that ``power_in_e`` expands symbolically:
+    w_n = sum_{k<n} (-1)^(k-1) a_k w_{n-k} + (-1)^(n-1) n a_n."""
+    w: list[int] = []
+    for n in range(1, len(comps) + 1):
+        total = n * comps[n - 1]
+        if not n & 1:
+            total = -total
+        for k in range(1, n):
+            term = comps[k - 1] * w[n - k - 1]
+            total += term if k & 1 else -term
+        w.append(total)
+    return w
 
 
 class WittVector:
@@ -122,8 +125,9 @@ class WittVector:
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        ks = range(1, len(self.comps) + 1)
-        return WittVector.from_ghosts([self.ghost(k) * other.ghost(k) for k in ks])
+        return WittVector.from_ghosts(
+            [x * y for x, y in zip(_ghosts(self.comps), _ghosts(other.comps))]
+        )
 
     @classmethod
     def from_ghosts(cls, ghosts) -> "WittVector":
@@ -141,8 +145,8 @@ class WittVector:
         """Image of p_n: the n-th ghost component."""
         if not 1 <= n <= len(self.comps):
             raise DomainError(f"ghost index {n} out of range 1..{len(self.comps)}")
-        return evaluate_epoly(power_in_e(n), self.comps)
+        return _ghosts(self.comps[:n])[-1]
 
     def ghosts(self) -> tuple[int, ...]:
-        return tuple(self.ghost(n) for n in range(1, len(self.comps) + 1))
+        return tuple(_ghosts(self.comps))
 

@@ -16,9 +16,11 @@ from wreathgroth._exact import (
     Combination,
     PowerSeries,
     accumulate,
+    exact,
     exp,
     first_difference,
     format_terms,
+    from_numerators,
     log1p,
     power_sum,
     reduce,
@@ -459,3 +461,91 @@ def test_every_operation_refuses_operands_of_another_context(cls):
             for op in (a.__add__, a.__sub__, a.__mul__):
                 with pytest.raises(DomainError):
                     op(b)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient form: an int exactly when the coefficient is integral
+
+def _in_form(x) -> bool:
+    return all(type(c) is (int if c.denominator == 1 else F) for c in x.terms.values())
+
+
+def _only_ints(x) -> bool:
+    return all(type(c) is int for c in x.terms.values())
+
+
+# each type: two integral elements that multiply, given partly as integral
+# Fractions, which the constructor turns into ints
+INTEGRAL_PAIRS = {
+    GrothElement: lambda: (
+        GrothElement(C2, {mp_single(2, 1, (1,)): F(2), mp_single(2, 0, (2,)): -3}),
+        GrothElement(C2, {mp_single(2, 1, (1, 1)): F(6, 3), mp_single(2, 0, ()): 1}),
+    ),
+    rg.RingElement: lambda: (
+        rg.RingElement(C2, {0: F(2), 1: -1}),
+        rg.RingElement(C2, {0: 3, 1: F(-8, 4)}),
+    ),
+    PBWElement: lambda: (
+        PBWElement(C2, 3, {(sym(1, 1),): F(3), (sym(1, 0),): 2}),
+        PBWElement(C2, 3, {(sym(1, 1), sym(2, 1)): -1, (sym(2, 0),): F(10, 5)}),
+    ),
+    SymSeries: lambda: (
+        SymSeries(LABELS, 4, {((1,), ()): F(2), ((), (2,)): -1}),
+        SymSeries(LABELS, 4, {((1, 1), ()): 5, ((2,), (1,)): F(-9, 3)}),
+    ),
+    hopf.LawPoly: lambda: (
+        hopf.LawPoly(3, {((0, 0, 1),): F(2), ((1, 0, 1),): 1}),
+        hopf.LawPoly(3, {((0, 0, 1), (1, 0, 1)): F(4, 2), (): -1}),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", INTEGRAL_PAIRS, ids=lambda c: c.__qualname__)
+def test_integral_operands_give_only_ints(cls):
+    a, b = INTEGRAL_PAIRS[cls]()
+    results = [a, b, a + b, a - b, b - a, a * b, b * a, a.scale(3), a.scale(F(4, 2))]
+    for x in results:
+        assert type(x) is cls and _only_ints(x)
+    assert not (a * b).is_zero() and not (a + b).is_zero()
+
+
+@pytest.mark.parametrize("cls", [c for c in INTEGRAL_PAIRS if c is not rg.RingElement],
+                         ids=lambda c: c.__qualname__)
+def test_a_fraction_appears_exactly_when_the_denominator_exceeds_one(cls):
+    a, b = INTEGRAL_PAIRS[cls]()
+    half = a.scale(F(1, 2))
+    assert _in_form(half) and any(type(c) is F for c in half.terms.values())
+    assert half.scale(2) == a and _only_ints(half.scale(2))
+    assert half + half == a and _only_ints(half + half)
+    third = b.scale(F(1, 3))
+    for x in (half + third, half - third, half * b, a * third, half * third, half.scale(6)):
+        assert _in_form(x)
+
+
+def test_numerators_come_back_as_ints_where_the_denominator_divides():
+    got = from_numerators({"a": 4, "b": 3, "c": 0, "d": -6}, 2)
+    assert got == {"a": 2, "b": F(3, 2), "d": -3}
+    assert [type(c) for c in got.values()] == [int, F, int]
+    assert all(type(c) is int for c in from_numerators({"a": 4, "b": -1}, 1).values())
+    assert [type(exact(c)) for c in (3, F(6, 2), F(1, 2), True, 0.5)] == [int, int, F, int, F]
+
+
+@pytest.mark.parametrize("ring", [C2, rg.golden_ring(), rg.matrix_ring(2)], ids=lambda r: r.name)
+def test_z_multiply_of_integral_elements_builds_no_fraction(monkeypatch, ring):
+    from wreathgroth import _exact, groth
+
+    W = ring.element({u: u + 1 for u in range(ring.rank())})
+    a, b = groth.e_of(ring, 2, W), groth.h_element(ring, 2, W)
+    groth.z_multiply(a, b)  # the table rows, built before counting
+    half = a.scale(F(1, 2))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(_exact, "Fraction", counted)
+    x = groth.z_multiply(a, b)
+    assert built == [] and _only_ints(x) and not x.is_zero()
+    y = groth.z_multiply(half, b)  # the patch does count: a half builds Fractions
+    assert built and _in_form(y) and y.scale(2) == x

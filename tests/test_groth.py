@@ -429,3 +429,45 @@ def test_e_of_memoises_only_w_itself():
             gr.e_of(ring, n, W)
     assert set(ring._caches["e_of"]) == {(W.key(), n) for W in elements for n in range(1, 5)}
     assert "f_basis" not in ring._caches
+
+
+def _convert_slot_by_slot(terms: dict, row) -> dict:
+    """The change of basis one slot at a time over every slot, as the product
+    table sweep once made it: the reference for the row-per-key forms."""
+    for slot in range(len(next(iter(terms), ()))):
+        out: dict = {}
+        for key, coeff in terms.items():
+            if not key[slot]:
+                out[key] = out.get(key, 0) + coeff
+                continue
+            head, tail = key[:slot], key[slot + 1:]
+            for q, rc in row(key[slot]).items():
+                k = head + (q,) + tail
+                out[k] = out.get(k, 0) + coeff * rc
+        terms = {k: c for k, c in out.items() if c}
+    return terms
+
+
+def _random_partition(rng, n):
+    parts = []
+    while n:
+        parts.append(rng.randint(1, n))
+        n -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_row_per_key_conversion_equals_the_slot_by_slot_reference(k):
+    rng = random.Random(k)
+    for _ in range(8):
+        terms = {}
+        for _ in range(rng.randint(1, 30)):
+            sizes = [rng.choice((0, 0, 1, 2, 3)) for _ in range(2 * k)]
+            key = tuple(_random_partition(rng, s) for s in sizes)
+            terms[key] = terms.get(key, 0) + rng.randint(-9, 9)
+        terms = {key: c for key, c in terms.items() if c}
+        for row in (sf.p_to_schur_row, sf.scaled_schur_to_p_row):
+            want = _convert_slot_by_slot(terms, row)
+            assert sf._convert_int(terms, sf._key_rows(row)) == want
+            pairs = gr._schur_pairs(terms, k, sf._key_rows(row))
+            assert {mu + nu: c for (mu, nu), c in pairs.items()} == want

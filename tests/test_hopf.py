@@ -397,7 +397,7 @@ DUAL_ANTIPODE_SHA256 = [
 )
 def test_dual_antipode_power_sums_are_pinned(ring, degree, digest):
     entries = sorted(
-        (l, u, key, c)
+        (l, u, key, Fraction(c))  # the digest was taken on Fraction coefficients
         for l in range(1, degree + 1)
         for u, image in hopf.dual_antipode_power_sum(ring, l, degree).items()
         for key, c in image.terms.items()

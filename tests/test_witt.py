@@ -11,6 +11,21 @@ from wreathgroth.symfun import merge_parts
 from wreathgroth.witt import WittVector
 
 
+def evaluate_epoly(poly: dict, comps) -> int:
+    """Evaluate an integer polynomial in the e_i at e_i = comps[i-1] (and
+    e_0 = 1)."""
+    total = 0
+    for key, coeff in poly.items():
+        val = coeff
+        for i in key:
+            if i > len(comps):
+                val = 0
+                break
+            val *= comps[i - 1]
+        total += val
+    return total
+
+
 def test_schur_in_e_small():
     assert witt.schur_in_e(()) == {(): 1}
     assert witt.schur_in_e((1,)) == {(1,): 1}
@@ -32,6 +47,17 @@ def test_ghost_formulas():
     assert a.ghost(3) == 2**3 - 3 * 2 * 3 + 3 * 5
     with pytest.raises(DomainError):
         a.ghost(4)
+
+
+def test_ghosts_by_newton_match_power_sums_in_e():
+    # the O(n^2) recursion against p_n written in the e_i and evaluated
+    rng = random.Random(5)
+    for length in range(1, 10):
+        for _ in range(4):
+            a = WittVector([rng.randint(-9, 9) for _ in range(length)])
+            want = tuple(evaluate_epoly(witt.power_in_e(n), a.comps) for n in range(1, length + 1))
+            assert a.ghosts() == want
+            assert tuple(a.ghost(n) for n in range(1, length + 1)) == want
 
 
 def test_additive_identity():
@@ -146,8 +172,8 @@ def test_mul_matches_kronecker_coproduct_sum():
             b = WittVector([rng.randint(-7, 7) for _ in range(length)])
             want = [
                 sum(
-                    witt.evaluate_epoly(witt.schur_in_e(lam), a.comps)
-                    * witt.evaluate_epoly(witt.schur_in_e(conjugate(lam)), b.comps)
+                    evaluate_epoly(witt.schur_in_e(lam), a.comps)
+                    * evaluate_epoly(witt.schur_in_e(conjugate(lam)), b.comps)
                     for lam in partitions(n)
                 )
                 for n in range(1, length + 1)

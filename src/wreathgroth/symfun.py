@@ -4,9 +4,10 @@ A SymSeries is a sparse linear combination of power-sum monomials
 prod_U p_{key(U)}(x_U), keyed by multipartitions over its label list, every
 key of total degree <= the truncation degree, with exact coefficients.
 Power sums are the one basis held: products are key merges there, and the
-standard plethystic substitutions are diagonal (Macdonald, I.7).  Schur functions come in through ``schur_to_power``, from a
-``{Schur key: coefficient}`` dict (``SymSeries.schur`` for one term), and go
-out through ``power_to_schur``, which returns such a dict.
+standard plethystic substitutions are diagonal (Macdonald, I.7).  Schur
+functions come in through ``schur_to_power``, from a ``{Schur key:
+coefficient}`` dict (``SymSeries.schur`` for one term), and go out through
+``power_to_schur``, which returns such a dict.
 
 The inner loops (basis change, product, substitution) are private cores on
 integer numerators, ``{key: int}`` dicts.  A public function clears its
@@ -14,9 +15,10 @@ input's denominators with their lcm, runs the cores and divides the lcm out
 of each output term.  A basis change takes each key through one row, the
 product of the rows of its slots (``_key_rows``).  ``SymSeries`` gives
 ``_exact`` the power-sum product as its integer core, so ``multiply`` and
-the truncated exp and log (``cauchy_kernel``) share it.  Schur keys enter the cores as prod |kappa|! s_kappa, whose
-power-sum coefficients are integers because z_mu divides |mu|! (Macdonald,
-I.7); ``scaled_schur_to_p_row`` asserts that division.
+the truncated exp and log (``cauchy_kernel``) share it.  Schur keys enter
+the cores as prod |kappa|! s_kappa, whose power-sum coefficients are
+integers because z_mu divides |mu|! (Macdonald, I.7);
+``scaled_schur_to_p_row`` asserts that division.
 
 Truncation is strict: operations discard keys above the degree, and
 ``Combination._check``, which every +, - and * runs, refuses operands with

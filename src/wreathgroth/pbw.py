@@ -13,12 +13,17 @@ Schur key lam in
 
 is the PBW expansion of the basis element Z_lam.  Levels above the truncation
 degree cannot contribute (T_l alone has degree l), so the product over l is
-finite by a proven cutoff, not a tolerance.  Everything this module computes
-is derived from that series and serves as the independent cross-check for
-the combinatorial layer in ``groth``.  Its symmetric-function side is held in
-power sums: a ``RingSeries`` (an element of R (x) Lambda, the argument of a
-Theta_l) maps (power-sum multipartition, basis index of R) to a coefficient,
-and a ``MixedSeries`` maps (power-sum multipartition, normal word).
+finite by a proven cutoff, not a tolerance.  Each level is a copy of the same
+Lie algebra, so Theta_l is Theta_1 with each T_1 renamed T_l (``lift``) and
+p_1 renamed p_l: the series is taken once, at level 1, and factors at
+increasing levels multiply by concatenating normal words, with no rewriting.
+The E- and lambda-series lift their Theta_1 the same way
+(``_lifted_product``).  Everything this module computes is derived from that
+series and serves as the independent cross-check for the combinatorial layer
+in ``groth``.  Its symmetric-function side is held in power sums: a
+``RingSeries`` (an element of R (x) Lambda, the argument of a Theta_l) maps
+(power-sum multipartition, basis index of R) to a coefficient, and a
+``MixedSeries`` maps (power-sum multipartition, normal word).
 
 The products (``PBWElement`` and both series) and the change to the Z basis
 run on integer numerators.  ``PBWElement`` and ``_PowerSumSeries`` each give
@@ -41,27 +46,27 @@ Z-basis row.  There is one change to the Z basis, ``_in_z_basis``: word
 numerators in, one coefficient per Z key out.  ``oracle_multiply`` multiplies
 two table entries with the word core and hands the product's numerators
 straight to it; ``to_z_basis`` clears a ``PBWElement`` once and does the
-same.  The inverse is triangular by degree and the block of degree n
-depends only on Z_lam with |lam| <= n, which a larger truncation does not
-change, so asking for a larger degree solves only the new blocks; the
-generating series itself is still built whole at the new degree.
+same.  Z_lam does not depend on the truncation, and the inverse is
+triangular by degree, its block of degree n fixed by the symmetric-group
+characters; so asking for a larger degree builds only the new Z_lam, one
+size at a time, and solves only the new blocks.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import kernels
 from ._exact import (
     Combination,
     PowerSeries,
     accumulate,
+    exact,
     exp,
     first_difference,
     format_terms,
     from_numerators,
     log1p,
     product,
-    row_reduce,
     substitute,
     to_numerators,
 )
@@ -69,13 +74,15 @@ from .errors import DomainError, IntegralityError, MissingDataError
 from .groth import GrothElement
 from .partitions import (
     MultiPartition,
+    format_multipartition,
     mp_empty,
     mp_single,
     mp_total,
     multipartitions,
+    z_factor,
 )
 from .ring import BaseRing, RingElement
-from .symfun import _convert_int, _key_rows, merge_parts, p_to_schur_row
+from .symfun import _key_rows, merge_parts, p_to_schur_row
 
 
 def sym(l: int, u: int) -> int:
@@ -321,19 +328,6 @@ def theta(l: int, x: RingSeries, degree: int) -> MixedSeries:
     return exp(apply_t(l, logx, degree), MixedSeries.one(x.ring, degree), degree)
 
 
-def generating_series(ring: BaseRing, degree: int) -> MixedSeries:
-    """prod_{l<=degree} Theta_l(1 + sum_U p_l(x_U) U); levels above the
-    truncation cannot reach degree <= D since T_l has filtration degree l."""
-    rank = ring.rank()
-    out = MixedSeries.one(ring, degree)
-    for l in range(1, degree + 1):
-        arg = RingSeries.one(ring, degree) + RingSeries(
-            ring, degree, {mp_single(rank, u, (l,)): {u: 1} for u in range(rank)}
-        )
-        out = out * theta(l, arg, degree)
-    return out
-
-
 class _ZData:
     """The Z-table to ``degree`` and its inverse.  ``ztable`` holds each Z_lam
     as ({normal word: int}, den) in lowest terms, ``word_to_z`` each normal
@@ -348,7 +342,8 @@ class _ZData:
 def _zdata(ring: BaseRing, degree: int) -> _ZData:
     data = ring._caches.get("pbw_zdata")
     if data is None or data.degree < degree:
-        ztable = schur_coefficients(generating_series(ring, degree))
+        ztable = dict(data.ztable) if data else {}
+        ztable.update(_grow_ztable(ring, data.degree if data else -1, degree))
         # a new object: the smaller one stays whole for whoever holds it, and
         # perfbench counts a build as a change of the cached object
         data = _ZData(degree, ztable, _invert_ztable(ring, ztable, degree, data))
@@ -356,21 +351,56 @@ def _zdata(ring: BaseRing, degree: int) -> _ZData:
     return data
 
 
-def schur_coefficients(series: MixedSeries) -> dict[MultiPartition, tuple[dict, int]]:
-    """Re-expand the power-sum symmetric side of a mixed series in Schur
-    keys, giving each key's PBW coefficient as ({word: int}, den) in lowest
-    terms: the series is cleared to integer numerators once and each word's
-    power-sum part converted as one block."""
-    nums, den = to_numerators(series.terms)
-    by_word: dict[tuple, dict[MultiPartition, int]] = {}
-    for (pkey, w), c in nums.items():
-        by_word.setdefault(w, {})[pkey] = c
-    table: dict[MultiPartition, dict[tuple, int]] = {}
+def lift(l: int, w: tuple) -> tuple:
+    """w, a word of level-1 symbols, with each T_1 renamed T_l."""
+    return tuple(s + ((l - 1) << 16) for s in w)
+
+
+def _grow_ztable(ring: BaseRing, done: int, degree: int) -> dict:
+    """Z_lam for done < |lam| <= degree, as in ``_ZData.ztable``.  The
+    series coefficient at a power-sum key rho is the concatenation, over the
+    part sizes l of rho in increasing order, of the level-l lift of Theta_1
+    at the multiplicities of l in the slots of rho.  Each level has one
+    denominator, over the terms it keeps."""
+    rank = ring.rank()
+    arg = RingSeries.one(ring, degree) + RingSeries(
+        ring, degree, {mp_single(rank, u, (1,)): {u: 1} for u in range(rank)}
+    )
+    theta1 = theta(1, arg, degree).terms
+    intern = _word_products(ring).words.setdefault
+    # pieces[l]: {slot multiplicities: [(lifted word, numerator over dens[l])]}
+    pieces, dens = [{}], [1]
+    for l in range(1, degree + 1):
+        nums, den = to_numerators(
+            {kw: c for kw, c in theta1.items() if l * mp_total(kw[0]) <= degree}
+        )
+        pieces.append({})
+        dens.append(den)
+        for (key, w), c in nums.items():
+            w = lift(l, w)
+            pieces[l].setdefault(tuple(map(len, key)), []).append((intern(w, w), c))
     key_row = _key_rows(p_to_schur_row)
-    for w, terms in by_word.items():
-        for skey, c in _convert_int(terms, key_row).items():
-            table.setdefault(skey, {})[w] = c
-    return {mp: _lowest_terms(terms, den) for mp, terms in table.items()}
+    out = {}
+    for n in range(done + 1, degree + 1):
+        den = prod(dens[:n + 1])
+        table: dict[MultiPartition, dict[tuple, int]] = {}
+        for rho in multipartitions(rank, n):
+            sizes = sorted(set().union(*rho))
+            coeff = {(): den // prod(dens[l] for l in sizes)}
+            for l in sizes:
+                piece = pieces[l].get(tuple(p.count(l) for p in rho), ())
+                coeff = {w1 + w2: c1 * c2 for w1, c1 in coeff.items() for w2, c2 in piece}
+            coeff = {intern(w, w): c for w, c in coeff.items()}
+            for lam, chi in key_row(rho):
+                row = table.setdefault(lam, {})
+                get = row.get
+                for w, c in coeff.items():
+                    row[w] = get(w, 0) + chi * c
+        for lam, row in table.items():
+            row = {w: c for w, c in row.items() if c}
+            if row:
+                out[lam] = _lowest_terms(row, den)
+    return out
 
 
 def _lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
@@ -381,13 +411,15 @@ def _lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
 def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
     """Triangular inversion: expansion of every normal word in the Z basis.
 
-    Per filtration degree n the top parts of the Z elements form a square
-    invertible block against the words of degree n (both are counted by
-    multipartitions of n), solved by exact row reduction.  The top part of
-    each Z_lam is Z_lam minus its lower-degree tail, which the rows of lower
-    degrees already expand, so each word's row is an integer combination of
-    those top parts.  The rows of an earlier inversion ``done`` are kept and
-    only the blocks above its degree are solved.
+    The top part of Z_lam, the image of prod_U s_{lam(U)} under p_l -> l T_l
+    (Macdonald, I.7), is sum_sigma prod_U chi^{lam(U)}_{sigma(U)} pi(sigma)
+    / z_sigma w_sigma over the sigma with lam's slot sizes, w_sigma being
+    ``word_for_mp(sigma)`` and pi(sigma) the product of its parts.  Each
+    new Z_lam is checked against it, and character orthogonality inverts it:
+    w_sigma = sum_lam prod_U chi^{lam(U)}_{sigma(U)} / pi(sigma) top(Z_lam).
+    The top part is Z_lam minus its tail, which the rows of lower degrees
+    expand.  The rows of an earlier inversion ``done`` are kept and only the
+    blocks above its degree are solved.
     """
     if done is None:
         word_to_z = {(): ({mp_empty(ring.rank()): 1}, 1)}
@@ -396,14 +428,27 @@ def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
         word_to_z = dict(done.word_to_z)
         start = done.degree + 1
     word_deg = _word_degrees(ring)
+    key_row = _key_rows(p_to_schur_row)
     for n in range(start, degree + 1):
         mps = multipartitions(ring.rank(), n)
-        top, top_in_z = [], {}
+        # the top parts by characters: per lam, (w_sigma, z_sigma, chi pi(sigma))
+        want: dict[MultiPartition, list] = {lam: [] for lam in mps}
+        for sigma in mps:
+            w, z, pi = word_for_mp(sigma), prod(map(z_factor, sigma)), prod(map(prod, sigma))
+            for lam, chi in key_row(sigma):
+                want[lam].append((w, z, chi * pi))
+        top_in_z = {}
         for lam in mps:
             nums, den = ztable[lam]
-            # the numerators over den, tagged den * lam: the row is den times
-            # (top part of Z_lam, lam)
-            top.append(({w: c for w, c in nums.items() if word_deg[w] == n}, {lam: den}))
+            top = {w: c for w, c in nums.items() if word_deg[w] == n}
+            if len(top) != len(want[lam]) or any(top.get(w, 0) * z != den * c for w, z, c in want[lam]):
+                w, got, chi = first_difference(
+                    from_numerators(top, den), {w: exact(Fraction(c, z)) for w, z, c in want[lam]}
+                )
+                raise IntegralityError(
+                    f"top part of Z{format_multipartition(lam, ring.labels)} differs at word "
+                    f"{format_word(w, ring)}: the series gives {got}, the characters give {chi}"
+                )
             # the top part of Z_lam in the Z basis: Z_lam minus its
             # lower-degree tail, whose rows are already known
             tail = {w: c for w, c in nums.items() if word_deg[w] < n}
@@ -411,14 +456,9 @@ def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
             tail = {mu: -c for mu, c in tail.items()}
             tail[lam] = tail_den
             top_in_z[lam] = (tail, tail_den)
-        # the reduced row at pivot word w is sum_lam c_lam Z_lam with top part w
-        pivots, _ = row_reduce(top)
-        if len(pivots) < len(mps):
-            raise IntegralityError("degenerate leading-term block; bug in the series")
-        for lam in mps:
-            w = word_for_mp(lam)
-            nums, den = _z_numerators(top_in_z, *to_numerators(pivots[w][1]))
-            word_to_z[w] = _lowest_terms({mu: c for mu, c in nums.items() if c}, den)
+        for sigma in mps:
+            nums, den = _z_numerators(top_in_z, dict(key_row(sigma)), prod(map(prod, sigma)))
+            word_to_z[word_for_mp(sigma)] = _lowest_terms({mu: c for mu, c in nums.items() if c}, den)
     return word_to_z
 
 
@@ -519,13 +559,32 @@ def theta_t(l: int, arg: dict[int, dict[int, int]], ring, degree) -> TSeries:
     return exp(lin, TSeries.one(ring, degree), degree)
 
 
-def e_series_pbw(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
-    """E_W(t) = prod_l Theta_l(1 - (-t)^l W): generating function of e_r(W)."""
-    out = TSeries.one(ring, degree)
+def _lifted_product(theta1: TSeries) -> TSeries:
+    """prod_l Theta_l(A((-1)^(l-1) t^l)) from theta1 = Theta_1(A(t)): the
+    level-l factor is theta1 lifted, with t^m -> ((-1)^(l-1) t^l)^m.  Each
+    level has one denominator, over the terms it keeps."""
+    degree = theta1.degree
+    intern = _word_products(theta1.ring).words.setdefault
+    out, den = {(0, ()): 1}, 1
     for l in range(1, degree + 1):
-        arg = {0: dict(ring.unit), l: {u: -((-1) ** l) * c for u, c in W.terms.items()}}
-        out = out * theta_t(l, arg, ring, degree)
-    return out
+        nums, d = to_numerators({tw: c for tw, c in theta1.terms.items() if l * tw[0] <= degree})
+        level = [(l * m, lift(l, w), -c if m & ~l & 1 else c) for (m, w), c in nums.items()]
+        grown: dict = {}
+        get = grown.get
+        for (t1, w1), c1 in out.items():
+            for t2, w2, c2 in level:
+                if t1 + t2 <= degree:
+                    w = w1 + w2
+                    key = (t1 + t2, intern(w, w))
+                    grown[key] = get(key, 0) + c1 * c2
+        out, den = grown, den * d
+    return theta1._from_ints({k: c for k, c in out.items() if c}, den)
+
+
+def e_series_pbw(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
+    """E_W(t) = prod_l Theta_l(1 - (-t)^l W): generating function of e_r(W),
+    each level lifted from Theta_1(1 + tW)."""
+    return _lifted_product(theta_t(1, {0: dict(ring.unit), 1: dict(W.terms)}, ring, degree))
 
 
 def f_series_closed(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
@@ -609,21 +668,16 @@ def adams(ring: BaseRing, m: int, x: PBWElement) -> PBWElement:
 def lambda_on_e1(ring: BaseRing, n: int, U: RingElement, degree=None) -> GrothElement:
     """lambda^n(e_1(U)) via the generating function
 
-        sum_n lambda^n(e_1(U)) t^n = prod_l Theta_l(sum_r (-1)^(r(l-1)) t^(rl) lambda^r(U))
+        sum_n lambda^n(e_1(U)) t^n = prod_l Theta_l(sum_r (-1)^(r(l-1)) t^(rl) lambda^r(U)),
+
+    each level lifted from Theta_1(sum_r t^r lambda^r(U)).
     """
     if degree is None:
         degree = n
     if not ring.has_lambda():
         raise MissingDataError(f"ring {ring.name} carries no lambda operations")
-    out = TSeries.one(ring, degree)
-    for l in range(1, degree + 1):
-        arg: dict[int, dict[int, int]] = {}
-        for r in range(0, degree // l + 1):
-            vec = ring.lambda_apply(r, U)
-            sign = (-1) ** (r * (l - 1))
-            arg[r * l] = {u: sign * c for u, c in vec.terms.items()}
-        out = out * theta_t(l, arg, ring, degree)
-    res = to_z_basis(out.coefficient(n))
+    arg = {r: dict(ring.lambda_apply(r, U).terms) for r in range(degree + 1)}
+    res = to_z_basis(_lifted_product(theta_t(1, arg, ring, degree)).coefficient(n))
     res.assert_integral(f"lambda^{n}(e_1({U!r}))")
     return res
 

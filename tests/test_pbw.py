@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -11,15 +14,27 @@ from wreathgroth import groth as gr
 from wreathgroth import kernels, pbw
 from wreathgroth import ring as rg
 from wreathgroth._exact import accumulate, from_numerators
-from wreathgroth.errors import DomainError, MissingDataError
+from wreathgroth._exact import to_numerators
+from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
 from wreathgroth.groth import GrothElement
-from wreathgroth.partitions import mp_empty, mp_single, mp_total, multipartitions_upto
-from wreathgroth.pbw import PBWElement, RingSeries, mobius, sym, word_degree
+from wreathgroth.partitions import (
+    mn_character,
+    mp_empty,
+    mp_single,
+    mp_total,
+    multipartitions_upto,
+    partitions,
+    z_factor,
+)
+from wreathgroth.pbw import MixedSeries, PBWElement, RingSeries, mobius, sym, word_degree
+from wreathgroth.symfun import _convert_int, _key_rows, p_to_schur_row
 
 
 Z = rg.integers()
 C2 = rg.cyclic_group_algebra(2)
 M2 = rg.matrix_ring(2)
+# upper-triangular 2x2 integer matrices: noncommutative, [E11, E12] = E12
+UPPER = json.loads((Path(__file__).parent / "rings" / "upper_triangular.json").read_text())
 
 
 def words(ring, *pairs_and_coeffs):
@@ -449,6 +464,147 @@ def test_a_sum_or_difference_is_truncated_at_the_smaller_degree():
     assert (a - b) == (b - a).scale(-1) == low and (a - b).degree == 2
 
 
+# ---------------------------------------------------------------------------
+# the generating series level by level: the reference for the lifted Theta_1
+
+def generating_series(ring, degree: int) -> MixedSeries:
+    """prod_{l<=degree} Theta_l(1 + sum_U p_l(x_U) U), one exp and log per
+    level; levels above the truncation cannot reach degree <= D since T_l
+    has filtration degree l."""
+    rank = ring.rank()
+    out = MixedSeries.one(ring, degree)
+    for l in range(1, degree + 1):
+        arg = RingSeries.one(ring, degree) + RingSeries(
+            ring, degree, {mp_single(rank, u, (l,)): {u: 1} for u in range(rank)}
+        )
+        out = out * pbw.theta(l, arg, degree)
+    return out
+
+
+def schur_coefficients(series: MixedSeries) -> dict:
+    """The Schur coefficients of a mixed series, each key's PBW coefficient
+    as ({word: int}, den) in lowest terms, with a key whose coefficients all
+    cancel left out."""
+    nums, den = to_numerators(series.terms)
+    by_word = {}
+    for (pkey, w), c in nums.items():
+        by_word.setdefault(w, {})[pkey] = c
+    table = {}
+    for w, terms in by_word.items():
+        for skey, c in _convert_int(terms, _key_rows(p_to_schur_row)).items():
+            table.setdefault(skey, {})[w] = c
+    out = {}
+    for mp, terms in table.items():
+        g = gcd(den, *terms.values())
+        out[mp] = ({w: c // g for w, c in terms.items()}, den // g)
+    return out
+
+
+# factories of private ring instances, whose caches start empty
+TABLE_RINGS = {
+    "integers": rg.integers.__wrapped__,
+    "cyclic2": lambda: rg.cyclic_group_algebra.__wrapped__(2),
+    "matrix2": lambda: rg.matrix_ring.__wrapped__(2),
+    "golden": rg.golden_ring.__wrapped__,
+    "upper": lambda: rg.ring_from_config(UPPER),
+}
+
+
+@pytest.mark.parametrize("make", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
+def test_z_table_equals_the_level_by_level_series(make):
+    ring = make()
+    for D in range(1, 6):
+        assert pbw._zdata(make(), D).ztable == schur_coefficients(generating_series(ring, D)), D
+
+
+@pytest.mark.parametrize("make", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
+def test_z_table_grown_step_by_step_equals_a_fresh_one(make):
+    grown = make()
+    for D in range(1, 6):
+        data = pbw._zdata(grown, D)
+    fresh = pbw._zdata(make(), 5)
+    assert data.ztable == fresh.ztable
+    assert data.word_to_z == fresh.word_to_z
+
+
+@pytest.mark.parametrize("ring", [Z, C2, M2, rg.golden_ring()], ids=lambda r: r.name)
+def test_top_parts_are_the_character_sums(ring):
+    # top(Z_lam) = sum_sigma prod_U chi^{lam(U)}_{sigma(U)} pi(sigma(U)) / z_{sigma(U)} w_sigma,
+    # pi the product of the parts: the image of prod_U s_{lam(U)} under p_l -> l T_l
+    data = pbw._zdata(ring, 5)
+    for lam in multipartitions_upto(ring.rank(), 5):
+        want = {}
+        for sigma in itertools.product(*(partitions(sum(p)) for p in lam)):
+            c = prod(
+                Fraction(mn_character(kappa, tau) * prod(tau), z_factor(tau))
+                for kappa, tau in zip(lam, sigma)
+            )
+            if c:
+                want[pbw.word_for_mp(sigma)] = c
+        nums, den = data.ztable[lam]
+        top = {w: Fraction(c, den) for w, c in nums.items() if word_degree(w) == mp_total(lam)}
+        assert top == want, lam
+
+
+def test_a_perturbed_series_fails_the_character_check(monkeypatch):
+    theta = pbw.theta
+    key = (((1, 1),), (sym(1, 0), sym(1, 0)))  # p_1^2 T1(1)^2 in Theta_1, 1/2
+
+    def perturbed(l, x, degree):
+        out = theta(l, x, degree)
+        return out._like({**out.terms, key: out.terms[key] + 1})
+
+    monkeypatch.setattr(pbw, "theta", perturbed)
+    with pytest.raises(IntegralityError, match=re.escape(
+        "top part of Z{1:[2]} differs at word T1(1)*T1(1): "
+        "the series gives 3/2, the characters give 1/2"
+    )):
+        pbw._zdata(rg.integers.__wrapped__(), 3)
+
+
+def e_series_by_levels(ring, W, degree):
+    """prod_l Theta_l(1 - (-t)^l W), one Theta per level."""
+    out = pbw.TSeries.one(ring, degree)
+    for l in range(1, degree + 1):
+        arg = {0: dict(ring.unit), l: {u: -((-1) ** l) * c for u, c in W.terms.items()}}
+        out = out * pbw.theta_t(l, arg, ring, degree)
+    return out
+
+
+def lambda_series_by_levels(ring, U, degree):
+    """prod_l Theta_l(sum_r (-1)^(r(l-1)) t^(rl) lambda^r(U)), one Theta per level."""
+    out = pbw.TSeries.one(ring, degree)
+    for l in range(1, degree + 1):
+        arg = {}
+        for r in range(0, degree // l + 1):
+            vec = ring.lambda_apply(r, U)
+            sign = (-1) ** (r * (l - 1))
+            arg[r * l] = {u: sign * c for u, c in vec.terms.items()}
+        out = out * pbw.theta_t(l, arg, ring, degree)
+    return out
+
+
+@pytest.mark.parametrize("ring,elements", [
+    (Z, ["1", "2*1", "-1"]),
+    (C2, ["e", "g", "e - g", "2*e + g"]),
+    (rg.golden_ring(), ["1", "x", "2*1 - x"]),
+    (M2, ["E11", "E12", "E12 + E21", "E11 - E22"]),
+], ids=["integers", "cyclic2", "golden", "matrix2"])
+def test_lifted_e_series_equals_the_level_by_level_product(ring, elements):
+    for text in elements:
+        W = ring.element(text)
+        assert pbw.e_series_pbw(ring, W, 5) == e_series_by_levels(ring, W, 5), text
+
+
+@pytest.mark.parametrize("ring", [Z, C2, rg.cyclic_group_algebra(3)], ids=lambda r: r.name)
+def test_lifted_lambda_series_equals_the_level_by_level_product(ring):
+    for u in range(ring.rank()):
+        U = ring.basis_element(u)
+        series = lambda_series_by_levels(ring, U, 4)
+        for n in range(1, 5):
+            assert pbw.lambda_on_e1(ring, n, U, 4) == pbw.to_z_basis(series.coefficient(n)), (u, n)
+
+
 def test_x_basis_matches_generating_series():
     # the alternating e-correction in the unit's slot, applied to the full
     # generating series, must reproduce the Pieri-rule construction
@@ -464,15 +620,15 @@ def test_x_basis_matches_generating_series():
                 key[unit] = rho
                 k = (tuple(key), ())
                 corr[k] = corr.get(k, Fraction(0)) + Fraction((-1) ** r) * c
-        series = pbw.MixedSeries(ring, D, corr) * pbw.generating_series(ring, D)
-        table = pbw.schur_coefficients(series)
+        series = pbw.MixedSeries(ring, D, corr) * generating_series(ring, D)
+        table = schur_coefficients(series)
         for lam in multipartitions_upto(ring.rank(), D):
             got = pbw.to_z_basis(PBWElement(ring, D, from_numerators(*table[lam])))
             assert got == gr.x_basis_element(ring, lam), lam
     # p_1^2 - p_2 = 2 s_{1,1}: the contributions to s_2 cancel, and the key
     # is absent rather than held with a zero coefficient
     series = pbw.MixedSeries(Z, 2, {(((1, 1),), ()): 1, (((2,),), ()): -1})
-    table = pbw.schur_coefficients(series)
+    table = schur_coefficients(series)
     assert table == {((1, 1),): ({(): 2}, 1)}
 
 
@@ -557,8 +713,6 @@ def _config(unit, products):
     }
 
 
-# upper-triangular 2x2 integer matrices: noncommutative, [E11, E12] = E12
-UPPER = json.loads((Path(__file__).parent / "rings" / "upper_triangular.json").read_text())
 # Z x Z x Z on three orthogonal idempotents: commutative
 DIAGONAL = _config(
     {"E11": 1, "E12": 1, "E22": 1}, {(u, u): {u: 1} for u in ("E11", "E12", "E22")}

@@ -13,8 +13,7 @@ import pytest
 from wreathgroth import groth as gr
 from wreathgroth import kernels, pbw
 from wreathgroth import ring as rg
-from wreathgroth._exact import accumulate, from_numerators
-from wreathgroth._exact import to_numerators
+from wreathgroth._exact import accumulate, from_numerators, to_numerators
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
 from wreathgroth.groth import GrothElement
 from wreathgroth.partitions import (

@@ -18,13 +18,14 @@ independent route to S.
 The coproduct dual to *multiplication* is the substitution rule behind the
 structure constants; restricted to the e-coordinates it is a formal group
 law on the ring of Witt vectors with coefficients twisted to the origin,
-extracted symbolically by `formal_group_law`.  Its checks (first order, zero
-laws, associativity) return None or the first differing component and
-monomial with both coefficients.
+extracted symbolically by `formal_group_law` on integer numerators.  Its
+checks (first order, zero laws, associativity) return None or the first
+differing component and monomial with both coefficients.
 """
 
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
 from . import pbw
 from . import symfun as sf
@@ -42,6 +43,7 @@ from .partitions import (
 )
 from .ring import BaseRing
 from .symfun import SymSeries
+from .witt import power_in_e
 
 
 @cache
@@ -207,18 +209,15 @@ Monomial = tuple[Symbol, ...]
 Poly = dict[Monomial, int]
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(s[2] for s in m)
-
-
-def _merge_symbols(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b))
+def _mono_degree(m: Monomial, _e_degree=itemgetter(2)) -> int:
+    return sum(map(_e_degree, m))
 
 
 class LawPoly(Combination):
-    """A polynomial in the law's symbols truncated above e-degree ``degree``;
-    its product merges monomials and drops what is truncated, on the
-    integer coefficients as they are (no round trip through numerators)."""
+    """A polynomial in the law's symbols truncated above e-degree ``degree``.
+    Its product takes each operand term's degree once, merges the monomials
+    that fit into one dict on the coefficients as they are, and drops zeros
+    once."""
 
     __slots__ = ("degree",)
     _context = ("degree",)
@@ -233,24 +232,24 @@ class LawPoly(Combination):
 
     def __mul__(self, other: "LawPoly") -> "LawPoly":
         self._check(other)
+        left = [(ka, ca, _mono_degree(ka)) for ka, ca in self.terms.items()]
         out: dict = {}
-        left = self.terms.items()
+        get = out.get
         for kb, cb in other.terms.items():
             room = self.degree - _mono_degree(kb)
-            part = {_merge_symbols(ka, kb): ca for ka, ca in left if _mono_degree(ka) <= room}
-            accumulate(out, part, cb)
-        return self._like(settle(out))
+            for ka, ca, da in left:
+                if da <= room:
+                    key = tuple(sorted(ka + kb))
+                    out[key] = get(key, 0) + ca * cb
+        return self._like(settle({k: c for k, c in out.items() if c}))
 
 
 @cache
 def _p_in_e_row(rho: Partition) -> dict[Partition, int]:
-    """p_rho expanded over e-monomials (integral via the Newton recursion)."""
-    from .witt import power_in_e
-
-    out: dict[Partition, int] = {(): 1}
-    for l in rho:
-        out = monomial_product(out, power_in_e(l), sf.merge_parts)
-    return out
+    """p_rho over e-monomials (integral by Newton), as p_rho[:-1] p_rho[-1]."""
+    if not rho:
+        return {(): 1}
+    return monomial_product(_p_in_e_row(rho[:-1]), power_in_e(rho[-1]), sf.merge_parts)
 
 
 class GroupLaw:
@@ -267,36 +266,28 @@ class GroupLaw:
 
 
 def formal_group_law(ring: BaseRing, degree: int) -> GroupLaw:
-    plan = _substitution_plan(ring)
-    out_labels = _doubled_labels(ring)
+    """The components e_i(U), 1 <= i <= degree, on integer numerators: e_i(U)
+    as ({key: int}, den) through one set of power images of the plan, boxed
+    at ``degree``; each key to e-monomials by its slots' ``_p_in_e_row`` rows
+    (which keep degrees), flattened in slot order, so sorted; den divides exactly."""
     k = ring.rank()
+    box = sf._Box((degree,) * (2 * k), degree)
+    power = sf._power_images(_substitution_plan(ring), _doubled_labels(ring), box)
+    to_e = sf._key_rows(_p_in_e_row)
+    fam = [(0, v) for v in range(k)] + [(1, v) for v in range(k)]
     components = {}
     for u in range(k):
         for i in range(1, degree + 1):
-            base = sf.e_series(ring.labels, ring.labels[u], i, degree)
-            series = sf.substitute_variable_sets(base, plan, out_labels)
-            poly: Poly = {}
-            for key, coeff in series.terms.items():
-                # per-slot p -> e conversion, slots become symbol families
-                acc: Poly = {(): coeff}
-                for slot, rho in enumerate(key):
-                    if not rho:
-                        continue
-                    family, v = (0, slot) if slot < k else (1, slot - k)
-                    row = {
-                        tuple((family, v, j) for j in kappa): c
-                        for kappa, c in _p_in_e_row(rho).items()
-                    }
-                    acc = monomial_product(acc, row, _merge_symbols)
-                accumulate(
-                    poly, {m: c for m, c in acc.items() if _mono_degree(m) <= degree}
+            nums, den = sf.e_series(ring.labels, ring.labels[u], i, degree)._ints()
+            nums = sf._convert_int(sf._substitute_int(nums, ring.labels, power, box), to_e)
+            if any(c % den for c in nums.values()):
+                raise IntegralityError(
+                    f"group law component ({ring.labels[u]}, {i}) is not integral"
                 )
-            for mono, c in poly.items():
-                if c.denominator != 1:
-                    raise IntegralityError(
-                        f"group law component ({ring.labels[u]}, {i}) is not integral"
-                    )
-            components[(u, i)] = settle(poly)
+            components[(u, i)] = {
+                tuple((*fam[s], j) for s, kappa in enumerate(key) for j in kappa[::-1]): c // den
+                for key, c in nums.items()
+            }
     return GroupLaw(ring, degree, components)
 
 

@@ -291,14 +291,14 @@ def _power_images(plan: dict, out_labels, box: _Box):
     return power
 
 
-def _substitute_int(terms: dict, labels, plan: dict, out_labels, degree: int) -> dict:
+def _substitute_int(terms: dict, labels, power, box: _Box) -> dict:
     """The plethystic substitution of ``substitute_variable_sets`` on a
-    power-sum integer series over ``labels``."""
-    box = _Box((degree,) * len(out_labels), degree)
-    power = _power_images(plan, out_labels, box)
+    power-sum integer series over ``labels``, by the images ``power`` of
+    ``_power_images`` (built once per plan and box)."""
+    empty = ((),) * len(box.caps)
     out: dict[MultiPartition, int] = {}
     for key, coeff in terms.items():
-        partial = {((),) * len(out_labels): coeff}
+        partial = {empty: coeff}
         for label, p in zip(labels, key):
             if p:
                 partial = _multiply_int(partial, box.encode(power(label, p)), box)
@@ -339,7 +339,8 @@ def substitute_variable_sets(f: SymSeries, plan: dict, out_labels) -> SymSeries:
     """
     out_labels = tuple(out_labels)
     nums, den = f._ints()
-    nums = _substitute_int(nums, f.labels, plan, out_labels, f.degree)
+    box = _Box((f.degree,) * len(out_labels), f.degree)
+    nums = _substitute_int(nums, f.labels, _power_images(plan, out_labels, box), box)
     return SymSeries(out_labels, f.degree)._from_ints(nums, den)
 
 

@@ -14,6 +14,7 @@ story, the formal group law on the e-coordinates, lives in ``hopf``.
 
 from functools import cache
 from itertools import permutations
+from numbers import Rational
 
 from ._exact import accumulate, monomial_product
 from .errors import DomainError, IntegralityError
@@ -82,13 +83,20 @@ def _ghosts(comps) -> list[int]:
     return w
 
 
+def _integer(c) -> int:
+    """c as an int, or DomainError naming c when it is no integer."""
+    if isinstance(c, Rational) and c.denominator == 1:
+        return int(c)
+    raise DomainError(f"Witt vector component {c!r} is not an integer")
+
+
 class WittVector:
     """Integer components a_1..a_n: the images of e_1..e_n."""
 
     __slots__ = ("comps",)
 
     def __init__(self, comps):
-        self.comps = tuple(int(c) for c in comps)
+        self.comps = tuple(c if type(c) is int else _integer(c) for c in comps)
 
     @classmethod
     def zero(cls, length: int):

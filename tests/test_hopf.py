@@ -10,7 +10,7 @@ from wreathgroth import groth as gr
 from wreathgroth import hopf, pbw, verify
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
-from wreathgroth._exact import accumulate
+from wreathgroth._exact import accumulate, monomial_product, settle
 from wreathgroth.errors import DomainError, IntegralityError
 from wreathgroth.groth import GrothElement
 from wreathgroth.hopf import TensorGroth, comultiply, counit, antipode
@@ -378,6 +378,117 @@ def test_formal_group_law_properties():
         assert hopf.law_first_order(law) is None
         assert hopf.law_zero_laws(law) is None
         assert hopf.law_associative(law, 3)
+
+
+def _merge_symbols(a, b):
+    return tuple(sorted(a + b))
+
+
+def reference_law(ring, degree):
+    """The law's components on Fractions, the route the integer one
+    replaced: the public substitution per component, then per key and slot
+    the p -> e row as a monomial product merging sorted symbols, the
+    monomials above e-degree ``degree`` dropped, and the sums settled."""
+    plan = gr._substitution_plan(ring)
+    out_labels = gr._doubled_labels(ring)
+    k = ring.rank()
+    components = {}
+    for u in range(k):
+        for i in range(1, degree + 1):
+            base = sf.e_series(ring.labels, ring.labels[u], i, degree)
+            series = sf.substitute_variable_sets(base, plan, out_labels)
+            poly = {}
+            for key, coeff in series.terms.items():
+                acc = {(): coeff}
+                for slot, rho in enumerate(key):
+                    if rho:
+                        family, v = (0, slot) if slot < k else (1, slot - k)
+                        row = {
+                            tuple((family, v, j) for j in kappa): c
+                            for kappa, c in hopf._p_in_e_row(rho).items()
+                        }
+                        acc = monomial_product(acc, row, _merge_symbols)
+                accumulate(poly, {m: c for m, c in acc.items() if sum(s[2] for s in m) <= degree})
+            assert all(c.denominator == 1 for c in poly.values()), (u, i)
+            components[(u, i)] = settle(poly)
+    return components
+
+
+LAW_RINGS = [
+    (lambda: Z, 6),
+    (lambda: C2, 4),
+    (lambda: rg.cyclic_group_algebra(3), 3),
+    (lambda: M2, 3),
+    (lambda: rg.golden_ring(), 4),
+    (_fresh_upper, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "make,degree", LAW_RINGS, ids=["integers", "cyclic2", "cyclic3", "matrix2", "golden", "upper"]
+)
+def test_formal_group_law_matches_the_fraction_route(make, degree):
+    ring = make()
+    law = hopf.formal_group_law(ring, degree)
+    assert law.components == reference_law(ring, degree)
+    for poly in law.components.values():
+        assert all(type(c) is int for c in poly.values())
+        # every monomial is sorted and fits the law's degree: the box of the
+        # substitution truncates, and p -> e keeps degrees
+        assert all(list(m) == sorted(m) for m in poly)
+        assert max(sum(s[2] for s in m) for m in poly) <= degree
+
+
+def test_a_non_integral_group_law_is_refused_and_fails_its_check(monkeypatch):
+    # half of e_2 leaves a2/2 in the law's component e_2, so the exact
+    # division by the series' denominator has a remainder
+    e_series = sf.e_series
+
+    def halved(labels, label, n, degree):
+        out = e_series(labels, label, n, degree)
+        return out.scale(Fraction(1, 2)) if n == 2 else out
+
+    monkeypatch.setattr(sf, "e_series", halved)
+    witness = "group law component (1, 2) is not integral"
+    with pytest.raises(IntegralityError) as exc:
+        hopf.formal_group_law(rg.integers.__wrapped__(), 3)
+    assert str(exc.value) == witness
+
+    report = verify.run_suite("witt", rg.integers.__wrapped__(), 3, 0)
+    check = next(c for c in report.checks if c.name.startswith("the coproduct's formal group law"))
+    assert not check.passed
+    assert check.detail == f"IntegralityError: {witness}"
+    assert sum(not c.passed for c in report.checks) == 1
+
+
+def _random_law_poly(rng, degree, fractions):
+    symbols = [(f, u, j) for f in range(3) for u in range(2) for j in range(1, 4)]
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        mono = tuple(sorted(rng.choice(symbols) for _ in range(rng.randint(0, 3))))
+        c = rng.randint(-3, 3)
+        terms[mono] = Fraction(c, rng.choice((1, 2, 3))) if fractions else c
+    return hopf.LawPoly(degree, terms)
+
+
+def test_law_poly_product_matches_pairwise_reference():
+    rng = random.Random(23)
+    for trial in range(300):
+        degree = rng.randint(0, 7)
+        a = _random_law_poly(rng, degree, fractions=trial % 2)
+        b = _random_law_poly(rng, degree, fractions=trial % 3 == 0)
+        want = {}
+        for ka, ca in a.terms.items():
+            for kb, cb in b.terms.items():
+                mono = tuple(sorted(ka + kb))
+                if sum(s[2] for s in mono) <= degree:
+                    want[mono] = want.get(mono, 0) + ca * cb
+        got = (a * b).terms
+        assert got == {m: c for m, c in want.items() if c}
+        assert all(type(c) is int or c.denominator > 1 for c in got.values())
+    assert (a * hopf.LawPoly(degree)).is_zero()
+    with pytest.raises(DomainError):
+        hopf.LawPoly(2) * hopf.LawPoly(3)
 
 
 # sha256 over repr(sorted (l, u, key, c)) of dual_antipode_power_sum(ring, l, d)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,3 +191,21 @@ def test_from_ghosts_rejects_non_integral_ghosts():
     assert WittVector.from_ghosts((2, -2, 5)) == WittVector((2, 3, 5))
     with pytest.raises(IntegralityError, match=r"2\*e_2 = -1, remainder 1"):
         WittVector.from_ghosts((1, 2))
+
+
+def test_non_integer_components_are_refused_by_name():
+    from fractions import Fraction
+
+    for comps, shown in (
+        ([1.5, 2], "1.5"),
+        ([Fraction(3, 2)], "Fraction(3, 2)"),
+        ([1, "3"], "'3'"),
+        ([2.0], "2.0"),
+        ([float("nan")], "nan"),
+        ([None], "None"),
+    ):
+        with pytest.raises(DomainError, match=f"^Witt vector component {re.escape(shown)} is not an integer$"):
+            WittVector(comps)
+    # an integral rational of another type is taken as its int
+    comps = WittVector([True, Fraction(4, 2), 7]).comps
+    assert comps == (1, 2, 7) and all(type(c) is int for c in comps)

@@ -15,16 +15,17 @@ are dictionary lookups; ``GrothElement._int_product``, the integer core of
 numerators.
 
 The module also hosts the generator family e_r(U)/h_n(W), the expansion of
-e_n(W) for W outside the basis (by Newton's identity, whose power sums are
-signed hook sums of the powers of W), both sides of the commutation
-relation, the second (unitriangular) multipartition basis X, and spanning
-sets of the subalgebras generated in bounded degree.
+e_n(W) and h_n(W) for any W (by Newton's identity, whose power sums act on
+the Z basis by a ribbon rule, with no product table), both sides of the
+commutation relation, the second (unitriangular) multipartition basis X, and
+spanning sets of the subalgebras generated in bounded degree.
 """
 
 from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import le
 
+from . import kernels
 from . import symfun as sf
 from ._exact import Combination, accumulate, format_terms, product
 from .errors import DomainError, IntegralityError
@@ -318,32 +319,89 @@ def _check_degree(n: int):
         raise DomainError(f"n must be >= 0, got {n}")
 
 
-def _hooks(ring: BaseRing, m: int, V: RingElement) -> dict:
-    """m T_m(V) in the Z basis: sum_U V_U sum_{j<m} (-1)^j Z_{(m-j, 1^j) at U},
-    the signed hooks of size m in the slot of each U."""
-    rank = ring.rank()
-    return {
-        mp_single(rank, u, (m - j,) + (1,) * j): -c if j & 1 else c
-        for u, c in V.terms.items()
-        for j in range(m)
-    }
+def _primitive_product(ring: BaseRing, m: int, u: int, terms: dict) -> dict:
+    """(m T_m(U)) x on the integer Z-basis terms of x, U the u-th basis
+    element, by the ribbon rule (R, R' m-ribbons, ``kernels.ribbons``;
+    N^W_{U,W'} the coefficient of W in U W'; see ``e_of``):
+
+        (m T_m(U)) Z_nu = sum_R (-1)^ht(R) Z_{nu + R at U} + sum_{W,W'} N^W_{U,W'}
+                          sum_{R',R} (-1)^(ht(R) + ht(R')) Z_{nu - R' at W' + R at W}
+    """
+    links = [(w2, w, c) for w2 in range(ring.rank()) for w, c in ring.tensor[u, w2].items()]
+    ribbons = kernels.ribbons
+    out: dict[MultiPartition, int] = {}
+    get = out.get
+    for nu, c in terms.items():
+        for kappa, s in ribbons(nu[u], m, 1):
+            lam = nu[:u] + (kappa,) + nu[u + 1:]
+            out[lam] = get(lam, 0) + s * c
+        for w2, w, n in links:
+            for alpha, s2 in ribbons(nu[w2], m, -1):
+                mid = nu[:w2] + (alpha,) + nu[w2 + 1:]
+                for kappa, s in ribbons(mid[w], m, 1):
+                    lam = mid[:w] + (kappa,) + mid[w + 1:]
+                    out[lam] = get(lam, 0) + s * s2 * n * c
+    return {lam: c for lam, c in out.items() if c}
+
+
+def _power_sum(ring: BaseRing, k: int, powers: list, terms: dict) -> dict:
+    """P_k(W) x = sum_{s | k} sum_U (W^s)_U (k/s) T_{k/s}(U) x on integer
+    Z-basis terms, powers[s - 1] = W^s."""
+    out: dict[MultiPartition, int] = {}
+    for s in range(1, k + 1):
+        if k % s == 0:
+            for u, c in powers[s - 1].terms.items():
+                accumulate(out, _primitive_product(ring, k // s, u, terms), c)
+    return out
+
+
+def _newton(ring: BaseRing, n: int, W: RingElement, x: str, sign: int) -> GrothElement:
+    """x_n(W) from m x_m = sum_{k=1..m} sign^(k-1) P_k(W) x_{m-k}, x_0 = 1, for
+    x = e (sign -1) or h (sign 1), each division by m exact in ints, a
+    remainder raising IntegralityError.  The powers of W are taken once per
+    call; the ring's memo ``x_of`` keeps every x_m(W) and supplies those it
+    holds."""
+    memo = ring.memo(f"{x}_of", dict)
+    w = W.key()
+    if (w, n) in memo:
+        return memo[w, n]
+    powers = [W]
+    while len(powers) < n:
+        powers.append(powers[-1] * W)
+    xs = [GrothElement.one(ring)]  # xs[m] = x_m(W)
+    for m in range(1, n + 1):
+        got = memo.get((w, m))
+        if got is None:
+            terms: dict[MultiPartition, int] = {}
+            for k in range(1, m + 1):
+                accumulate(terms, _power_sum(ring, k, powers, xs[m - k].terms), sign ** (k - 1))
+            for c in terms.values():
+                if c % m:
+                    raise IntegralityError(
+                        f"{x}_{m}({W!r}) has non-integer coefficient {Fraction(c, m)}"
+                    )
+            got = memo[w, m] = GrothElement(ring, {key: c // m for key, c in terms.items()})
+        xs.append(got)
+    return xs[n]
 
 
 def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """e_n(W) for any W, expanded in the Z basis: for W in the basis the
-    single-column key at W, for any other W Newton's identity
+    single-column key at W, for any other W Newton's identity (``_newton``)
+    with the power sums P_k(W) = sum_{s | k} (k/s) T_{k/s}(W^s) of E_W(t),
+    read off -log E_W(-t) = sum_s F_{W^s}(t^s)/s; the coefficients of E_W(t)
+    commute, for noncommutative R too.  m T_m(U), the hook sum
+    sum_j (-1)^j Z_{(m-j,1^j) at U}, is p_m(x_U) on the Schur side, so it is
+    primitive and its left product is a Murnaghan-Nakayama ribbon rule
+    (``_primitive_product``), from ProductTable's formula:
 
-        n e_n(W) = sum_{k=1..n} (-1)^(k-1) P_k(W) e_{n-k}(W),
-        P_k(W) = sum_{s | k} (k/s) T_{k/s}(W^s),
+        c^lam_{mu,nu} = <F_lam, s_mu(x) s_nu(y)>;
+        pairing with p_m(x_U) is m d/dp_m(x_U) at x = 0;
+        dp_m[X_W]/dp_m(x_U) = delta_{W,U} + sum_{W'} N^W_{U,W'} p_m(y_{W'});
+        p_m^perp s_kappa and p_m s_alpha take off and add m-ribbons
 
-    the power sums of E_W(t) = sum_n e_n(W) t^n, read off the F-series
-    identity -log E_W(-t) = sum_s F_{W^s}(t^s)/s.  Each m T_m(V) is a signed
-    hook sum (``_hooks``).  The coefficients of E_W(t) commute with each
-    other for noncommutative R too, so the identity holds there.  One call
-    builds P_1..P_n anew from the powers W, W^2, ..., W^n and takes e_1(W),
-    ..., e_n(W) in turn, each division by m exact in ints, a remainder
-    raising IntegralityError; the ring's ``e_of`` memo keeps every e_m(W)
-    and supplies those it holds."""
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 ex. 11, I.7).
+    So no product table is built."""
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
@@ -352,58 +410,14 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     u = W.basis_index()
     if u is not None:
         return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * n))
-    memo = ring.memo("e_of", dict)
-    w = W.key()
-    got = memo.get((w, n))
-    if got is not None:
-        return got
-    powers = [W]
-    while len(powers) < n:
-        powers.append(powers[-1] * W)
-    sums = [None]  # sums[k] = (-1)^(k-1) P_k(W), signed as Newton's identity adds it
-    for k in range(1, n + 1):
-        p_k = {}
-        for s in range(1, k + 1):
-            if k % s == 0:
-                p_k.update(_hooks(ring, k // s, powers[s - 1]))  # disjoint: keys of size k/s
-        sums.append(GrothElement(ring, p_k if k & 1 else {key: -c for key, c in p_k.items()}))
-    es = [GrothElement.one(ring)]  # es[m] = e_m(W)
-    for m in range(1, n + 1):
-        e = memo.get((w, m))
-        if e is None:
-            terms = {}
-            for k in range(1, m + 1):
-                accumulate(terms, z_multiply(sums[k], es[m - k]).terms)
-            for c in terms.values():
-                if c % m:
-                    raise IntegralityError(
-                        f"e_{m}({W!r}) has non-integer coefficient {Fraction(c, m)}"
-                    )
-            e = memo[w, m] = GrothElement(ring, {key: c // m for key, c in terms.items()})
-        es.append(e)
-    return es[n]
+    return _newton(ring, n, W, "e", -1)
 
 
 def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
-    """h_n(W) = sum_{k=1..n} (-1)^(k-1) e_k(W) h_{n-k}(W), from H(t) E(-t) = 1.
-
-    This is the first-row expansion of the row-ordered Jacobi-Trudi determinant
-    det(e_{1+j-i}(W)), so e_k stays on the left for noncommutative R; no
-    product exceeds degree n."""
+    """h_n(W) from n h_n(W) = sum_{k=1..n} P_k(W) h_{n-k}(W), as log H_W(t)
+    = -log E_W(-t): the power sums and ribbon rule of ``e_of``."""
     _check_degree(n)
-    if n == 0:
-        return GrothElement.one(ring)
-    memo = ring.memo("h_of", dict)
-    key = (W.key(), n)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    total = GrothElement.zero(ring)
-    for k in range(1, n + 1):
-        term = z_multiply(e_of(ring, k, W), h_element(ring, n - k, W))
-        total = total + term.scale((-1) ** (k - 1))
-    memo[key] = total
-    return total
+    return _newton(ring, n, W, "h", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The integer-only inner loops: symmetric-group characters, partition
-enumeration and PBW word rewriting.
+"""The integer-only inner loops: symmetric-group characters and the ribbons
+they recurse on, partition enumeration and PBW word rewriting.
 
 Everything here works on plain tuples of ints so results are hashable and
 safe to memoize.  Callers reach these functions through the module
 (``kernels.character`` and so on), never by importing the names.
 """
+
+from functools import cache
 
 _char_cache: dict = {}
 
@@ -21,9 +23,8 @@ def backend() -> str:
 def character(lam: tuple, mu: tuple) -> int:
     """Irreducible symmetric-group character value chi^lam_mu.
 
-    Murnaghan-Nakayama recursion on beta-numbers (first-column hook lengths):
-    removing a border strip of size k from lam is the same as moving one bead
-    b -> b-k, with sign (-1)^(number of beads strictly between them).
+    Murnaghan-Nakayama recursion: the signed sum over the mu_1-ribbons
+    (border strips) R of lam of chi^{lam - R}_{mu_2, mu_3, ...} (``ribbons``).
     Requires sum(lam) == sum(mu); both weakly decreasing positive tuples.
     """
     if not lam:
@@ -32,36 +33,32 @@ def character(lam: tuple, mu: tuple) -> int:
     val = _char_cache.get(key)
     if val is not None:
         return val
-    k = mu[0]
-    rest = mu[1:]
-    n = len(lam)
-    beta = [lam[i] + n - 1 - i for i in range(n)]
-    bset = set(beta)
     total = 0
-    for i in range(n):
-        b = beta[i]
-        b2 = b - k
-        if b2 < 0 or b2 in bset:
-            continue
-        crossed = 0
-        for j in range(i + 1, n):
-            if beta[j] > b2:
-                crossed += 1
-        nb = sorted(beta, reverse=True)
-        nb.remove(b)
-        nb.append(b2)
-        nb.sort(reverse=True)
-        newlam = []
-        for idx, bb in enumerate(nb):
-            part = bb - (n - 1 - idx)
-            if part > 0:
-                newlam.append(part)
+    for sub, sign in ribbons(lam, mu[0], -1):
         # recurse through the module-level name: the benchmark's tracer wraps
         # it, and kernels.character.calls counts every recursion step
-        sub = character(tuple(newlam), rest)
-        total += -sub if crossed & 1 else sub
+        total += sign * character(sub, mu[1:])
     _char_cache[key] = total
     return total
+
+
+@cache
+def ribbons(p: tuple, m: int, d: int) -> tuple:
+    """The partitions p + R (d = 1) or p - R (d = -1) over the m-ribbons R,
+    each with the sign (-1)^ht(R).  On the bead form of p, with beads at
+    p_i + n - i for n = len(p) + m rows, a ribbon moves one bead m places onto
+    a free place, and its height is the number of beads it passes."""
+    n = len(p) + m
+    beads = {part + n - 1 - i for i, part in enumerate(p + (0,) * m)}
+    out = []
+    for b in sorted(beads):
+        t = b + d * m
+        if t >= 0 and t not in beads:
+            moved = sorted(beads - {b} | {t}, reverse=True)
+            q = tuple(x - n + 1 + i for i, x in enumerate(moved) if x > n - 1 - i)
+            height = sum(min(b, t) < x < max(b, t) for x in beads)
+            out.append((q, -1 if height & 1 else 1))
+    return tuple(out)
 
 
 def partitions_of(n: int) -> list:

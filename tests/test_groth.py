@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +418,88 @@ def test_e_of_outside_the_basis_is_pinned():
         for ring, n, W in _e_of_cases()
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == E_OF_SHA256
+
+
+# sha256 over the lines "ring n W h_n(W)" of _e_of_cases, taken while
+# h_element was still the Jacobi-Trudi first row through z_multiply
+H_OF_SHA256 = "d5efb12d2d2f2fab4be2a12f812e019c19d3e393fbe945ffd57f78eb25345a38"
+
+
+def test_h_element_outside_the_basis_is_pinned():
+    lines = "\n".join(
+        f"{ring.name} {n} {W!r} {gr.format_groth(gr.h_element(ring, n, W))}"
+        for ring, n, W in _e_of_cases()
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == H_OF_SHA256
+
+
+UPPER = rg.load_ring(str(Path(__file__).parent / "rings" / "upper_triangular.json"))
+
+
+def _hooks(ring, m, u) -> GrothElement:
+    """m T_m(U) as the signed hook sum sum_{j<m} (-1)^j Z_{(m-j, 1^j) at U}."""
+    return GrothElement(ring, {
+        mp_single(ring.rank(), u, (m - j,) + (1,) * j): (-1) ** j for j in range(m)
+    })
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [Z, C2, rg.cyclic_group_algebra(3), rg.golden_ring(), M2, UPPER],
+    ids=lambda r: r.name,
+)
+def test_ribbon_rule_equals_the_table_product_of_the_hook_sum(ring):
+    top = 4 if ring.rank() == 4 else 5
+    for nu in multipartitions_upto(ring.rank(), top - 1):
+        for m in range(1, min(4, top - mp_total(nu)) + 1):
+            for u in range(ring.rank()):
+                want = gr.z_multiply(_hooks(ring, m, u), GrothElement.basis(ring, nu))
+                got = gr._primitive_product(ring, m, u, {nu: 1})
+                assert GrothElement(ring, got) == want, (m, u, nu)
+
+
+def test_ribbon_rule_on_the_integers_squares_z1():
+    square = gr._primitive_product(Z, 1, 0, {((1,),): 1})
+    assert square == {((2,),): 1, ((1, 1),): 1, ((1,),): 1}
+
+
+def _h_by_jacobi_trudi(ring, n, W) -> GrothElement:
+    """h_n(W) = sum_{k=1..n} (-1)^(k-1) e_k(W) h_{n-k}(W), the first row of
+    the row-ordered Jacobi-Trudi determinant, through z_multiply."""
+    hs = [GrothElement.one(ring)]
+    for m in range(1, n + 1):
+        total = GrothElement.zero(ring)
+        for k in range(1, m + 1):
+            total = total + (gr.e_of(ring, k, W) * hs[m - k]).scale((-1) ** (k - 1))
+        hs.append(total)
+    return hs[n]
+
+
+@pytest.mark.parametrize(
+    "ring,elements,top",
+    [
+        (M2, ("E11 + E12", "E11 - E21", "E12", "2*E11 + E22"), 4),
+        (UPPER, ("E11 + E12", "E12 - E22", "E22"), 4),
+        (rg.cyclic_group_algebra(3), ("e + g1", "g1 - 2*g2", "g2"), 4),
+        (rg.golden_ring(), ("1 + x", "2*1 - x", "x"), 4),
+        (Z, ("1", "2*1", "-1", "3*1"), 6),
+    ],
+    ids=lambda v: v.name if isinstance(v, rg.BaseRing) else None,
+)
+def test_h_element_equals_the_jacobi_trudi_route(ring, elements, top):
+    for text in elements:
+        W = ring.element(text)
+        for n in range(top + 1):
+            assert gr.h_element(ring, n, W) == _h_by_jacobi_trudi(ring, n, W), (text, n)
+
+
+def test_e_and_h_build_no_product_table():
+    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
+    for W in (ring.element("e + g"), ring.element("2*e - g"), ring.basis_element(1)):
+        for n in range(6):
+            gr.e_of(ring, n, W)
+            gr.h_element(ring, n, W)
+    assert "product_table" not in ring._caches
 
 
 def test_e_of_memoises_only_w_itself():

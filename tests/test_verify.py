@@ -16,7 +16,7 @@ from wreathgroth import symfun as sf
 from wreathgroth import verify
 from wreathgroth._exact import accumulate, row_reduce
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
-from wreathgroth.partitions import mp_single
+from wreathgroth.partitions import mp_empty, mp_single
 from wreathgroth.witt import WittVector
 
 
@@ -348,20 +348,25 @@ def test_f_series_disagreement_names_degree_word_and_coefficients(monkeypatch):
     assert check.detail == f"AssertionError: {witness}"
 
 
-def test_a_non_integral_e_n_is_refused_and_fails_its_check(monkeypatch):
-    # add 1 to the coefficient of Z_{(2) at U} in every 2 T_2(V), U the first
-    # basis element of V: e_2(W) for W outside the basis gains -1/2 Z_{(2) at U}
-    # and the division by 2 in Newton's identity leaves a remainder
-    hooks = gr._hooks
+def _perturb_p2(monkeypatch):
+    """Add 1 to the coefficient of Z_{(2) at U} in P_2(W) 1, U the first basis
+    element of W: the division by 2 in Newton's identity then leaves a
+    remainder in e_2(W) and h_2(W)."""
+    power_sum = gr._power_sum
 
-    def perturbed(ring, m, V):
-        out = hooks(ring, m, V)
-        if m == 2:
-            key = mp_single(ring.rank(), min(V.terms), (2,))
-            out[key] += 1
+    def perturbed(ring, k, powers, terms):
+        out = power_sum(ring, k, powers, terms)
+        if k == 2 and terms == {mp_empty(ring.rank()): 1}:
+            key = mp_single(ring.rank(), min(powers[0].terms), (2,))
+            out[key] = out.get(key, 0) + 1
         return out
 
-    monkeypatch.setattr(gr, "_hooks", perturbed)
+    monkeypatch.setattr(gr, "_power_sum", perturbed)
+
+
+def test_a_non_integral_e_n_is_refused_and_fails_its_check(monkeypatch):
+    # e_2(W) for W outside the basis gains -1/2 Z_{(2) at U}
+    _perturb_p2(monkeypatch)
     ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
     W = ring.element("e - g")
     with pytest.raises(IntegralityError) as exc:
@@ -372,6 +377,21 @@ def test_a_non_integral_e_n_is_refused_and_fails_its_check(monkeypatch):
     check = next(c for c in report.checks if c.name == "e_n(W) of random integer combinations is integral")
     assert not check.passed
     assert check.detail == "IntegralityError: e_2(<2*e + g>) has non-integer coefficient 1/2"
+
+
+def test_a_non_integral_h_n_is_refused_and_fails_its_check(monkeypatch):
+    # h_2(W) gains +1/2 Z_{(2) at U}, for W in the basis too
+    _perturb_p2(monkeypatch)
+    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
+    W = ring.element("e - g")
+    with pytest.raises(IntegralityError) as exc:
+        gr.h_element(ring, 2, W)
+    assert str(exc.value) == "h_2(<e - g>) has non-integer coefficient 3/2"
+
+    report = verify.run_suite("commutation", ring, 2, 0)
+    check = next(c for c in report.checks if c.name.startswith("E_U(u) E_{VU}(-uv)^{-1} E_V(v)"))
+    assert not check.passed
+    assert check.detail == "IntegralityError: h_2(<e>) has non-integer coefficient 3/2"
 
 
 def test_oracle_crosscheck_witness_names_first_differing_coefficient(monkeypatch):

@@ -14,13 +14,15 @@ are dictionary lookups; ``GrothElement._int_product``, the integer core of
 ``z_multiply`` and of ``_exact.power_sum``, adds them up on integer
 numerators.
 
-The module also hosts the generator family e_r(U)/h_n(W), the expansion of
-e_n(W) and h_n(W) for any W (by Newton's identity, whose power sums act on
-the Z basis by a ribbon rule, with no product table), both sides of the
-commutation relation, the second (unitriangular) multipartition basis X, and
-spanning sets of the subalgebras generated in bounded degree.
+The module also hosts the generator family e_r(U)/h_n(W): e_n(W) and h_n(W)
+for any W, and their left products, by Newton's identity from any start,
+whose power sums act on the Z basis by a ribbon rule, with no product table;
+both sides of the commutation relation, as such left products; the second
+(unitriangular) multipartition basis X; and spanning sets of the subalgebras
+generated in bounded degree.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import le
@@ -321,12 +323,19 @@ def _check_degree(n: int):
 
 def _primitive_product(ring: BaseRing, m: int, u: int, terms: dict) -> dict:
     """(m T_m(U)) x on the integer Z-basis terms of x, U the u-th basis
-    element, by the ribbon rule (R, R' m-ribbons, ``kernels.ribbons``;
-    N^W_{U,W'} the coefficient of W in U W'; see ``e_of``):
+    element.  m T_m(U), the hook sum sum_j (-1)^j Z_{(m-j,1^j) at U}, is
+    p_m(x_U) on the Schur side, so it is primitive and its left product is a
+    Murnaghan-Nakayama ribbon rule (R, R' m-ribbons, ``kernels.ribbons``;
+    N^W_{U,W'} the coefficient of W in U W'):
 
         (m T_m(U)) Z_nu = sum_R (-1)^ht(R) Z_{nu + R at U} + sum_{W,W'} N^W_{U,W'}
                           sum_{R',R} (-1)^(ht(R) + ht(R')) Z_{nu - R' at W' + R at W}
-    """
+
+    It follows from ProductTable's formula: c^lam_{mu,nu} = <F_lam, s_mu(x)
+    s_nu(y)>; pairing with p_m(x_U) is m d/dp_m(x_U) at x = 0; dp_m[X_W]/
+    dp_m(x_U) = delta_{W,U} + sum_{W'} N^W_{U,W'} p_m(y_{W'}); p_m^perp
+    s_kappa and p_m s_alpha take off and add m-ribbons (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.3 ex. 11, I.7)."""
     links = [(w2, w, c) for w2 in range(ring.rank()) for w, c in ring.tensor[u, w2].items()]
     ribbons = kernels.ribbons
     out: dict[MultiPartition, int] = {}
@@ -355,34 +364,29 @@ def _power_sum(ring: BaseRing, k: int, powers: list, terms: dict) -> dict:
     return out
 
 
-def _newton(ring: BaseRing, n: int, W: RingElement, x: str, sign: int) -> GrothElement:
-    """x_n(W) from m x_m = sum_{k=1..m} sign^(k-1) P_k(W) x_{m-k}, x_0 = 1, for
-    x = e (sign -1) or h (sign 1), each division by m exact in ints, a
-    remainder raising IntegralityError.  The powers of W are taken once per
-    call; the ring's memo ``x_of`` keeps every x_m(W) and supplies those it
-    holds."""
-    memo = ring.memo(f"{x}_of", dict)
-    w = W.key()
-    if (w, n) in memo:
-        return memo[w, n]
-    powers = [W]
+def _newton(ring: BaseRing, n: int, W: RingElement, x: str, y, store, key) -> list:
+    """The levels [x_0(W) y, ..., x_n(W) y] (y = 1 when None) from m x_m(W) y =
+    sum_{k=1..m} sign^(k-1) P_k(W) x_{m-k}(W) y, x = e (sign -1) or h (sign 1),
+    each division by m exact in ints, a remainder raising IntegralityError;
+    store[key + (m,)] keeps each level m > 0 and supplies those it holds."""
+    sign = -1 if x == "e" else 1
+    ys, powers = [GrothElement.one(ring) if y is None else y], [W]
     while len(powers) < n:
         powers.append(powers[-1] * W)
-    xs = [GrothElement.one(ring)]  # xs[m] = x_m(W)
     for m in range(1, n + 1):
-        got = memo.get((w, m))
+        got = store.get(key + (m,))
         if got is None:
             terms: dict[MultiPartition, int] = {}
             for k in range(1, m + 1):
-                accumulate(terms, _power_sum(ring, k, powers, xs[m - k].terms), sign ** (k - 1))
+                accumulate(terms, _power_sum(ring, k, powers, ys[m - k].terms), sign ** (k - 1))
             for c in terms.values():
                 if c % m:
                     raise IntegralityError(
                         f"{x}_{m}({W!r}) has non-integer coefficient {Fraction(c, m)}"
                     )
-            got = memo[w, m] = GrothElement(ring, {key: c // m for key, c in terms.items()})
-        xs.append(got)
-    return xs[n]
+            got = store[key + (m,)] = GrothElement(ring, {z: c // m for z, c in terms.items()})
+        ys.append(got)
+    return ys
 
 
 def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
@@ -390,18 +394,7 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     single-column key at W, for any other W Newton's identity (``_newton``)
     with the power sums P_k(W) = sum_{s | k} (k/s) T_{k/s}(W^s) of E_W(t),
     read off -log E_W(-t) = sum_s F_{W^s}(t^s)/s; the coefficients of E_W(t)
-    commute, for noncommutative R too.  m T_m(U), the hook sum
-    sum_j (-1)^j Z_{(m-j,1^j) at U}, is p_m(x_U) on the Schur side, so it is
-    primitive and its left product is a Murnaghan-Nakayama ribbon rule
-    (``_primitive_product``), from ProductTable's formula:
-
-        c^lam_{mu,nu} = <F_lam, s_mu(x) s_nu(y)>;
-        pairing with p_m(x_U) is m d/dp_m(x_U) at x = 0;
-        dp_m[X_W]/dp_m(x_U) = delta_{W,U} + sum_{W'} N^W_{U,W'} p_m(y_{W'});
-        p_m^perp s_kappa and p_m s_alpha take off and add m-ribbons
-
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 ex. 11, I.7).
-    So no product table is built."""
+    commute, for noncommutative R too.  No product table is built."""
     _check_degree(n)
     if n == 0:
         return GrothElement.one(ring)
@@ -410,41 +403,62 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     u = W.basis_index()
     if u is not None:
         return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * n))
-    return _newton(ring, n, W, "e", -1)
+    memo, w = ring.memo("e_of", dict), (W.key(),)
+    return memo.get(w + (n,)) or _newton(ring, n, W, "e", None, memo, w)[n]
 
 
 def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """h_n(W) from n h_n(W) = sum_{k=1..n} P_k(W) h_{n-k}(W), as log H_W(t)
-    = -log E_W(-t): the power sums and ribbon rule of ``e_of``."""
+    = -log E_W(-t): the power sums of ``e_of``, with no product table."""
     _check_degree(n)
-    return _newton(ring, n, W, "h", 1)
+    memo, w = ring.memo("h_of", dict), (W.key(),)
+    return memo.get(w + (n,)) or _newton(ring, n, W, "h", None, memo, w)[n]
 
 
 # ---------------------------------------------------------------------------
 # commutation relation
 
+_levels = None  # what ``_left`` keeps, a dict only inside ``shared_levels``
+
+
+@contextmanager
+def shared_levels():
+    """Keep the levels ``_left`` makes while the block, or a decorated call, runs."""
+    global _levels
+    outer, _levels = _levels, {}
+    try:
+        yield
+    finally:
+        _levels = outer
+
+
+def _left(ring, n: int, W: RingElement, x: str, y: GrothElement) -> GrothElement:
+    """x_n(W) y, level n of ``_newton`` from y; for y = 1 the generator itself."""
+    if y.terms == {mp_empty(ring.rank()): 1}:
+        return (e_of if x == "e" else h_element)(ring, n, W)
+    store, key = {} if _levels is None else _levels, (ring, x, W.key(), y)
+    return store.get(key + (n,)) or _newton(ring, n, W, x, y, store, key)[n]
+
+
 def commutation_sides(ring, i: int, j: int, U: RingElement, V: RingElement):
     """Both sides of the commutation identity
 
         sum_k e_{i-k}(U) h_k(VU) e_{j-k}(V) = sum_k e_{j-k}(V) h_k(UV) e_{i-k}(U)
-    """
-    lhs = GrothElement.zero(ring)
-    rhs = GrothElement.zero(ring)
-    for k in range(min(i, j) + 1):
-        lhs = lhs + z_multiply(
-            z_multiply(e_of(ring, i - k, U), h_element(ring, k, V * U)),
-            e_of(ring, j - k, V),
-        )
-        rhs = rhs + z_multiply(
-            z_multiply(e_of(ring, j - k, V), h_element(ring, k, U * V)),
-            e_of(ring, i - k, U),
-        )
-    return lhs, rhs
+
+    once its generators are taken, in the order they stand; then each term
+    is the e-loop on U from the h-loop on VU from e_{j-k}(V) (``_left``)."""
+    VU, UV, ks = V * U, U * V, range(min(i, j) + 1)
+    for k in ks:
+        e_of(ring, i - k, U), h_element(ring, k, VU), e_of(ring, j - k, V)
+        e_of(ring, j - k, V), h_element(ring, k, UV), e_of(ring, i - k, U)
+    lhs = [_left(ring, i - k, U, "e", _left(ring, k, VU, "h", e_of(ring, j - k, V))) for k in ks]
+    rhs = [_left(ring, j - k, V, "e", _left(ring, k, UV, "h", e_of(ring, i - k, U))) for k in ks]
+    return sum(lhs, GrothElement.zero(ring)), sum(rhs, GrothElement.zero(ring))
 
 
 def commutator(ring, i, j, U, V) -> GrothElement:
     a, b = e_of(ring, i, U), e_of(ring, j, V)
-    return z_multiply(a, b) - z_multiply(b, a)
+    return _left(ring, i, U, "e", b) - _left(ring, j, V, "e", a)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,7 @@ def suite_oracle_crosscheck(ring: BaseRing, degree: int, seed: int) -> Report:
 
 # ---------------------------------------------------------------------------
 
+@gr.shared_levels()
 def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
     rep = Report("commutation", ring.name, degree, seed)
     bd = min(3, degree)

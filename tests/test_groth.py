@@ -8,6 +8,7 @@ import pytest
 from wreathgroth import groth as gr
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
+from wreathgroth import verify
 from wreathgroth.errors import DomainError
 from wreathgroth.groth import GrothElement
 from wreathgroth.partitions import mp_single, mp_total, multipartitions_upto
@@ -171,24 +172,6 @@ def test_h_inverts_e_series():
                 term = gr.h_element(ring, n - k, W) * gr.e_of(ring, k, W)
                 acc = acc + term.scale((-1) ** k)
             assert acc.is_zero(), (ring.name, W, n)
-
-
-def test_h_keeps_the_table_at_degree_n():
-    # no partial product of h_n(W) exceeds degree n, so a fresh ring's
-    # product table grows no further than n
-    one = {"basis": ["1"], "unit": {"1": 1}, "mult": [{"left": "1", "right": "1", "out": {"1": 1}}]}
-    c2 = {
-        "basis": ["e", "g"],
-        "unit": {"e": 1},
-        "mult": [
-            {"left": a, "right": b, "out": {"e" if a == b else "g": 1}}
-            for a in "eg" for b in "eg"
-        ],
-    }
-    for config, elem, n in ((one, "1", 4), (one, "2*1", 4), (c2, "g", 3), (c2, "e+g", 3)):
-        ring = rg.ring_from_config(config)
-        gr.h_element(ring, n, ring.element(elem))
-        assert gr.product_table(ring).degree <= n, (elem, n)
 
 
 def test_commutation_degree_one():
@@ -494,12 +477,55 @@ def test_h_element_equals_the_jacobi_trudi_route(ring, elements, top):
 
 
 def test_e_and_h_build_no_product_table():
-    ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
-    for W in (ring.element("e + g"), ring.element("2*e - g"), ring.basis_element(1)):
-        for n in range(6):
-            gr.e_of(ring, n, W)
-            gr.h_element(ring, n, W)
-    assert "product_table" not in ring._caches
+    # Newton's identity applies its power sums by the ribbon rule, so neither
+    # e_n(W) nor h_n(W) asks any product table for a product, over rank 1 and
+    # rank 2, for W in the basis and outside it
+    one = {"basis": ["1"], "unit": {"1": 1}, "mult": [{"left": "1", "right": "1", "out": {"1": 1}}]}
+    cases = (
+        (rg.ring_from_config(one), ("1", "2*1")),
+        (rg.cyclic_group_algebra.__wrapped__(2), ("e + g", "2*e - g", "g")),  # a private instance
+    )
+    for ring, elements in cases:
+        for W in map(ring.element, elements):
+            for n in range(6):
+                gr.e_of(ring, n, W)
+                gr.h_element(ring, n, W)
+        assert "product_table" not in ring._caches, ring.name
+
+
+LEFT_ACTION_RINGS = (
+    (rg.integers.__wrapped__, {0: 2}, 6),
+    (lambda: rg.cyclic_group_algebra.__wrapped__(2), {0: 2, 1: -1}, 6),
+    (rg.golden_ring.__wrapped__, {0: 2, 1: -1}, 6),
+    (lambda: rg.matrix_ring.__wrapped__(2), {0: 2, 1: -1}, 5),
+)
+
+
+@pytest.mark.parametrize("make, other, top", LEFT_ACTION_RINGS, ids=("Z", "ZC2", "golden", "Mat2"))
+def test_newton_levels_multiply_on_the_left_as_the_product_table_does(make, other, top):
+    # the levels of Newton's identity from y = Z_mu are x_m(W) Z_mu; on a
+    # fresh ring every product below goes through the table's box sweeps
+    # until its demand is dense, a route the battery no longer takes above
+    # degree 4
+    ring = make()  # a private instance: its table starts empty
+    for W in (ring.basis_element(ring.rank() - 1), ring.element(other)):
+        for x, generator in (("e", gr.e_of), ("h", gr.h_element)):
+            for mu in multipartitions_upto(ring.rank(), top):
+                y = GrothElement.basis(ring, mu)
+                levels = gr._newton(ring, top - mp_total(mu), W, x, y, {}, ())
+                for m, got in enumerate(levels):
+                    assert got == gr.z_multiply(generator(ring, m, W), y), (W, x, m, mu)
+
+
+def test_the_commutation_suite_leaves_the_table_at_degree_4_with_no_boxes():
+    # the crosscheck builds the complete degree-4 table; the commutation
+    # checks reach bidegree (3,3), total degree 6, by left products by
+    # generators, so they sweep no box above it
+    for ring in (rg.cyclic_group_algebra.__wrapped__(2), rg.matrix_ring.__wrapped__(2)):
+        for suite in ("oracle-crosscheck", "commutation"):
+            assert verify.run_suite(suite, ring, 4, 0).passed, (ring.name, suite)
+        table = gr.product_table(ring)
+        assert (table.degree, table.boxes) == (4, []), ring.name
 
 
 def test_e_of_memoises_only_w_itself():

@@ -476,6 +476,24 @@ def test_h_element_equals_the_jacobi_trudi_route(ring, elements, top):
             assert gr.h_element(ring, n, W) == _h_by_jacobi_trudi(ring, n, W), (text, n)
 
 
+def test_h_keeps_the_table_at_degree_n():
+    # h_n(W) takes no product from the table, so a fresh ring's product
+    # table grows no further than n
+    one = {"basis": ["1"], "unit": {"1": 1}, "mult": [{"left": "1", "right": "1", "out": {"1": 1}}]}
+    c2 = {
+        "basis": ["e", "g"],
+        "unit": {"e": 1},
+        "mult": [
+            {"left": a, "right": b, "out": {"e" if a == b else "g": 1}}
+            for a in "eg" for b in "eg"
+        ],
+    }
+    for config, elem, n in ((one, "1", 4), (one, "2*1", 4), (c2, "g", 3), (c2, "e+g", 3)):
+        ring = rg.ring_from_config(config)
+        gr.h_element(ring, n, ring.element(elem))
+        assert gr.product_table(ring).degree <= n, (elem, n)
+
+
 def test_e_and_h_build_no_product_table():
     # Newton's identity applies its power sums by the ribbon rule, so neither
     # e_n(W) nor h_n(W) asks any product table for a product, over rank 1 and

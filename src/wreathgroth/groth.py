@@ -17,12 +17,11 @@ numerators.
 The module also hosts the generator family e_r(U)/h_n(W): e_n(W) and h_n(W)
 for any W, and their left products, by Newton's identity from any start,
 whose power sums act on the Z basis by a ribbon rule, with no product table;
-both sides of the commutation relation, as such left products; the second
-(unitriangular) multipartition basis X; and spanning sets of the subalgebras
-generated in bounded degree.
+one table of such left products per ordered pair U, V, holding both sides of
+the commutation relation; the second (unitriangular) multipartition basis X;
+and spanning sets of the subalgebras generated in bounded degree.
 """
 
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import le
@@ -418,47 +417,35 @@ def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
 # ---------------------------------------------------------------------------
 # commutation relation
 
-_levels = None  # what ``_left`` keeps, a dict only inside ``shared_levels``
+def _loop(ring, n: int, W: RingElement, x: str, y) -> list:
+    """[x_0(W) y, ..., x_n(W) y] by ``_newton``; from y = None the generators
+    x_m(W), read from and kept in the ``e_of``/``h_of`` memos."""
+    if y is not None:
+        return _newton(ring, n, W, x, y, {}, ())
+    generator = e_of if x == "e" else h_element
+    generator(ring, n, W)  # one Newton loop memoises the levels below n
+    return [generator(ring, m, W) for m in range(n + 1)]
 
 
-@contextmanager
-def shared_levels():
-    """Keep the levels ``_left`` makes while the block, or a decorated call, runs."""
-    global _levels
-    outer, _levels = _levels, {}
-    try:
-        yield
-    finally:
-        _levels = outer
-
-
-def _left(ring, n: int, W: RingElement, x: str, y: GrothElement) -> GrothElement:
-    """x_n(W) y, level n of ``_newton`` from y; for y = 1 the generator itself."""
-    if y.terms == {mp_empty(ring.rank()): 1}:
-        return (e_of if x == "e" else h_element)(ring, n, W)
-    store, key = {} if _levels is None else _levels, (ring, x, W.key(), y)
-    return store.get(key + (n,)) or _newton(ring, n, W, x, y, store, key)[n]
-
-
-def commutation_sides(ring, i: int, j: int, U: RingElement, V: RingElement):
-    """Both sides of the commutation identity
-
-        sum_k e_{i-k}(U) h_k(VU) e_{j-k}(V) = sum_k e_{j-k}(V) h_k(UV) e_{i-k}(U)
-
-    once its generators are taken, in the order they stand; then each term
-    is the e-loop on U from the h-loop on VU from e_{j-k}(V) (``_left``)."""
-    VU, UV, ks = V * U, U * V, range(min(i, j) + 1)
-    for k in ks:
-        e_of(ring, i - k, U), h_element(ring, k, VU), e_of(ring, j - k, V)
-        e_of(ring, j - k, V), h_element(ring, k, UV), e_of(ring, i - k, U)
-    lhs = [_left(ring, i - k, U, "e", _left(ring, k, VU, "h", e_of(ring, j - k, V))) for k in ks]
-    rhs = [_left(ring, j - k, V, "e", _left(ring, k, UV, "h", e_of(ring, i - k, U))) for k in ks]
-    return sum(lhs, GrothElement.zero(ring)), sum(rhs, GrothElement.zero(ring))
-
-
-def commutator(ring, i, j, U, V) -> GrothElement:
-    a, b = e_of(ring, i, U), e_of(ring, j, V)
-    return _left(ring, i, U, "e", b) - _left(ring, j, V, "e", a)
+def left_products(ring, bd: int, U: RingElement, V: RingElement) -> dict:
+    """{(i, j): (sum_k e_{i-k}(U) h_k(VU) e_{j-k}(V), e_i(U) e_j(V))} for i, j <= bd.
+    The commutation identity equates the first entry with the (V, U) table's
+    first entry at (j, i), and [e_i(U), e_j(V)] is the difference of the
+    second entries.  Each term e_a(U) h_k(VU) e_b(V) is level a of the e-loop
+    on U from level k of the h-loop on VU from e_b(V) (``_loop``); the h-loop
+    from 1, the generators h_m(VU), runs first, so a non-integral one is the
+    error a table raises."""
+    VU, terms = V * U, {}
+    for b in range(bd + 1):
+        for k, y in enumerate(_loop(ring, bd - b, VU, "h", e_of(ring, b, V) if b else None)):
+            for a, t in enumerate(_loop(ring, bd - k, U, "e", y if b or k else None)):
+                terms[a, k, b] = t
+    sides, zero = {}, GrothElement.zero(ring)
+    for i in range(bd + 1):
+        for j in range(bd + 1):
+            lhs = sum((terms[i - k, k, j - k] for k in range(min(i, j) + 1)), zero)
+            sides[i, j] = lhs, terms[i, 0, j]
+    return sides
 
 
 # ---------------------------------------------------------------------------

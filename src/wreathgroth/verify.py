@@ -263,10 +263,18 @@ def suite_oracle_crosscheck(ring: BaseRing, degree: int, seed: int) -> Report:
 
 # ---------------------------------------------------------------------------
 
-@gr.shared_levels()
 def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
     rep = Report("commutation", ring.name, degree, seed)
     bd = min(3, degree)
+    tables = {}  # (u, v) -> gr.left_products of the u-th and v-th basis elements
+
+    def table(u: int, v: int) -> dict:
+        if (u, v) not in tables:
+            tables[u, v] = gr.left_products(ring, bd, ring.basis_element(u), ring.basis_element(v))
+        return tables[u, v]
+
+    def commutator(u: int, v: int, i: int, j: int) -> GrothElement:  # [e_i(U), e_j(V)]
+        return table(u, v)[i, j][1] - table(v, u)[j, i][1]
 
     def degree_one():
         for u in range(ring.rank()):
@@ -282,10 +290,9 @@ def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
     def series_relation():
         for u in range(ring.rank()):
             for v in range(ring.rank()):
-                U, V = ring.basis_element(u), ring.basis_element(v)
                 for i in range(bd + 1):
                     for j in range(bd + 1):
-                        lhs, rhs = gr.commutation_sides(ring, i, j, U, V)
+                        lhs, rhs = table(u, v)[i, j][0], table(v, u)[j, i][0]
                         if lhs != rhs:
                             at = f"({ring.labels[u]},{ring.labels[v]})"
                             return f"bidegree ({i},{j}) at {at}: {_differ(lhs, rhs)}"
@@ -301,20 +308,16 @@ def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
             for v in range(ring.rank()):
                 for i in range(1, bd + 1):
                     for j in range(1, bd + 1):
-                        c = gr.commutator(
-                            ring, i, j, ring.basis_element(u), ring.basis_element(v)
-                        )
-                        if c.degree() > i + j - 1:
+                        if commutator(u, v, i, j).degree() > i + j - 1:
                             return f"[e_{i}({ring.labels[u]}), e_{j}({ring.labels[v]})]"
 
     rep.run("[e_i(U), e_j(V)] lies in filtration degree i+j-1", filtration_drop)
 
     def commuting_pairs():
         for u in range(ring.rank()):
-            U = ring.basis_element(u)
             for i in range(1, bd + 1):
                 for j in range(1, bd + 1):
-                    c = gr.commutator(ring, i, j, U, U)
+                    c = commutator(u, u, i, j)
                     if not c.is_zero():
                         return f"[e_{i}, e_{j}] of {ring.labels[u]}: {_differ(c, c.scale(0))}"
 

@@ -19,6 +19,14 @@ C2 = rg.cyclic_group_algebra(2)
 M2 = rg.matrix_ring(2)
 
 
+def commutation(ring, bd, U, V):
+    """{(i, j): (left side, right side, [e_i(U), e_j(V)])} for i, j <= bd, read
+    off the left-product tables of (U, V) and (V, U) as the commutation suite
+    reads them."""
+    uv, vu = gr.left_products(ring, bd, U, V), gr.left_products(ring, bd, V, U)
+    return {(i, j): (a, vu[j, i][0], b - vu[j, i][1]) for (i, j), (a, b) in uv.items()}
+
+
 def zb(ring, *slot_parts):
     """Z-basis element from (slot, partition) pairs."""
     mp = [()] * ring.rank()
@@ -186,11 +194,12 @@ def test_commutation_degree_one():
 
 
 def test_commuting_arguments_commute():
+    U = C2.basis_element(1)
+    same, mixed = commutation(C2, 2, U, U), commutation(C2, 2, U, C2.basis_element(0))
     for i in range(1, 3):
         for j in range(1, 3):
-            U = C2.basis_element(1)
-            assert gr.commutator(C2, i, j, U, U).is_zero()
-            lhs, rhs = gr.commutation_sides(C2, i, j, U, C2.basis_element(0))
+            assert same[i, j][2].is_zero()
+            lhs, rhs, _ = mixed[i, j]
             assert lhs == rhs
 
 
@@ -208,9 +217,8 @@ def test_ring_element_key_is_canonical():
 
 def test_mat2_nonzero_commutator():
     U, V = M2.basis_element(1), M2.basis_element(2)  # E12, E21
-    lhs, rhs = gr.commutation_sides(M2, 1, 1, U, V)
+    lhs, rhs, comm = commutation(M2, 1, U, V)[1, 1]
     assert lhs == rhs
-    comm = gr.commutator(M2, 1, 1, U, V)
     want = gr.e_of(M2, 1, M2.basis_element(0)) - gr.e_of(M2, 1, M2.basis_element(3))
     assert comm == want
     assert not comm.is_zero()
@@ -218,18 +226,16 @@ def test_mat2_nonzero_commutator():
 
 def test_commutation_with_general_arguments():
     # the identity holds for arbitrary ring elements, not just basis ones
-    U = C2.element("e+g")
-    V = C2.element("e-g")
+    sides = commutation(C2, 2, C2.element("e+g"), C2.element("e-g"))
     for i in (1, 2):
         for j in (1, 2):
-            lhs, rhs = gr.commutation_sides(C2, i, j, U, V)
+            lhs, rhs, comm = sides[i, j]
             assert lhs == rhs
-            assert gr.commutator(C2, i, j, U, V).is_zero()  # commutative ring
-    U = M2.element("E11 + E12")
-    V = M2.element("E21")
+            assert comm.is_zero()  # commutative ring
+    sides = commutation(M2, 2, M2.element("E11 + E12"), M2.element("E21"))
     for i in (1, 2):
         for j in (1, 2):
-            lhs, rhs = gr.commutation_sides(M2, i, j, U, V)
+            lhs, rhs, _ = sides[i, j]
             assert lhs == rhs, (i, j)
 
 
@@ -241,9 +247,10 @@ def test_h_of_general_element():
 
 def test_commutator_filtration_drop():
     for (ring, u, v) in [(M2, 1, 2), (M2, 0, 1), (C2, 0, 1)]:
+        sides = commutation(ring, 2, ring.basis_element(u), ring.basis_element(v))
         for i in range(1, 3):
             for j in range(1, 3):
-                c = gr.commutator(ring, i, j, ring.basis_element(u), ring.basis_element(v))
+                c = sides[i, j][2]
                 assert c.degree() <= i + j - 1
 
 
@@ -325,9 +332,9 @@ def test_constants_served_pair_by_pair_equal_the_complete_build(ring, degree):
 
 
 def test_sparse_commutation_demand_leaves_the_table_small():
-    # e_3(U) e_3(V) and its neighbours ask for a few blocks of total 5 and 6;
-    # the table answers them with boxes instead of the whole degree-6 table
-    # (11,139 pairs on the 2x2 matrices)
+    # the commutation sides to bidegree (3,3) reach total degree 6 by left
+    # products through Newton levels, which leave the table far below the
+    # whole degree-6 table (11,139 pairs on the 2x2 matrices)
     names = ("E11", "E12", "E21", "E22")
     config = {
         "basis": list(names),
@@ -339,7 +346,7 @@ def test_sparse_commutation_demand_leaves_the_table_small():
     }
     ring = rg.ring_from_config(config)
     U, V = ring.basis_element(1), ring.basis_element(2)
-    lhs, rhs = gr.commutation_sides(ring, 3, 3, U, V)
+    lhs, rhs, _ = commutation(ring, 3, U, V)[3, 3]
     assert lhs == rhs
     table = gr.product_table(ring)
     assert table.degree < 6
@@ -544,6 +551,48 @@ def test_the_commutation_suite_leaves_the_table_at_degree_4_with_no_boxes():
             assert verify.run_suite(suite, ring, 4, 0).passed, (ring.name, suite)
         table = gr.product_table(ring)
         assert (table.degree, table.boxes) == (4, []), ring.name
+
+
+LEFT_PRODUCT_RINGS = (
+    (lambda: rg.matrix_ring.__wrapped__(2), "E11 - 2*E12"),
+    (rg.golden_ring.__wrapped__, "1 - 2*x"),
+    (lambda: rg.cyclic_group_algebra.__wrapped__(3), "g1 - 2*g2"),
+)
+
+
+@pytest.mark.parametrize("make, other", LEFT_PRODUCT_RINGS, ids=("Mat2", "golden", "ZC3"))
+def test_left_products_are_the_products_on_the_table(make, other):
+    # every entry against its product on the table, for U and V over the
+    # basis and one element outside it: a term stored under the wrong (a, k, b)
+    # can leave both sides of the commutation identity equal and every
+    # commutator in its filtration degree, so the suite alone would not see it
+    ring = make()  # a private instance: shared caches stay clean
+    elements = [ring.basis_element(u) for u in range(ring.rank())] + [ring.element(other)]
+    for U in elements:
+        for V in elements:
+            VU = V * U
+            for (i, j), (lhs, product) in gr.left_products(ring, 3, U, V).items():
+                terms = (
+                    gr.e_of(ring, i - k, U) * gr.h_element(ring, k, VU) * gr.e_of(ring, j - k, V)
+                    for k in range(min(i, j) + 1)
+                )
+                assert lhs == sum(terms, GrothElement.zero(ring)), (U, V, i, j)
+                assert product == gr.e_of(ring, i, U) * gr.e_of(ring, j, V), (U, V, i, j)
+
+
+def test_the_commutation_tables_do_not_outlive_the_suite():
+    # the suite keeps its tables for its run only: afterwards the ring holds
+    # the product table of the degree-one check and the generators' memos
+    cases = (
+        (rg.matrix_ring.__wrapped__(2), {"h_of": 15}, 53),
+        (rg.golden_ring.__wrapped__(), {"e_of": 1, "h_of": 9}, 19),
+    )
+    for ring, memos, pairs in cases:  # private instances: their caches start empty
+        assert verify.suite_commutation(ring, 4, 0).passed, ring.name
+        caches = dict(ring._caches)
+        table = caches.pop("product_table")
+        assert {name: len(memo) for name, memo in caches.items()} == memos, ring.name
+        assert (table.degree, len(table.pairs)) == (2, pairs), ring.name
 
 
 def test_e_of_memoises_only_w_itself():

@@ -172,39 +172,49 @@ def test_cauchy_witness_names_the_schur_key_and_both_values(monkeypatch):
 
 
 def test_commutation_witness_names_the_z_key_and_both_values(monkeypatch):
-    # [e_1(1), e_1(1)] = 0 over Z; adding 2*Z{1:[1]} to it leaves 2 against 0
-    commutator = gr.commutator
+    # [e_1(1), e_2(1)] = 0 over Z; adding 2*Z{1:[1]} to e_1(1) e_2(1) in the
+    # table leaves 2 against 0.  Both products of a single argument come from
+    # one table, so the change is made off the diagonal (i, j) = (1, 1)
+    left_products = gr.left_products
 
-    def perturbed(ring, i, j, U, V):
-        out = commutator(ring, i, j, U, V)
-        if i == j == 1:
-            out = out + gr.GrothElement(ring, {((1,),): 2})
+    def perturbed(ring, bd, U, V):
+        out = left_products(ring, bd, U, V)
+        lhs, product = out[1, 2]
+        out[1, 2] = lhs, product + gr.GrothElement(ring, {((1,),): 2})
         return out
 
-    monkeypatch.setattr(gr, "commutator", perturbed)
+    monkeypatch.setattr(gr, "left_products", perturbed)
     report = verify.suite_commutation(rg.integers.__wrapped__(), 2, 0)
     assert _detail(report, "e_i(U) and e_j(U) commute") == (
-        "[e_1, e_1] of 1: coefficient of Z{1:[1]}: left side 2, right side 0"
+        "[e_1, e_2] of 1: coefficient of Z{1:[1]}: left side 2, right side 0"
     )
 
 
 def test_commutation_series_witness_names_the_z_key_and_both_sides(monkeypatch):
-    # replace both sides at bidegree (1,1) by 1 + 3*Z{g:[2]} and
-    # 1 + Z{g:[2]} + Z{e:[1,1,1]}: in graded order they first differ at
-    # Z{g:[2]}, 3 against 1
-    sides = gr.commutation_sides
+    # replace the left side at bidegree (1,1) by 1 + 3*Z{g:[2]} in the table
+    # of (e,g) and by 1 + Z{g:[2]} + Z{e:[1,1,1]} in the table of (g,e), the
+    # right side at (e,g): in graded order they first differ at Z{g:[2]}, 3
+    # against 1.  A pair with U = V reads both sides from one table, so the
+    # change is made at u != v
+    left_products = gr.left_products
 
-    def perturbed(ring, i, j, U, V):
-        if (i, j) != (1, 1):
-            return sides(ring, i, j, U, V)
+    def perturbed(ring, bd, U, V):
+        out = left_products(ring, bd, U, V)
         one, z = gr.GrothElement.one(ring), gr.GrothElement.basis(ring, ((), (2,)))
-        return one + z.scale(3), one + z + gr.GrothElement.basis(ring, ((1, 1, 1), ()))
+        sides = {
+            (0, 1): one + z.scale(3),
+            (1, 0): one + z + gr.GrothElement.basis(ring, ((1, 1, 1), ())),
+        }
+        pair = U.basis_index(), V.basis_index()
+        if pair in sides:
+            out[1, 1] = sides[pair], out[1, 1][1]
+        return out
 
-    monkeypatch.setattr(gr, "commutation_sides", perturbed)
+    monkeypatch.setattr(gr, "left_products", perturbed)
     ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
     report = verify.suite_commutation(ring, 1, 0)
     assert _detail(report, "E_U(u) E_{VU}(-uv)^{-1}") == (
-        "bidegree (1,1) at (e,e): coefficient of Z{g:[2]}: left side 3, right side 1"
+        "bidegree (1,1) at (e,g): coefficient of Z{g:[2]}: left side 3, right side 1"
     )
 
 

@@ -42,7 +42,7 @@ coefficients are integers, so its denominator is 1) and, for
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .errors import DomainError, IntegralityError
 
@@ -381,68 +381,38 @@ def row_reduce(rows):
     Each pivot is the least column of its reduced row.
 
     Returns (pivots, det): ``pivots`` maps each pivot column to its reduced
-    (vector, tags), the vector being 1 at the pivot and 0 at every other
-    pivot column; ``det`` is the determinant of the square matrix the rows
-    form with columns in sorted order (0 when the rows are dependent).
-
-    The elimination runs on integer rows: each row is cleared of
-    denominators, a row operation cross-multiplies, and every row it
-    changes is divided by the gcd of its entries.  ``scale`` tracks the
-    factor between a new row and the rational row it stands for, so the
-    determinant is exact; Fractions are built only for the result.
+    (vector, tags) of Fractions, the vector being 1 at the pivot and 0 at
+    every other pivot column; ``det`` is the determinant of the square
+    matrix the rows form with columns in sorted order (0 when the rows are
+    dependent).
     """
-    pivots: dict = {}  # col -> (vec, tags) in ints, 0 at every other pivot column
+    pivots: dict = {}  # col -> (vec, tags), 0 at every other pivot column
     order = []
     det = Fraction(1)
     for vec, tags in rows:
-        den = lcm(*(c.denominator for part in (vec, tags) for c in part.values()))
-        vec = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
-        tags = {k: c.numerator * (den // c.denominator) for k, c in tags.items() if c}
-        scale = Fraction(den)
-        hit = [col for col in vec if col in pivots]
-        if hit:
-            m = lcm(*(pivots[col][0][col] for col in hit))
-            factors = [(col, vec[col] * (m // pivots[col][0][col])) for col in hit]
-            vec = {k: v * m for k, v in vec.items()}
-            tags = {k: v * m for k, v in tags.items()}
-            for col, f in factors:
-                prow, ptags = pivots[col]
-                accumulate(vec, prow, -f)
-                accumulate(tags, ptags, -f)
-            scale *= m
+        vec = {k: v for k, v in vec.items() if v}
+        tags = {k: v for k, v in tags.items() if v}
+        for col in [c for c in vec if c in pivots]:
+            f = -vec[col]
+            accumulate(vec, pivots[col][0], f)
+            accumulate(tags, pivots[col][1], f)
         if not vec:
             det = Fraction(0)
             continue
-        g = gcd(*vec.values(), *tags.values())
-        vec, tags = _divide(vec, g), _divide(tags, g)
         col = min(vec)
-        p = vec[col]
-        det *= p * g / scale  # the rational row is g / scale times (vec, tags)
-        for other_col, (other, other_tags) in pivots.items():
+        lead = Fraction(vec[col])
+        det *= lead
+        vec = {k: v / lead for k, v in vec.items()}
+        tags = {k: v / lead for k, v in tags.items()}
+        for other, other_tags in pivots.values():
             f = other.get(col)
             if f:
-                # p * other - f * vec is 0 at col and still 0 at the other pivots
-                other = {k: v * p for k, v in other.items()}
-                other_tags = {k: v * p for k, v in other_tags.items()}
                 accumulate(other, vec, -f)
                 accumulate(other_tags, tags, -f)
-                g = gcd(*other.values(), *other_tags.values())
-                pivots[other_col] = (_divide(other, g), _divide(other_tags, g))
         pivots[col] = (vec, tags)
         order.append(col)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    reduced = {}
-    for col, (vec, tags) in pivots.items():
-        p = vec[col]
-        reduced[col] = (
-            {k: Fraction(v, p) for k, v in vec.items()},
-            {k: Fraction(v, p) for k, v in tags.items()},
-        )
-    return reduced, -det if inversions & 1 else det
-
-
-def _divide(row: dict, g: int) -> dict:
-    return row if g == 1 else {k: v // g for k, v in row.items()}
+    return pivots, -det if inversions & 1 else det
 
 
 def reduce(vec: dict, pivots: dict) -> dict:

@@ -312,8 +312,10 @@ class BaseRing:
                                     f"psi_{d1} o psi_{d2} != psi_{d1 * d2} at {lab[i]}"
                                 )
         if self.lambda_ops is not None and self.unit is not None:
-            for u in range(n):
-                if self.lambda_basis(u, 1) != self.basis_element(u):
+            for u in range(n):  # lambda_basis answers r <= 1 without the table
+                if self.lambda_ops.get((u, 0), self.unit) != self.unit:
+                    issues.append(f"lambda^0({lab[u]}) != 1")
+                if self.lambda_ops.get((u, 1), {u: 1}) != {u: 1}:
                     issues.append(f"lambda^1({lab[u]}) != {lab[u]}")
         return issues
 

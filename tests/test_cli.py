@@ -162,6 +162,26 @@ def test_malformed_ring_config_is_a_usage_error(tmp_path, capsys, override):
     ]
 
 
+def test_ring_validate_reads_the_declared_lambda_one_and_zero(tmp_path, capsys):
+    p = tmp_path / "ring.json"
+    p.write_text(json.dumps({**C2_CONFIG, "lambda": {"g": {"1": {"e": 1}}, "e": {"1": {"g": 3}}}}))
+    code, out, _ = run(capsys, "ring", "validate", "--ring", str(p))
+    assert code == 1
+    assert [line.strip() for line in out.splitlines() if "INVALID" in line] == [
+        "INVALID: lambda^1(e) != e",
+        "INVALID: lambda^1(g) != g",
+    ]
+    p.write_text(json.dumps({**C2_CONFIG, "lambda": {"g": {"0": {"g": 1}, "1": {"g": 1}}}}))
+    code, out, _ = run(capsys, "ring", "validate", "--ring", str(p))
+    assert code == 1
+    assert [line.strip() for line in out.splitlines() if "INVALID" in line] == [
+        "INVALID: lambda^0(g) != 1",
+    ]
+    p.write_text(json.dumps({**C2_CONFIG, "lambda": {"g": {"0": {"e": 1}, "1": {"g": 1}, "2": {}}}}))
+    code, out, _ = run(capsys, "ring", "validate", "--ring", str(p))
+    assert code == 0 and "valid" in out
+
+
 @pytest.mark.parametrize("label", ["x.y", "x:y", "x;y", "x y", ""])
 def test_a_basis_label_no_literal_can_name_is_a_usage_error(tmp_path, capsys, label):
     # element and multipartition literals name labels by [A-Za-z0-9_]+, so a

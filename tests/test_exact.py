@@ -5,6 +5,7 @@ formatter."""
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -100,35 +101,6 @@ def test_singular_rows_have_determinant_zero_and_fewer_pivots():
     assert list(pivots) == [0]
 
 
-def reference_row_reduce(rows):
-    """Gauss-Jordan on Fraction rows, each pivot row divided by its lead as
-    soon as it is found: the loop before row_reduce ran on integer rows."""
-    pivots, order, det = {}, [], F(1)
-    for vec, tags in rows:
-        vec, tags = dict(vec), dict(tags)
-        for col in [c for c in vec if c in pivots]:
-            f = -vec[col]
-            accumulate(vec, pivots[col][0], f)
-            accumulate(tags, pivots[col][1], f)
-        if not vec:
-            det = F(0)
-            continue
-        col = min(vec)
-        lead = F(vec[col])
-        det *= lead
-        vec = {k: v / lead for k, v in vec.items()}
-        tags = {k: v / lead for k, v in tags.items()}
-        for other, other_tags in pivots.values():
-            f = other.get(col)
-            if f:
-                accumulate(other, vec, -f)
-                accumulate(other_tags, tags, -f)
-        pivots[col] = (vec, tags)
-        order.append(col)
-    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    return pivots, -det if inversions & 1 else det
-
-
 def random_rows(rng):
     """Sparse rational rows over a few columns, square half of the time, with
     duplicate rows and rows that are combinations of earlier ones among
@@ -151,23 +123,44 @@ def random_rows(rng):
     return rows
 
 
+def leibniz_determinant(rows):
+    """The permutation sum of the square matrix the rows form with columns in
+    sorted order."""
+    columns = sorted({col for row in rows for col in row})
+    total = F(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = F(-1 if inversions & 1 else 1)
+        for row, c in zip(rows, perm):
+            term *= row.get(columns[c], 0)
+        total += term
+    return total
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_row_reduce_on_integer_rows_equals_the_fraction_reference(seed):
+    """The name is kept from the integer-row solver, whose results this test
+    compared with a Gauss-Jordan over Q; the checks are now the properties
+    that define the result: reduced pivots, each the combination its tags
+    record, a span holding every input row, and the permutation-sum
+    determinant, negated by a row swap."""
     rng = random.Random(seed)
     rows = random_rows(rng)
-    tagged = [(row, {i: F(rng.choice((1, -2, 3)), rng.choice((1, 2, 5)))}) for i, row in enumerate(rows)]
-    pivots, det = row_reduce(iter(tagged))
-    want_pivots, want_det = reference_row_reduce(iter(tagged))
-    assert list(pivots) == list(want_pivots)
-    assert pivots == want_pivots
-    assert det == want_det
-    i, j = rng.sample(range(len(tagged)), 2)
-    tagged[i], tagged[j] = tagged[j], tagged[i]
-    swapped_pivots, swapped_det = row_reduce(iter(tagged))
-    assert swapped_det == reference_row_reduce(iter(tagged))[1]
-    assert sorted(swapped_pivots) == sorted(pivots)
+    pivots, det = row_reduce((row, {i: 1}) for i, row in enumerate(rows))
+    for col, (vec, tags) in pivots.items():
+        assert vec[col] == 1 and col == min(vec)
+        assert not any(other in vec for other in pivots if other != col)
+        combined: dict = {}
+        for i, c in tags.items():
+            accumulate(combined, rows[i], c)
+        assert combined == vec
+    for row in rows:
+        assert reduce(row, pivots) == {}
     if len(rows) == len({col for row in rows for col in row}):  # a square matrix
-        assert swapped_det == -det
+        assert det == leibniz_determinant(rows)
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+        assert row_reduce((row, {}) for row in rows)[1] == -det
 
 
 def test_membership_in_an_echelon_span():

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,17 @@ from wreathgroth import groth as gr
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
 from wreathgroth import verify
+from wreathgroth._exact import accumulate
 from wreathgroth.errors import DomainError
 from wreathgroth.groth import GrothElement
-from wreathgroth.partitions import mp_single, mp_total, multipartitions_upto
+from wreathgroth.partitions import (
+    conjugate,
+    mp_single,
+    mp_total,
+    multipartitions,
+    multipartitions_upto,
+    partitions,
+)
 
 
 Z = rg.integers()
@@ -647,3 +656,118 @@ def test_row_per_key_conversion_equals_the_slot_by_slot_reference(k):
             assert sf._convert_int(terms, sf._key_rows(row)) == want
             pairs = gr._schur_pairs(terms, k, sf._key_rows(row))
             assert {mu + nu: c for (mu, nu), c in pairs.items()} == want
+
+
+# ---------------------------------------------------------------------------
+# e_n(W) and h_n(W) as Schur specialisations of the Z basis:
+# prod_l Theta_l(1 + sum_U p_l(x_U) U) = sum_lam prod_U s_lam(U)(x_U) Z_lam, and
+# E_W(t), H_W(t) = E_W(-t)^-1 are this series at p_l(x_U) -> (-1)^(l-1) t^l W_U
+# and at p_l(x_U) -> sum_r (W^r)_U t^(rl).  The route takes no product, no
+# ribbon and no character: hook contents for e, Jacobi-Trudi for h.
+
+def schur_at_ones(kappa, c):
+    """s_kappa(1^c) = prod over the boxes (i, j) of (c + j - i) / hook(i, j),
+    a polynomial in c (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.3 ex. 4), so c may be negative."""
+    cols = conjugate(kappa)
+    out = Fraction(1)
+    for i, row in enumerate(kappa):
+        for j in range(row):
+            out *= Fraction(c + j - i, row - j + cols[j] - i - 1)
+    return out
+
+
+def poly_mul(a: dict, b: dict, n: int) -> dict:
+    """Product of polynomials {degree: coefficient} in t, truncated above t^n."""
+    out: dict = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j <= n:
+                out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def schur_of_alphabet(power, n: int) -> dict:
+    """{kappa: s_kappa[A]} for |kappa| <= n, as polynomials in t truncated
+    above t^n, from the power sums power[l] = p_l[A]: h_k and e_k by Newton's
+    identity, then the Jacobi-Trudi determinant in h (or in e by the
+    conjugate, whichever is smaller)."""
+    h, e = [{0: Fraction(1)}], [{0: Fraction(1)}]
+    for k in range(1, n + 1):
+        hk, ek = {}, {}
+        for l in range(1, k + 1):
+            accumulate(hk, poly_mul(power[l], h[k - l], n), Fraction(1, k))
+            accumulate(ek, poly_mul(power[l], e[k - l], n), Fraction((-1) ** (l - 1), k))
+        h.append(hk)
+        e.append(ek)
+    out = {}
+    for size in range(n + 1):
+        for kappa in partitions(size):
+            rows, seq = (kappa, h) if len(kappa) <= sum(kappa[:1]) else (conjugate(kappa), e)
+            det: dict = {}
+            for perm in permutations(range(len(rows))):
+                inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+                term = {0: Fraction(-1 if inversions & 1 else 1)}
+                for i, j in enumerate(perm):
+                    k = rows[i] - i + j
+                    term = poly_mul(term, seq[k] if 0 <= k <= n else {}, n)
+                accumulate(det, term)
+            out[kappa] = det
+    return out
+
+
+def schur_e(ring, n, W) -> GrothElement:
+    """sum_{|lam| = n} prod_U s_{lam(U)'}(1^{W_U}) Z_lam."""
+    terms = {}
+    for lam in multipartitions(ring.rank(), n):
+        c = Fraction(1)
+        for u, kappa in enumerate(lam):
+            c *= schur_at_ones(conjugate(kappa), W.terms.get(u, 0))
+        terms[lam] = c
+    return GrothElement(ring, terms)
+
+
+def schur_h(ring, n, W) -> GrothElement:
+    """sum_{|lam| <= n} [t^n] prod_U s_lam(U)[sum_r (W^r)_U t^r] Z_lam."""
+    powers = [W ** r for r in range(1, n + 1)]
+    schur = [
+        schur_of_alphabet(
+            {l: {r * l: Fraction(p.terms.get(u, 0)) for r, p in enumerate(powers, 1) if r * l <= n}
+             for l in range(1, n + 1)},
+            n,
+        )
+        for u in range(ring.rank())
+    ]
+    terms = {}
+    for lam in multipartitions_upto(ring.rank(), n):
+        series = {0: Fraction(1)}
+        for u, kappa in enumerate(lam):
+            series = poly_mul(series, schur[u][kappa], n)
+        terms[lam] = series.get(n, 0)
+    return GrothElement(ring, terms)
+
+
+SCHUR_RINGS = [
+    (rg.integers.__wrapped__, 6, 8),
+    (lambda: rg.cyclic_group_algebra.__wrapped__(2), 5, 10),
+    (lambda: rg.cyclic_group_algebra.__wrapped__(3), 4, 10),
+    (rg.golden_ring.__wrapped__, 5, 10),
+    (lambda: rg.matrix_ring.__wrapped__(2), 3, 10),
+    (lambda: rg.load_ring(str(Path(__file__).parent / "rings" / "upper_triangular.json")), 4, 10),
+]
+
+
+@pytest.mark.parametrize(
+    "make, top, draws", SCHUR_RINGS, ids=("Z", "ZC2", "ZC3", "golden", "Mat2", "upper")
+)
+def test_e_and_h_are_schur_specialisations_of_the_z_basis(make, top, draws):
+    ring = make()  # private, so the memos of the shared rings stay as they are
+    rng = random.Random(2700 + ring.rank())
+    elements = {}
+    for _ in range(draws):
+        W = ring.element({u: rng.randint(-2, 2) for u in range(ring.rank())})
+        elements[W.key()] = W
+    for W in elements.values():
+        for n in range(top + 1):
+            assert gr.e_of(ring, n, W) == schur_e(ring, n, W), (n, W)
+            assert gr.h_element(ring, n, W) == schur_h(ring, n, W), (n, W)

@@ -149,6 +149,7 @@ def test_row_reduce_on_integer_rows_equals_the_fraction_reference(seed):
     pivots, det = row_reduce((row, {i: 1}) for i, row in enumerate(rows))
     for col, (vec, tags) in pivots.items():
         assert vec[col] == 1 and col == min(vec)
+        assert all(type(c) is F for part in (vec, tags) for c in part.values())
         assert not any(other in vec for other in pivots if other != col)
         combined: dict = {}
         for i, c in tags.items():

@@ -662,8 +662,8 @@ def test_row_per_key_conversion_equals_the_slot_by_slot_reference(k):
 # e_n(W) and h_n(W) as Schur specialisations of the Z basis:
 # prod_l Theta_l(1 + sum_U p_l(x_U) U) = sum_lam prod_U s_lam(U)(x_U) Z_lam, and
 # E_W(t), H_W(t) = E_W(-t)^-1 are this series at p_l(x_U) -> (-1)^(l-1) t^l W_U
-# and at p_l(x_U) -> sum_r (W^r)_U t^(rl).  The route takes no product, no
-# ribbon and no character: hook contents for e, Jacobi-Trudi for h.
+# and at p_l(x_U) -> sum_r (W^r)_U t^(rl).  The route takes no product in the
+# Z basis, no ribbon and no character: hook contents for e, Jacobi-Trudi for h.
 
 def schur_at_ones(kappa, c):
     """s_kappa(1^c) = prod over the boxes (i, j) of (c + j - i) / hook(i, j),
@@ -762,7 +762,7 @@ SCHUR_RINGS = [
 )
 def test_e_and_h_are_schur_specialisations_of_the_z_basis(make, top, draws):
     ring = make()  # private, so the memos of the shared rings stay as they are
-    rng = random.Random(2700 + ring.rank())
+    rng = random.Random(ring.name)
     elements = {}
     for _ in range(draws):
         W = ring.element({u: rng.randint(-2, 2) for u in range(ring.rank())})

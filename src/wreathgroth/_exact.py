@@ -34,7 +34,8 @@ denominator; ``_int_product(a, b)`` multiplies two such numerator dicts in
 the element's context (ring, truncation), without changing them, and
 returns one with no zero entries; ``_from_ints(nums, den)`` builds the
 element of that context.  The cores are ``z_multiply``'s table lookup
-(``GrothElement``), the word products of ``PBWElement``, the slotwise key
+(``GrothElement``), the table rows of each half of ``hopf.TensorGroth``,
+the word products of ``PBWElement``, the slotwise key
 merges of the oracle's power-sum series, ``symfun``'s power-sum product
 (``SymSeries``), the structure tensor of ``RingElement`` (whose
 coefficients are integers, so its denominator is 1) and, for

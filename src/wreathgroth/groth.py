@@ -262,15 +262,6 @@ class ProductTable:
         for key, row in new.items():  # rows already held are the same
             self.pairs.setdefault(key, row)
 
-    def constants(self, mu: MultiPartition, nu: MultiPartition):
-        """The row of (mu, nu), built on the first request."""
-        key = (tuple(mu), tuple(nu))
-        row = self.pairs.get(key)
-        if row is None:
-            self.ensure(mp_total(mu) + mp_total(nu), ((key[0],), (key[1],)))
-            row = self.pairs.get(key, {})
-        return row
-
 
 def _schur_pairs(series: dict, k: int, schur_row) -> dict:
     """An integer power-sum series over the 2k slots of a pair in Schur keys,

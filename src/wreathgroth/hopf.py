@@ -33,7 +33,7 @@ from ._exact import (
     Combination, accumulate, first_difference, monomial_product, power_sum, settle, substitute
 )
 from .errors import DomainError, IntegralityError
-from .groth import GrothElement, _substitution_plan, _doubled_labels, product_table
+from .groth import GrothElement, _degree, _substitution_plan, _doubled_labels, product_table
 from .partitions import (
     MultiPartition,
     Partition,
@@ -79,17 +79,20 @@ class TensorGroth(Combination):
                 out[(ka, kb)] = ca * cb
         return cls(a.ring, out)
 
-    def __mul__(self, other: "TensorGroth") -> "TensorGroth":
-        self._check(other)
+    def _int_product(self, a: dict, b: dict) -> dict:
+        """(Z_m1 Z_m2) (x) (Z_n1 Z_n2) summed from the ring's table, which is
+        first made to hold every pair of left halves and of right halves."""
         table = product_table(self.ring)
-        terms: dict = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                c = c1 * c2
-                right = table.constants(n1, n2)
-                for lm, cl in table.constants(m1, m2).items():
-                    accumulate(terms, {(lm, ln): cr for ln, cr in right.items()}, c * cl)
-        return self._like(settle(terms))
+        for half in (0, 1):
+            lefts, rights = {k[half] for k in a}, {k[half] for k in b}
+            table.ensure(_degree(lefts) + _degree(rights), (lefts, rights))
+        out: dict = {}
+        for (m1, n1), c1 in a.items():
+            for (m2, n2), c2 in b.items():
+                right = table.pairs[n1, n2]
+                for lm, cl in table.pairs[m1, m2].items():
+                    accumulate(out, {(lm, ln): cr for ln, cr in right.items()}, c1 * c2 * cl)
+        return out
 
 
 def comultiply(x: GrothElement) -> TensorGroth:

@@ -66,7 +66,6 @@ from ._exact import (
     format_terms,
     from_numerators,
     log1p,
-    product,
     substitute,
     to_numerators,
 )
@@ -163,13 +162,11 @@ def _word_degrees(ring: BaseRing) -> _Degrees:
 
 
 class PBWElement(Combination):
-    """Sparse rational combination of normal words, truncated by filtration.
-
-    Equality ignores the truncation degree."""
+    """Sparse rational combination of normal words, truncated by filtration."""
 
     __slots__ = ("ring", "degree")
     _context = ("ring", "degree")
-    _compared = ("ring",)
+    _compared = _context
 
     def __init__(self, ring: BaseRing, degree: int, terms=None):
         self.ring = ring
@@ -178,26 +175,6 @@ class PBWElement(Combination):
 
     def _fits(self, w) -> bool:
         return _word_degrees(self.ring)[w] <= self.degree
-
-    def _at_common_degree(self, other: "PBWElement") -> tuple:
-        """Both operands truncated at the smaller of their degrees, once the
-        operand check has passed: neither is known above its own."""
-        self._check(other)
-        degree = min(self.degree, other.degree)
-        return tuple(
-            x if x.degree == degree else PBWElement(x.ring, degree, x.terms)
-            for x in (self, other)
-        )
-
-    def __add__(self, other: "PBWElement") -> "PBWElement":
-        return Combination.__add__(*self._at_common_degree(other))
-
-    def __sub__(self, other: "PBWElement") -> "PBWElement":
-        return Combination.__sub__(*self._at_common_degree(other))
-
-    def __mul__(self, other: "PBWElement") -> "PBWElement":
-        """The product, truncated at the smaller of the two degrees."""
-        return product(*self._at_common_degree(other))
 
     @classmethod
     def zero(cls, ring, degree):
@@ -486,17 +463,24 @@ def _in_z_basis(ring: BaseRing, nums: dict, den: int) -> GrothElement:
     return GrothElement(ring, from_numerators(*_z_numerators(data.word_to_z, nums, den)))
 
 
+def _z_entry(ring: BaseRing, ztable: dict, mp: MultiPartition) -> tuple[dict, int]:
+    """Z_mp's entry in ``ztable``, which holds every Z-basis key up to its
+    degree; a key it lacks is not a Z-basis key of the ring."""
+    entry = ztable.get(mp)
+    if entry is None:
+        raise DomainError(f"{mp} is not a Z-basis key of ring {ring.name}")
+    return entry
+
+
 def z_element_pbw(ring: BaseRing, mp: MultiPartition, degree=None) -> PBWElement:
     """The basis element Z_mp written in normal-ordered words, truncated at
-    the degree of the Z-table it is read from (at least ``degree``, by
-    default |mp|)."""
+    ``degree`` (by default |mp|, where Z_mp is whole), whatever degree the
+    ring's Z-table has reached."""
     mp = tuple(mp)
     if degree is None:
         degree = mp_total(mp)
-    data = _zdata(ring, degree)
-    if mp not in data.ztable:
-        return PBWElement.zero(ring, degree)
-    return PBWElement(ring, data.degree, from_numerators(*data.ztable[mp]))
+    ztable = _zdata(ring, max(degree, mp_total(mp))).ztable
+    return PBWElement(ring, degree, from_numerators(*_z_entry(ring, ztable, mp)))
 
 
 def to_z_basis(x: PBWElement) -> GrothElement:
@@ -510,7 +494,7 @@ def oracle_multiply(ring: BaseRing, mu, nu) -> GrothElement:
     mu, nu = tuple(mu), tuple(nu)
     degree = mp_total(mu) + mp_total(nu)
     ztable = _zdata(ring, degree).ztable
-    (a, da), (b, db) = (ztable.get(k, ({}, 1)) for k in (mu, nu))
+    (a, da), (b, db) = (_z_entry(ring, ztable, k) for k in (mu, nu))
     prod = PBWElement.zero(ring, degree)._int_product(a, b)
     out = _in_z_basis(ring, prod, da * db)
     out.assert_integral(f"oracle product of {mu} and {nu}")

@@ -102,8 +102,7 @@ _LABEL = "[A-Za-z0-9_]+"
 class BaseRing:
     """Finite free Z-module with a (total) structure tensor over its basis."""
 
-    def __init__(self, labels, tensor, unit=None, adams=None, lambda_ops=None,
-                 lambda_rmax=0, name="ring"):
+    def __init__(self, labels, tensor, unit=None, adams=None, lambda_ops=None, name="ring"):
         self.labels: tuple[str, ...] = tuple(labels)
         if not self.labels:
             raise ConfigError(f"ring {name} has an empty basis")
@@ -126,9 +125,10 @@ class BaseRing:
         self.unit: Vec | None = None if unit is None else _int_vec(unit, "unit")
         # adams[d] = list of image vectors, one per basis element
         self.adams: dict[int, list[Vec]] | None = adams
-        # lambda_ops[(u, r)] = vector for lambda^r(basis u), 0 <= r <= lambda_rmax
+        # lambda_ops[(u, r)] = vector for lambda^r(basis u), 0 <= r <= lambda_rmax,
+        # the largest r declared
         self.lambda_ops: dict[tuple[int, int], Vec] | None = lambda_ops
-        self.lambda_rmax = lambda_rmax
+        self.lambda_rmax = max((r for _, r in lambda_ops or ()), default=0)
         self.name = name
         self._caches: dict = {}
 
@@ -439,7 +439,6 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
                 cols.append(_parse_vec(labels, table[lab], f"adams[{d}][{lab}]"))
             adams[d] = cols
     lam = None
-    rmax = 0
     if "lambda" in data:
         lam = {}
         tables = _expect_object(data["lambda"], "lambda", "label -> table")
@@ -453,9 +452,7 @@ def ring_from_config(data: dict, name="ring") -> BaseRing:
                 if r < 0:
                     raise ConfigError(f"lambda[{lab}]: degree {r} must be non-negative")
                 lam[(u, r)] = _parse_vec(labels, vec, f"lambda[{lab}][{r}]")
-                rmax = max(rmax, r)
-    return BaseRing(labels, tensor, unit=unit, adams=adams, lambda_ops=lam,
-                    lambda_rmax=rmax, name=name)
+    return BaseRing(labels, tensor, unit=unit, adams=adams, lambda_ops=lam, name=name)
 
 
 def load_ring(path: str) -> BaseRing:
@@ -477,12 +474,10 @@ def _cyclic(n: int, labels, name: str) -> BaseRing:
     """Z[C_n] on basis g^0 = 1, ..., g^(n-1): g^i g^j = g^((i+j) mod n) and
     psi_d(g^i) = g^(di mod n); each basis element is one-dimensional, so
     lambda_t(g) = 1 + g t."""
-    rmax = 8
     tensor = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
     adams = {d: [{d * i % n: 1} for i in range(n)] for d in range(1, 10)}
-    lam = {(u, r): {} for u in range(n) for r in range(2, rmax + 1)}
-    return BaseRing(labels, tensor, unit={0: 1}, adams=adams, lambda_ops=lam,
-                    lambda_rmax=rmax, name=name)
+    lam = {(u, r): {} for u in range(n) for r in range(2, 9)}
+    return BaseRing(labels, tensor, unit={0: 1}, adams=adams, lambda_ops=lam, name=name)
 
 
 @cache

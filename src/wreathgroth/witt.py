@@ -119,6 +119,8 @@ class WittVector:
         return "(" + ",".join(str(c) for c in self.comps) + ")"
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise DomainError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if len(self.comps) != len(other.comps):
             raise DomainError("Witt vectors have different lengths")
 

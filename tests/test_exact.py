@@ -406,7 +406,9 @@ FACTORIES = {
     SymSeries: lambda: (SymSeries.one(("x", "y"), 3), {
         "labels": SymSeries.one(("x", "z"), 3), "degree": SymSeries.one(("x", "y"), 4),
     }),
-    PBWElement: lambda: (PBWElement.one(C2, 3), {"ring": PBWElement.one(C2_COPY, 3)}),
+    PBWElement: lambda: (PBWElement.one(C2, 3), {
+        "ring": PBWElement.one(C2_COPY, 3), "degree": PBWElement.one(C2, 4),
+    }),
     pbw._PowerSumSeries: lambda: (pbw._PowerSumSeries(C2, 2), {
         "ring": pbw._PowerSumSeries(C2_COPY, 2), "degree": pbw._PowerSumSeries(C2, 3),
     }),

@@ -88,6 +88,32 @@ def test_coassociativity():
             assert left == right
 
 
+@pytest.mark.parametrize(
+    "make", [rg.golden_ring.__wrapped__, lambda: rg.matrix_ring.__wrapped__(2)],
+    ids=["golden", "Mat2"],
+)
+def test_a_tensor_product_multiplies_each_half(make):
+    # (a (x) b)(c (x) d) = ac (x) bd, with Fraction coefficients, on a private
+    # ring whose table starts empty: a, c live in the first slot and b, d in
+    # the last, so each half makes the table sweep a box of its own
+    ring = make()
+    rng = random.Random(7)
+    keys = multipartitions_upto(ring.rank(), 2)
+    first = [k for k in keys if not any(k[1:])]
+    last = [k for k in keys if not any(k[:-1])]
+
+    def element(support):
+        return GrothElement(ring, {
+            k: Fraction(rng.randint(1, 5) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+            for k in rng.sample(support, 3)
+        })
+
+    a, b, c, d = element(first), element(last), element(first), element(last)
+    got = TensorGroth.of(a, b) * TensorGroth.of(c, d)
+    assert len(gr.product_table(ring).boxes) == 2
+    assert got == TensorGroth.of(a * c, b * d) and not got.is_integral()
+
+
 def test_delta_is_algebra_map():
     for ring in (C2, M2):
         keys = multipartitions_upto(ring.rank(), 1)
@@ -259,8 +285,11 @@ def test_dual_comultiplication_matches_product_constants():
     from wreathgroth.groth import _doubled_labels, _substitution_plan
 
     plan, labels = _substitution_plan(C2), _doubled_labels(C2)
-    table = gr.product_table(C2)
     keys = multipartitions_upto(2, 2)
+    products = {
+        (mu, nu): GrothElement.basis(C2, mu) * GrothElement.basis(C2, nu)
+        for mu in keys for nu in keys
+    }
     for lam in multipartitions_upto(2, 2):
         f = SymSeries.one(C2.labels, 4)
         for u, kappa in enumerate(lam):
@@ -268,7 +297,7 @@ def test_dual_comultiplication_matches_product_constants():
         dual = sf.power_to_schur(sf.substitute_variable_sets(f, plan, labels))
         for mu in keys:
             for nu in keys:
-                assert dual.get(mu + nu, 0) == table.constants(mu, nu).get(lam, 0)
+                assert dual.get(mu + nu, 0) == products[mu, nu].coefficient(lam)
 
 
 def test_dual_antipode_power_sum_integers():

@@ -281,18 +281,40 @@ def test_oracle_multiply_equals_the_product_of_z_elements(ring):
             assert pbw.oracle_multiply(ring, mu, nu) == pbw.to_z_basis(a * b), (mu, nu)
 
 
-def test_z_element_pbw_is_read_at_the_table_degree():
+def test_z_element_pbw_is_truncated_at_the_degree_asked_for():
     ring = rg.golden_ring.__wrapped__()  # a private instance: its caches start empty
     lam = ((1,), (1,))
     z = pbw.z_element_pbw(ring, lam)
     assert z.degree == 2
     pbw._zdata(ring, 4)
     again = pbw.z_element_pbw(ring, lam)
-    assert again.degree == 4 and again.terms == z.terms
+    assert again.degree == 2 and again == z  # whatever degree the table reached
     assert again.terms is not pbw.z_element_pbw(ring, lam).terms  # built on request
-    # a key the table does not hold is zero at the degree asked for
-    missing = pbw.z_element_pbw(ring, ((1,),), 3)
-    assert missing.is_zero() and missing.degree == 3
+    assert pbw.z_element_pbw(ring, lam, 4) == PBWElement(ring, 4, z.terms)
+    # below |mp| the element is Z_mp truncated, whether the table was built
+    # for the call (fresh) or had already reached |mp| = 3 (grown)
+    mp = ((2, 1), ())
+    fresh = pbw.z_element_pbw(rg.golden_ring.__wrapped__(), mp, 2)
+    whole = pbw.z_element_pbw(ring, mp)
+    grown = pbw.z_element_pbw(ring, mp, 2)
+    low = {w: c for w, c in whole.terms.items() if word_degree(w) <= 2}
+    assert whole.degree == 3 and low and len(low) < len(whole.terms)
+    for x in (fresh, grown):
+        assert x.degree == 2 and x.terms == low
+    integers = rg.integers.__wrapped__()
+    assert repr(pbw.z_element_pbw(integers, ((2, 1),), 2)) == "PBW(2/3*T1(1) - T1(1)*T1(1))"
+
+
+def test_a_key_of_another_rank_is_refused():
+    ring = rg.golden_ring.__wrapped__()
+    pbw._zdata(ring, 4)  # the table holds every key of rank 2 up to degree 4
+    refused = r"^\(.*\) is not a Z-basis key of ring golden$"
+    for key in (((1,),), ((1,), (), ())):
+        with pytest.raises(DomainError, match=refused):
+            pbw.z_element_pbw(ring, key)
+        for mu, nu in ((key, ((1,), ())), (((1,), ()), key)):
+            with pytest.raises(DomainError, match=refused):
+                pbw.oracle_multiply(ring, mu, nu)
 
 
 def test_the_oracle_builds_no_product_table():
@@ -440,27 +462,6 @@ def test_generators_are_signed_hook_sums(ring):
             })
             got = pbw.to_z_basis(PBWElement.generator(ring, m, m, ring.basis_element(u)))
             assert got == hooks, (ring.labels[u], m)
-
-
-def test_a_product_is_truncated_at_the_smaller_degree():
-    g = C2.basis_element(1)
-    a = PBWElement.generator(C2, 2, 1, g)
-    b = PBWElement.generator(C2, 4, 2, g)
-    for x, y in ((a, b), (b, a)):
-        assert x * y == PBWElement.zero(C2, 2) and (x * y).degree == 2
-    c = PBWElement.generator(C2, 3, 1, g)
-    assert b * c == c * b == PBWElement(C2, 3, words(C2, ([(1, 1), (2, 1)], 1)))
-
-
-def test_a_sum_or_difference_is_truncated_at_the_smaller_degree():
-    g = C2.basis_element(1)
-    a = PBWElement.generator(C2, 2, 1, g)
-    b = PBWElement.generator(C2, 4, 3, g)
-    low = PBWElement(C2, 2, words(C2, ([(1, 1)], 1)))
-    for got in (a + b, b + a, a - b.scale(0), b.scale(0) - a.scale(-1)):
-        assert got == low and got.degree == 2
-        assert set(got.terms) == set(low.terms)
-    assert (a - b) == (b - a).scale(-1) == low and (a - b).degree == 2
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,17 @@ def test_length_mismatch():
         WittVector((1, 2)) + WittVector((1, 2, 3))
 
 
+def test_a_non_witt_operand_is_refused_by_name():
+    from wreathgroth.groth import GrothElement
+    from wreathgroth.ring import integers
+
+    x = WittVector([1, 2])
+    for other, name in ((3, "int"), (GrothElement.one(integers()), "GrothElement")):
+        for op in (x.__add__, x.__mul__):
+            with pytest.raises(DomainError, match=f"^cannot combine WittVector with {name}$"):
+                op(other)
+
+
 def test_schur_in_e_matches_character_route():
     # independent cross-check through the power-sum expansion of s_lam
     from fractions import Fraction

@@ -437,7 +437,8 @@ def test_h_element_outside_the_basis_is_pinned():
     assert hashlib.sha256(lines.encode()).hexdigest() == H_OF_SHA256
 
 
-UPPER = rg.load_ring(str(Path(__file__).parent / "rings" / "upper_triangular.json"))
+UPPER_PATH = Path(__file__).parent / "rings" / "upper_triangular.json"
+UPPER = rg.load_ring(str(UPPER_PATH))
 
 
 def _hooks(ring, m, u) -> GrothElement:
@@ -596,17 +597,76 @@ def test_left_products_are_the_products_on_the_table(make, other):
 
 def test_the_commutation_tables_do_not_outlive_the_suite():
     # the suite keeps its tables for its run only: afterwards the ring holds
-    # the product table of the degree-one check and the generators' memos
+    # the product table of the degree-one check, the generators' memos, the
+    # powers of each W they were taken of and the ribbon-rule rows they read
     cases = (
-        (rg.matrix_ring.__wrapped__(2), {"h_of": 15}, 53),
-        (rg.golden_ring.__wrapped__(), {"e_of": 1, "h_of": 9}, 19),
+        (
+            rg.matrix_ring.__wrapped__(2),
+            {"h_of": 15, "powers": 5, "ribbon_rows": 12, "ribbon_items": 502},
+            394,
+            53,
+        ),
+        (
+            rg.golden_ring.__wrapped__(),
+            {"e_of": 1, "h_of": 9, "powers": 3, "ribbon_rows": 6, "ribbon_items": 164},
+            107,
+            19,
+        ),
     )
-    for ring, memos, pairs in cases:  # private instances: their caches start empty
+    for ring, memos, rows, pairs in cases:  # private instances: their caches start empty
         assert verify.suite_commutation(ring, 4, 0).passed, ring.name
         caches = dict(ring._caches)
         table = caches.pop("product_table")
         assert {name: len(memo) for name, memo in caches.items()} == memos, ring.name
+        assert sum(map(len, caches["ribbon_rows"].values())) == rows, ring.name
         assert (table.degree, len(table.pairs)) == (2, pairs), ring.name
+
+
+WARM_RINGS = (
+    (rg.integers.__wrapped__, ("2*1", "-1", "3*1")),
+    (lambda: rg.cyclic_group_algebra.__wrapped__(2), ("e - g", "2*e + g", "g")),
+    (lambda: rg.cyclic_group_algebra.__wrapped__(3), ("e + g1", "g1 - 2*g2", "g2")),
+    (rg.golden_ring.__wrapped__, ("1 + x", "2*1 - x", "x")),
+    (lambda: rg.matrix_ring.__wrapped__(2), ("E11 + E12", "E11 - 2*E21", "E22")),
+    (lambda: rg.load_ring(str(UPPER_PATH)), ("E11 + E12", "E12 - E22", "E22")),
+)
+
+
+@pytest.mark.parametrize("make, texts", WARM_RINGS, ids=("Z", "ZC2", "ZC3", "golden", "Mat2", "upper"))
+def test_warm_rows_and_powers_give_the_cold_results(make, texts, monkeypatch):
+    # the ring's ribbon-rule rows and powers, filled by one W, serve the next
+    # ones: every e_n, h_n (n <= 5) and left product (bound 3) of a later W
+    # equals its value on a fresh instance, each (m, u, nu) row is built
+    # once per instance, and a fresh instance builds its own
+    built = {}  # id(ring) -> the (m, u, nu) rows built on it
+    primitive_product = gr._primitive_product
+
+    def counted(ring, m, u, terms):
+        built.setdefault(id(ring), []).extend((m, u, nu) for nu in terms)
+        return primitive_product(ring, m, u, terms)
+
+    monkeypatch.setattr(gr, "_primitive_product", counted)
+    warm = make()
+    first = warm.element(texts[0])
+    for n in range(6):
+        gr.e_of(warm, n, first), gr.h_element(warm, n, first)
+    for text in texts[1:]:
+        cold = make()
+        for ring in (warm, cold):
+            W, V = ring.element(text), ring.element(texts[0])
+            got = [gr.e_of(ring, n, W).terms for n in range(6)]
+            got += [gr.h_element(ring, n, W).terms for n in range(6)]
+            got += [(a.terms, b.terms) for a, b in gr.left_products(ring, 3, W, V).values()]
+            if ring is warm:
+                want = got
+        assert got == want, text
+        assert set(built[id(cold)]) & set(built[id(warm)]), text  # rebuilt, not shared
+    for ring_id, rows in built.items():
+        assert len(rows) == len(set(rows)), ring_id
+    memo = warm._caches["ribbon_rows"]
+    assert len(built[id(warm)]) == sum(map(len, memo.values()))
+    items = warm._caches["ribbon_items"]
+    assert all(items[item] is item for rows in memo.values() for row in rows.values() for item in row)
 
 
 def test_e_of_memoises_only_w_itself():

@@ -16,7 +16,7 @@ from wreathgroth import symfun as sf
 from wreathgroth import verify
 from wreathgroth._exact import accumulate, row_reduce
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
-from wreathgroth.partitions import mp_empty, mp_single
+from wreathgroth.partitions import mp_empty, mp_single, mp_total
 from wreathgroth.witt import WittVector
 
 
@@ -402,6 +402,50 @@ def test_a_non_integral_h_n_is_refused_and_fails_its_check(monkeypatch):
     check = next(c for c in report.checks if c.name.startswith("E_U(u) E_{VU}(-uv)^{-1} E_V(v)"))
     assert not check.passed
     assert check.detail == "IntegralityError: h_2(<e>) has non-integer coefficient 3/2"
+
+
+@pytest.mark.parametrize(
+    "make, witnesses",
+    (
+        (
+            lambda: rg.cyclic_group_algebra.__wrapped__(2),
+            ("h_3(<e>) has non-integer coefficient 2/3", "e_3(<2*e + g>) has non-integer coefficient 4/3"),
+        ),
+        (
+            lambda: rg.matrix_ring.__wrapped__(2),
+            (
+                "h_3(<E11>) has non-integer coefficient 2/3",
+                "e_3(<E11 + 2*E21 - E22>) has non-integer coefficient 2/3",
+            ),
+        ),
+        (
+            rg.golden_ring.__wrapped__,
+            ("h_3(<1>) has non-integer coefficient 2/3", "e_3(<2*1 + x>) has non-integer coefficient 4/3"),
+        ),
+    ),
+    ids=("ZC2", "Mat2", "golden"),
+)
+def test_a_corrupted_ribbon_row_fails_the_commutation_and_presentation_suites(make, witnesses, monkeypatch):
+    # add m to the first coefficient of each m = 2 row on a one-box Z_nu: the
+    # divisions by 2 stay exact, the division by 3 at level 3 does not.  The
+    # ring keeps each row once for every W and both suites, so the corrupted
+    # rows the commutation suite builds serve the presentation suite after it
+    primitive_product = gr._primitive_product
+
+    def perturbed(ring, m, u, terms):
+        out = primitive_product(ring, m, u, terms)
+        if m == 2 and sum(map(mp_total, terms)) == 1:
+            lam = next(iter(out))
+            out[lam] += m
+        return out
+
+    monkeypatch.setattr(gr, "_primitive_product", perturbed)
+    ring = make()  # a private instance: shared caches stay clean
+    checks = ("E_U(u) E_{VU}(-uv)^{-1} E_V(v)", "e_n(W) of random integer combinations is integral")
+    for suite, check, witness in zip(("commutation", "presentation"), checks, witnesses):
+        report = verify.run_suite(suite, ring, 4, 0)
+        assert not report.passed, suite
+        assert _detail(report, check) == f"IntegralityError: {witness}", suite
 
 
 def test_oracle_crosscheck_witness_names_first_differing_coefficient(monkeypatch):

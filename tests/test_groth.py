@@ -645,21 +645,20 @@ def test_warm_rows_and_powers_give_the_cold_results(make, texts, monkeypatch):
         built.setdefault(id(ring), []).extend((m, u, nu) for nu in terms)
         return primitive_product(ring, m, u, terms)
 
+    def values(ring, text) -> list:
+        W, V = ring.element(text), ring.element(texts[0])
+        out = [gr.e_of(ring, n, W).terms for n in range(6)]
+        out += [gr.h_element(ring, n, W).terms for n in range(6)]
+        return out + [(a.terms, b.terms) for a, b in gr.left_products(ring, 3, W, V).values()]
+
     monkeypatch.setattr(gr, "_primitive_product", counted)
     warm = make()
-    first = warm.element(texts[0])
     for n in range(6):
-        gr.e_of(warm, n, first), gr.h_element(warm, n, first)
+        gr.e_of(warm, n, warm.element(texts[0]))
+        gr.h_element(warm, n, warm.element(texts[0]))
     for text in texts[1:]:
         cold = make()
-        for ring in (warm, cold):
-            W, V = ring.element(text), ring.element(texts[0])
-            got = [gr.e_of(ring, n, W).terms for n in range(6)]
-            got += [gr.h_element(ring, n, W).terms for n in range(6)]
-            got += [(a.terms, b.terms) for a, b in gr.left_products(ring, 3, W, V).values()]
-            if ring is warm:
-                want = got
-        assert got == want, text
+        assert values(warm, text) == values(cold, text), text
         assert set(built[id(cold)]) & set(built[id(warm)]), text  # rebuilt, not shared
     for ring_id, rows in built.items():
         assert len(rows) == len(set(rows)), ring_id

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -435,6 +435,58 @@ def test_h_element_outside_the_basis_is_pinned():
         for ring, n, W in _e_of_cases()
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == H_OF_SHA256
+
+
+def _generator_lines():
+    """The lines "ring x n W x_n(W)" for every W in {+-1, +-2}^rank outside
+    the basis, to perfbench's generators shape, on fresh instances of its
+    three rings."""
+    shapes = (
+        (rg.integers.__wrapped__, 5, 5),
+        (rg.golden_ring.__wrapped__, 5, 4),
+        (lambda: rg.cyclic_group_algebra.__wrapped__(2), 4, 3),
+    )
+    for make, top_e, top_h in shapes:
+        ring = make()
+        for vec in product((1, -1, 2, -2), repeat=ring.rank()):
+            W = ring.element(dict(enumerate(vec)))
+            if W.basis_index() is None:
+                for x, generator, top in (("e", gr.e_of, top_e), ("h", gr.h_element, top_h)):
+                    for n in range(1, top + 1):
+                        yield f"{ring.name} {x} {n} {W!r} {gr.format_groth(generator(ring, n, W))}"
+
+
+def _matrix_generator_lines():
+    ring = rg.matrix_ring.__wrapped__(2)
+    for text in ("E11 + E12", "E11 - 2*E21", "2*E12 - E21 + E22", "-E11 + 2*E22", "E11 + E12 + E21"):
+        W = ring.element(text)
+        for x, generator in (("e", gr.e_of), ("h", gr.h_element)):
+            for n in range(1, 4):
+                yield f"{ring.name} {x} {n} {W!r} {gr.format_groth(generator(ring, n, W))}"
+
+
+def _left_product_lines():
+    for make in (lambda: rg.matrix_ring.__wrapped__(2), rg.golden_ring.__wrapped__):
+        ring = make()
+        basis = [ring.basis_element(u) for u in range(ring.rank())]
+        for U in basis:
+            for V in basis:
+                for (i, j), (lhs, rhs) in gr.left_products(ring, 3, U, V).items():
+                    yield f"{ring.name} {U!r} {V!r} {i} {j} {gr.format_groth(lhs)} | {gr.format_groth(rhs)}"
+
+
+# sha256 over the lines of each generator, taken while the Newton loop still
+# summed its power sums one k at a time
+NEWTON_SHA256 = (
+    (_generator_lines, "dcacb94b851a9e8f215f174fcf745b7e503ac69d437eb4d5899ab07bd7d8cafa"),
+    (_matrix_generator_lines, "2d766a9bba28f2b77fdb9578d19732b664607caed8a1a86b4694d1726d79069b"),
+    (_left_product_lines, "e2f875e7bf1d643af53c73e2d6412dee5820c34816cb396d8ed2694348d7231c"),
+)
+
+
+@pytest.mark.parametrize("lines, digest", NEWTON_SHA256, ids=("generators", "Mat2", "left_products"))
+def test_newton_loop_outputs_are_pinned(lines, digest):
+    assert hashlib.sha256("\n".join(lines()).encode()).hexdigest() == digest
 
 
 UPPER_PATH = Path(__file__).parent / "rings" / "upper_triangular.json"

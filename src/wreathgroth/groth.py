@@ -15,15 +15,16 @@ are dictionary lookups; ``GrothElement._int_product``, the integer core of
 numerators.
 
 The module also hosts the generator family e_r(U)/h_n(W): e_n(W) and h_n(W)
-for any W, and their left products, by Newton's identity from any start,
-whose power sums act on the Z basis by a ribbon rule, with no product table;
-one table of such left products per ordered pair U, V, holding both sides of
-the commutation relation; the second (unitriangular) multipartition basis X;
-and spanning sets of the subalgebras generated in bounded degree.  A ring
-keeps each ribbon-rule row (m T_m(U)) Z_nu, built once, in its ``ribbon_rows``
-memo and the powers of each W in its ``powers`` memo: 222 rows over
-perfbench's generators queries, 639 over ``verify all --degree 4`` on its four
-rings, 400 of them matrix(2)'s.
+for any W, and their left products, by one Newton loop from any start
+(``_newton``) that sums each level's power-sum terms, which act on the Z
+basis by a ribbon rule, in one dict, with no product table; one table of such
+left products per ordered pair U, V, holding both sides of the commutation
+relation; the second (unitriangular) multipartition basis X; and spanning
+sets of the subalgebras generated in bounded degree.  A ring keeps each
+ribbon-rule row (m T_m(U)) Z_nu, built once, in its ``ribbon_rows`` memo and
+the powers of each W in its ``powers`` memo: 222 rows over perfbench's
+generators queries, 639 over ``verify all --degree 4`` on its four rings, 400
+of them matrix(2)'s.
 """
 
 from fractions import Fraction
@@ -315,10 +316,10 @@ def _check_degree(n: int):
         raise DomainError(f"n must be >= 0, got {n}")
 
 
-def _primitive_product(ring: BaseRing, m: int, u: int, terms: dict) -> dict:
-    """(m T_m(U)) x on the integer Z-basis terms of x, U the u-th basis
-    element.  m T_m(U), the hook sum sum_j (-1)^j Z_{(m-j,1^j) at U}, is
-    p_m(x_U) on the Schur side, so it is primitive and its left product is a
+def _primitive_product(ring: BaseRing, m: int, u: int, nu: MultiPartition) -> dict:
+    """The row (m T_m(U)) Z_nu on integers, U the u-th basis element.  m
+    T_m(U), the hook sum sum_j (-1)^j Z_{(m-j,1^j) at U}, is p_m(x_U) on the
+    Schur side, so it is primitive and its left product is a
     Murnaghan-Nakayama ribbon rule (R, R' m-ribbons, ``kernels.ribbons``;
     N^W_{U,W'} the coefficient of W in U W'):
 
@@ -329,73 +330,67 @@ def _primitive_product(ring: BaseRing, m: int, u: int, terms: dict) -> dict:
     s_nu(y)>; pairing with p_m(x_U) is m d/dp_m(x_U) at x = 0; dp_m[X_W]/
     dp_m(x_U) = delta_{W,U} + sum_{W'} N^W_{U,W'} p_m(y_{W'}); p_m^perp
     s_kappa and p_m s_alpha take off and add m-ribbons (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.3 ex. 11, I.7).  A row (m T_m(U)) Z_nu
-    depends on m, u, nu and the ring's structure tensor alone: ``_power_sum``
-    builds each once per ring, from x = Z_nu."""
-    links = [(w2, w, c) for w2 in range(ring.rank()) for w, c in ring.tensor[u, w2].items()]
+    Functions and Hall Polynomials, I.3 ex. 11, I.7).  The row depends on m,
+    u, nu and the ring's tensor alone: ``_newton`` keeps each once per ring."""
     ribbons = kernels.ribbons
     out: dict[MultiPartition, int] = {}
     get = out.get
-    for nu, c in terms.items():
-        for kappa, s in ribbons(nu[u], m, 1):
-            lam = nu[:u] + (kappa,) + nu[u + 1:]
-            out[lam] = get(lam, 0) + s * c
-        for w2, w, n in links:
+    for kappa, s in ribbons(nu[u], m, 1):
+        lam = nu[:u] + (kappa,) + nu[u + 1:]
+        out[lam] = get(lam, 0) + s
+    for w2 in range(ring.rank()):
+        for w, n in ring.tensor[u, w2].items():
             for alpha, s2 in ribbons(nu[w2], m, -1):
                 mid = nu[:w2] + (alpha,) + nu[w2 + 1:]
                 for kappa, s in ribbons(mid[w], m, 1):
                     lam = mid[:w] + (kappa,) + mid[w + 1:]
-                    out[lam] = get(lam, 0) + s * s2 * n * c
+                    out[lam] = get(lam, 0) + s * s2 * n
     return {lam: c for lam, c in out.items() if c}
 
 
-def _power_sum(ring: BaseRing, k: int, powers: list, terms: dict) -> dict:
-    """P_k(W) x = sum_{s | k} sum_U (W^s)_U (k/s) T_{k/s}(U) x on integer
-    Z-basis terms, powers[s - 1] = W^s, in one dict.  memo[m, u][nu], the
-    ring's ``ribbon_rows``, keeps (m T_m(U)) Z_nu as (lam, int) items, built on
-    first lookup; the items, which rows share, are interned in ``ribbon_items``."""
-    memo, intern = ring.memo("ribbon_rows", dict), ring.memo("ribbon_items", dict).setdefault
-    out: dict[MultiPartition, int] = {}
-    get = out.get
-    for s in range(1, k + 1):
-        if k % s == 0:
-            for u, c in powers[s - 1].terms.items():
-                rows = memo.setdefault((k // s, u), {})
-                for nu, a in terms.items():
-                    row = rows.get(nu)
-                    if row is None:
-                        got = _primitive_product(ring, k // s, u, {nu: 1})
-                        row = rows[nu] = tuple(intern(item, item) for item in got.items())
-                    a *= c
-                    for lam, r in row:
-                        out[lam] = get(lam, 0) + a * r
-    return {lam: c for lam, c in out.items() if c}
-
-
-def _newton(ring: BaseRing, n: int, W: RingElement, x: str, y, store, key) -> list:
-    """The levels [x_0(W) y, ..., x_n(W) y] (y = 1 when None) from m x_m(W) y =
-    sum_{k=1..m} sign^(k-1) P_k(W) x_{m-k}(W) y, x = e (sign -1) or h (sign 1),
-    each division by m exact in ints, a remainder raising IntegralityError;
-    store[key + (m,)] keeps each level m > 0 and supplies those it holds.  The
-    powers W, W^2, ... are kept in the ring's ``powers`` memo under W.key(),
-    as the levels are in the ``e_of``/``h_of`` memos, and only extended."""
-    sign = -1 if x == "e" else 1
+def _newton(ring: BaseRing, n: int, W: RingElement, x: str, y=None) -> list:
+    """The levels [x_0(W) y, ..., x_n(W) y] (y = 1 when None) by Newton's
+    identity m x_m(W) y = sum_{k=1..m} sign^(k-1) P_k(W) x_{m-k}(W) y, x = e
+    (sign -1) or h (sign 1), P_k(W) = sum_{s | k} sum_U (W^s)_U (k/s) T_{k/s}(U).
+    Each level sums every (k, s, U) term into one dict of ints and divides it
+    by m exactly, a remainder raising IntegralityError.  From y = None the
+    levels are the generators x_m(W), read from and kept in the ring's
+    ``e_of``/``h_of`` memo under (W.key(), m); from a given y none is kept.
+    The ring keeps W, W^2, ... in its ``powers`` memo under W.key(), only
+    extended, and each ribbon-rule row (m T_m(U)) Z_nu in its ``ribbon_rows``
+    memo, memo[m, u][nu], as (lam, int) items built by ``_primitive_product``
+    on first lookup and interned in ``ribbon_items``."""
+    sign, key = -1 if x == "e" else 1, W.key()
+    store = ring.memo(x + "_of", dict) if y is None else {}
     ys = [GrothElement.one(ring) if y is None else y]
-    powers = ring.memo("powers", dict).setdefault(W.key(), [W])
+    powers = ring.memo("powers", dict).setdefault(key, [W])
     while len(powers) < n:
         powers.append(powers[-1] * W)
     for m in range(1, n + 1):
-        got = store.get(key + (m,))
+        got = store.get((key, m))
         if got is None:
+            memo = ring.memo("ribbon_rows", dict)
+            intern = ring.memo("ribbon_items", dict).setdefault
             terms: dict[MultiPartition, int] = {}
+            get = terms.get
             for k in range(1, m + 1):
-                accumulate(terms, _power_sum(ring, k, powers, ys[m - k].terms), sign ** (k - 1))
+                for s in (s for s in range(1, k + 1) if k % s == 0):
+                    for u, c in powers[s - 1].terms.items():
+                        rows, c = memo.setdefault((k // s, u), {}), c * sign ** (k - 1)
+                        for nu, a in ys[m - k].terms.items():
+                            row = rows.get(nu)
+                            if row is None:
+                                row = _primitive_product(ring, k // s, u, nu).items()
+                                row = rows[nu] = tuple(intern(item, item) for item in row)
+                            a *= c
+                            for lam, r in row:
+                                terms[lam] = get(lam, 0) + a * r
             for c in terms.values():
                 if c % m:
                     raise IntegralityError(
                         f"{x}_{m}({W!r}) has non-integer coefficient {Fraction(c, m)}"
                     )
-            got = store[key + (m,)] = GrothElement(ring, {z: c // m for z, c in terms.items()})
+            got = store[key, m] = GrothElement(ring, {z: c // m for z, c in terms.items()})
         ys.append(got)
     return ys
 
@@ -414,43 +409,36 @@ def e_of(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     u = W.basis_index()
     if u is not None:
         return GrothElement.basis(ring, mp_single(ring.rank(), u, (1,) * n))
-    memo, w = ring.memo("e_of", dict), (W.key(),)
-    return memo.get(w + (n,)) or _newton(ring, n, W, "e", None, memo, w)[n]
+    return ring.memo("e_of", dict).get((W.key(), n)) or _newton(ring, n, W, "e")[n]
 
 
 def h_element(ring: BaseRing, n: int, W: RingElement) -> GrothElement:
     """h_n(W) from n h_n(W) = sum_{k=1..n} P_k(W) h_{n-k}(W), as log H_W(t)
     = -log E_W(-t): the power sums of ``e_of``, with no product table."""
     _check_degree(n)
-    memo, w = ring.memo("h_of", dict), (W.key(),)
-    return memo.get(w + (n,)) or _newton(ring, n, W, "h", None, memo, w)[n]
+    return ring.memo("h_of", dict).get((W.key(), n)) or _newton(ring, n, W, "h")[n]
 
 
 # ---------------------------------------------------------------------------
 # commutation relation
 
-def _loop(ring, n: int, W: RingElement, x: str, y) -> list:
-    """[x_0(W) y, ..., x_n(W) y] by ``_newton``; from y = None the generators
-    x_m(W), read from and kept in the ``e_of``/``h_of`` memos."""
-    if y is not None:
-        return _newton(ring, n, W, x, y, {}, ())
-    generator = e_of if x == "e" else h_element
-    generator(ring, n, W)  # one Newton loop memoises the levels below n
-    return [generator(ring, m, W) for m in range(n + 1)]
-
-
 def left_products(ring, bd: int, U: RingElement, V: RingElement) -> dict:
     """{(i, j): (sum_k e_{i-k}(U) h_k(VU) e_{j-k}(V), e_i(U) e_j(V))} for i, j <= bd.
     The commutation identity equates the first entry with the (V, U) table's
     first entry at (j, i), and [e_i(U), e_j(V)] is the difference of the
-    second entries.  Each term e_a(U) h_k(VU) e_b(V) is level a of the e-loop
-    on U from level k of the h-loop on VU from e_b(V) (``_loop``); the h-loop
-    from 1, the generators h_m(VU), runs first, so a non-integral one is the
-    error a table raises."""
+    second entries.  Each term e_a(U) h_k(VU) e_b(V) is level a of the
+    ``_newton`` e-loop on U from level k of its h-loop on VU from e_b(V); the
+    h-loop from 1, the generators h_m(VU), runs first, so a non-integral one
+    is the error a table raises, and the e-levels from 1 are the generators
+    e_a(U)."""
     VU, terms = V * U, {}
     for b in range(bd + 1):
-        for k, y in enumerate(_loop(ring, bd - b, VU, "h", e_of(ring, b, V) if b else None)):
-            for a, t in enumerate(_loop(ring, bd - k, U, "e", y if b or k else None)):
+        for k, y in enumerate(_newton(ring, bd - b, VU, "h", e_of(ring, b, V) if b else None)):
+            if b or k:
+                es = _newton(ring, bd - k, U, "e", y)
+            else:
+                es = [e_of(ring, a, U) for a in range(bd + 1)]
+            for a, t in enumerate(es):
                 terms[a, k, b] = t
     sides, zero = {}, GrothElement.zero(ring)
     for i in range(bd + 1):

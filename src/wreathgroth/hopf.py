@@ -32,7 +32,7 @@ from . import symfun as sf
 from ._exact import (
     Combination, accumulate, first_difference, monomial_product, power_sum, settle, substitute
 )
-from .errors import DomainError, IntegralityError
+from .errors import IntegralityError
 from .groth import GrothElement, _degree, _substitution_plan, _doubled_labels, product_table
 from .partitions import (
     MultiPartition,
@@ -171,8 +171,7 @@ def dual_antipode_power_sum(ring: BaseRing, l: int, degree: int) -> dict[int, Sy
     basis-intrinsic, so we only require a unit to exist.  Each (l, degree) is
     summed once per ring and kept in the ring's ``dual_antipode`` memo.
     """
-    if ring.unit is None:
-        raise DomainError("dual antipode needs a unital ring")
+    ring.one()  # refuses a ring without a unit
     memo = ring.memo("dual_antipode", dict)
     images = memo.get((l, degree))
     if images is None:

@@ -271,9 +271,7 @@ class RingSeries(_PowerSumSeries):
 
     @classmethod
     def one(cls, ring, degree):
-        if ring.unit is None:
-            raise DomainError("ring has no unit")
-        return cls(ring, degree, {mp_empty(ring.rank()): dict(ring.unit)})
+        return cls(ring, degree, {mp_empty(ring.rank()): ring.one().terms})
 
 
 class MixedSeries(_PowerSumSeries):
@@ -568,7 +566,7 @@ def _lifted_product(theta1: TSeries) -> TSeries:
 def e_series_pbw(ring: BaseRing, W: RingElement, degree: int) -> TSeries:
     """E_W(t) = prod_l Theta_l(1 - (-t)^l W): generating function of e_r(W),
     each level lifted from Theta_1(1 + tW)."""
-    return _lifted_product(theta_t(1, {0: dict(ring.unit), 1: dict(W.terms)}, ring, degree))
+    return _lifted_product(theta_t(1, {0: ring.one().terms, 1: dict(W.terms)}, ring, degree))
 
 
 def f_series_closed(ring: BaseRing, W: RingElement, degree: int) -> TSeries:

@@ -16,7 +16,7 @@ from wreathgroth import symfun as sf
 from wreathgroth import verify
 from wreathgroth._exact import accumulate, row_reduce
 from wreathgroth.errors import DomainError, IntegralityError, MissingDataError
-from wreathgroth.partitions import mp_empty, mp_single, mp_total
+from wreathgroth.partitions import mp_single, mp_total
 from wreathgroth.witt import WittVector
 
 
@@ -358,24 +358,46 @@ def test_f_series_disagreement_names_degree_word_and_coefficients(monkeypatch):
     assert check.detail == f"AssertionError: {witness}"
 
 
-def _perturb_p2(monkeypatch):
-    """Add 1 to the coefficient of Z_{(2) at U} in P_2(W) 1, U the first basis
-    element of W: the division by 2 in Newton's identity then leaves a
-    remainder in e_2(W) and h_2(W)."""
-    power_sum = gr._power_sum
+def test_a_ring_without_a_unit_is_refused_by_name():
+    # every path that needs 1 in R takes it from ring.one(), whose refusal
+    # names the ring; the basis-independence check re-bases it as nounit'
+    ring = rg.BaseRing(("a",), {(0, 0): {0: 2}}, name="nounit")
+    refusal = "ring nounit has no declared unit"
+    for call in (
+        lambda: pbw.e_series_pbw(ring, ring.basis_element(0), 2),
+        lambda: pbw.RingSeries.one(ring, 2),
+        lambda: hopf.dual_antipode_power_sum(ring, 1, 2),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == refusal
+    for suite, count in (("presentation", 2), ("hopf", 3)):
+        failed = [c for c in verify.run_suite(suite, ring, 2, 0).checks if not c.passed]
+        assert len(failed) == count, suite
+        for check in failed:
+            name = "nounit'" if check.name.startswith("integral span is independent") else "nounit"
+            assert check.detail == f"DomainError: ring {name} has no declared unit", check.name
 
-    def perturbed(ring, k, powers, terms):
-        out = power_sum(ring, k, powers, terms)
-        if k == 2 and terms == {mp_empty(ring.rank()): 1}:
-            key = mp_single(ring.rank(), min(powers[0].terms), (2,))
+
+def _perturb_p2(monkeypatch):
+    """Add 1 to the coefficient of Z_{(2) at U} in each row (2 T_2(U)) Z_empty:
+    P_2(W) 1 then gains sum_U W_U Z_{(2) at U}, and the division by 2 in
+    Newton's identity leaves a remainder in e_2(W) and h_2(W) when some W_U
+    is odd."""
+    primitive_product = gr._primitive_product
+
+    def perturbed(ring, m, u, nu):
+        out = primitive_product(ring, m, u, nu)
+        if m == 2 and not mp_total(nu):
+            key = mp_single(ring.rank(), u, (2,))
             out[key] = out.get(key, 0) + 1
         return out
 
-    monkeypatch.setattr(gr, "_power_sum", perturbed)
+    monkeypatch.setattr(gr, "_primitive_product", perturbed)
 
 
 def test_a_non_integral_e_n_is_refused_and_fails_its_check(monkeypatch):
-    # e_2(W) for W outside the basis gains -1/2 Z_{(2) at U}
+    # e_2(W) for W outside the basis gains -W_U/2 Z_{(2) at U} for each U
     _perturb_p2(monkeypatch)
     ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
     W = ring.element("e - g")
@@ -386,11 +408,11 @@ def test_a_non_integral_e_n_is_refused_and_fails_its_check(monkeypatch):
     report = verify.run_suite("presentation", ring, 2, 0)
     check = next(c for c in report.checks if c.name == "e_n(W) of random integer combinations is integral")
     assert not check.passed
-    assert check.detail == "IntegralityError: e_2(<2*e + g>) has non-integer coefficient 1/2"
+    assert check.detail == "IntegralityError: e_2(<2*e + g>) has non-integer coefficient -1/2"
 
 
 def test_a_non_integral_h_n_is_refused_and_fails_its_check(monkeypatch):
-    # h_2(W) gains +1/2 Z_{(2) at U}, for W in the basis too
+    # h_2(W) gains +W_U/2 Z_{(2) at U} for each U, for W in the basis too
     _perturb_p2(monkeypatch)
     ring = rg.cyclic_group_algebra.__wrapped__(2)  # a private instance: shared caches stay clean
     W = ring.element("e - g")
@@ -415,7 +437,7 @@ def test_a_non_integral_h_n_is_refused_and_fails_its_check(monkeypatch):
             lambda: rg.matrix_ring.__wrapped__(2),
             (
                 "h_3(<E11>) has non-integer coefficient 2/3",
-                "e_3(<E11 + 2*E21 - E22>) has non-integer coefficient 2/3",
+                "e_3(<E11 + 2*E21 - E22>) has non-integer coefficient 1/3",
             ),
         ),
         (
@@ -432,9 +454,9 @@ def test_a_corrupted_ribbon_row_fails_the_commutation_and_presentation_suites(ma
     # rows the commutation suite builds serve the presentation suite after it
     primitive_product = gr._primitive_product
 
-    def perturbed(ring, m, u, terms):
-        out = primitive_product(ring, m, u, terms)
-        if m == 2 and sum(map(mp_total, terms)) == 1:
+    def perturbed(ring, m, u, nu):
+        out = primitive_product(ring, m, u, nu)
+        if m == 2 and mp_total(nu) == 1:
             lam = next(iter(out))
             out[lam] += m
         return out

@@ -36,20 +36,22 @@ Fractions are cleared once with their lcm, the loops multiply and add
 ints, and the lcm is divided out of each output term.  The cores take nothing
 from ``groth``'s ``ProductTable``, so the oracle stays an independent
 route.  The product of two normal words comes from the kernel once per
-ring and word pair and is kept in the ring's ``pbw_products`` memo: the
-oracle revisits a few thousand pairs many times over.  The same memo holds
-each word's degree, summed once, for the truncations.
+ring and word pair and is kept in the ring's ``pbw_products`` memo, one row
+per left word, which a core fetches once per left term: the oracle revisits
+a few thousand pairs many times over.  The same memo holds each word's
+degree, summed once, for the truncations.
 
 The Z-table holds each Z_lam as integer numerators over one denominator,
-({word: int}, den), and so does its inverse, ``word_to_z``, for each word's
-Z-basis row.  There is one change to the Z basis, ``_in_z_basis``: word
-numerators in, one coefficient per Z key out.  ``oracle_multiply`` multiplies
-two table entries with the word core and hands the product's numerators
+({word: int}, den).  Its inverse, ``word_to_z``, holds each word's Z-basis
+row the same way, by the positions of the Z keys in ``_ZData.keys``, so the
+one change to the Z basis, ``_in_z_basis``, adds at small-int keys and
+decodes each output position once.  ``oracle_multiply`` multiplies two
+table entries with the word core and hands the product's numerators
 straight to it; ``to_z_basis`` clears a ``PBWElement`` once and does the
-same.  Z_lam does not depend on the truncation, and the inverse is
-triangular by degree, its block of degree n fixed by the symmetric-group
-characters; so asking for a larger degree builds only the new Z_lam, one
-size at a time, and solves only the new blocks.
+same.  Z_lam does not depend on the truncation, and the row of each normal
+word is read off the series coefficient that Z-table entries are summed
+from, by character orthogonality; so asking for a larger degree builds only
+the new Z_lam and rows, one size at a time, with no solve.
 """
 
 from fractions import Fraction
@@ -126,13 +128,31 @@ class _Degrees(dict):
         return d
 
 
+class _ProductRow(dict):
+    """{w2: the product of the normal words left and w2}, as in
+    ``_ProductMemo``; a right word goes to the kernel when first looked up."""
+
+    __slots__ = ("left", "comm", "words")
+
+    def __init__(self, left: tuple, comm: dict, words: dict):
+        self.left, self.comm, self.words = left, comm, words
+
+    def __missing__(self, w2: tuple) -> tuple:
+        intern = self.words.setdefault
+        items = self[w2] = tuple(
+            (intern(w, w), c)
+            for w, c in kernels.normalize_product(self.left, w2, self.comm).items()
+        )
+        return items
+
+
 class _ProductMemo(dict):
-    """{(w1, w2): the product of two normal words in normal order, as a
-    tuple of (normal word, int) items}.  A pair goes to the kernel the first
-    time it is looked up.  The items are kept as a tuple, which holds less
-    memory than a dict, with one tuple per distinct output word: a few
-    hundred words recur across thousands of items.  ``degrees`` holds the
-    degree of every word the ring's products and truncations have met."""
+    """{w1: its ``_ProductRow``}: ``memo[w1][w2]`` is the product of two
+    normal words in normal order, as a tuple of (normal word, int) items, and
+    a core fetches the row once per left term.  A tuple holds less memory
+    than a dict, and ``words`` keeps one tuple per distinct output word: a
+    few hundred words recur across thousands of items.  ``degrees`` holds
+    the degree of every word the ring's products and truncations have met."""
 
     __slots__ = ("comm", "words", "degrees")
 
@@ -142,17 +162,13 @@ class _ProductMemo(dict):
         self.words: dict[tuple, tuple] = {}
         self.degrees = _Degrees()
 
-    def __missing__(self, pair: tuple) -> tuple:
-        intern = self.words.setdefault
-        items = self[pair] = tuple(
-            (intern(w, w), c)
-            for w, c in kernels.normalize_product(*pair, self.comm).items()
-        )
-        return items
+    def __missing__(self, w1: tuple) -> _ProductRow:
+        row = self[w1] = _ProductRow(w1, self.comm, self.words)
+        return row
 
 
 def _word_products(ring: BaseRing) -> _ProductMemo:
-    """The ring's ``pbw_products`` memo: ``memo[w1, w2]`` is the product of
+    """The ring's ``pbw_products`` memo: ``memo[w1][w2]`` is the product of
     two normal words, taken by the kernel once per ring and pair."""
     return ring.memo("pbw_products", lambda: _ProductMemo(ring.commutator_table()))
 
@@ -200,10 +216,11 @@ class PBWElement(Combination):
         get = out.get
         for w1, c1 in a.items():
             room = D - degree[w1]
+            row = product[w1]
             for w2, d2, c2 in bw:
                 if d2 <= room:
                     c = c1 * c2
-                    for w, n in product[w1, w2]:
+                    for w, n in row[w2]:
                         out[w] = get(w, 0) + c * n
         return {w: c for w, c in out.items() if c}
 
@@ -219,8 +236,9 @@ class PBWElement(Combination):
 class _PowerSumSeries(Combination):
     """Sparse map (power-sum multipartition key, tag) -> coefficient,
     truncated above symmetric-function degree ``degree``.  Keys multiply
-    slotwise and tags through ``_tag_product(ring)``, which maps a pair of
-    tags to (tag, int) items; ``_int_product`` is the integer core."""
+    slotwise and tags through ``_tag_product(ring)``, which maps a left tag
+    to its row, {right tag: (tag, int) items}; ``_int_product`` is the
+    integer core."""
 
     __slots__ = ("ring", "degree")
     _context = ("ring", "degree")
@@ -242,12 +260,13 @@ class _PowerSumSeries(Combination):
         get = out.get
         for (k1, w1), c1 in a.items():
             room = D - mp_total(k1)
+            row = product[w1]
             for k2, w2, d2, c2 in bw:
                 if d2 > room:
                     continue
                 key = tuple(map(merge_parts, k1, k2))
                 c = c1 * c2
-                for w, n in product[w1, w2]:
+                for w, n in row[w2]:
                     kw = (key, w)
                     out[kw] = get(kw, 0) + c * n
         return {kw: c for kw, c in out.items() if c}
@@ -267,7 +286,8 @@ class RingSeries(_PowerSumSeries):
 
     @staticmethod
     def _tag_product(ring):
-        return {ij: vec.items() for ij, vec in ring.tensor.items()}
+        n = ring.rank()
+        return {i: {j: ring.tensor[i, j].items() for j in range(n)} for i in range(n)}
 
     @classmethod
     def one(cls, ring, degree):
@@ -304,25 +324,25 @@ def theta(l: int, x: RingSeries, degree: int) -> MixedSeries:
 
 
 class _ZData:
-    """The Z-table to ``degree`` and its inverse.  ``ztable`` holds each Z_lam
+    """The Z-table to ``degree`` and its inverse.  ``keys`` lists every Z key
+    of degree <= ``degree``, size by size in ``multipartitions`` order, so a
+    key keeps its position as the table grows.  ``ztable`` holds each Z_lam
     as ({normal word: int}, den) in lowest terms, ``word_to_z`` each normal
-    word of degree <= ``degree`` as its Z-basis row ({mp: int}, den)."""
+    word of degree <= ``degree`` as its Z-basis row ({position: int}, den)."""
 
-    def __init__(self, degree: int, ztable: dict, word_to_z: dict):
+    def __init__(self, degree: int, keys: list, ztable: dict, word_to_z: dict):
         self.degree = degree
+        self.keys: list[MultiPartition] = keys
         self.ztable: dict[MultiPartition, tuple[dict[tuple, int], int]] = ztable
-        self.word_to_z: dict[tuple, tuple[dict[MultiPartition, int], int]] = word_to_z
+        self.word_to_z: dict[tuple, tuple[dict[int, int], int]] = word_to_z
 
 
 def _zdata(ring: BaseRing, degree: int) -> _ZData:
     data = ring._caches.get("pbw_zdata")
     if data is None or data.degree < degree:
-        ztable = dict(data.ztable) if data else {}
-        ztable.update(_grow_ztable(ring, data.degree if data else -1, degree))
         # a new object: the smaller one stays whole for whoever holds it, and
         # perfbench counts a build as a change of the cached object
-        data = _ZData(degree, ztable, _invert_ztable(ring, ztable, degree, data))
-        ring._caches["pbw_zdata"] = data
+        data = ring._caches["pbw_zdata"] = _grow_ztable(ring, data, degree)
     return data
 
 
@@ -331,12 +351,22 @@ def lift(l: int, w: tuple) -> tuple:
     return tuple(s + ((l - 1) << 16) for s in w)
 
 
-def _grow_ztable(ring: BaseRing, done: int, degree: int) -> dict:
-    """Z_lam for done < |lam| <= degree, as in ``_ZData.ztable``.  The
-    series coefficient at a power-sum key rho is the concatenation, over the
+def _grow_ztable(ring: BaseRing, done: _ZData | None, degree: int) -> _ZData:
+    """``done`` grown to ``degree``, one size n at a time.  The series
+    coefficient G_rho at a power-sum key rho is the concatenation, over the
     part sizes l of rho in increasing order, of the level-l lift of Theta_1
-    at the multiplicities of l in the slots of rho.  Each level has one
-    denominator, over the terms it keeps."""
+    at the multiplicities of l in the slots of rho (one denominator per
+    level), and Z_lam = sum_rho chi^lam_rho G_rho, with chi^lam_rho =
+    prod_U chi^{lam(U)}_{rho(U)}.  The top part of Z_lam, the image of
+    prod_U s_{lam(U)} under p_l -> l T_l (Macdonald, I.7), is sum_sigma
+    chi^lam_sigma pi(sigma) / z_sigma w_sigma, w_sigma being
+    ``word_for_mp(sigma)`` and pi(sigma) the product of its parts; each new
+    Z_lam is checked against it.  So top(G_sigma) = pi(sigma) / z_sigma
+    w_sigma, and by orthogonality, sum_lam chi^lam_sigma Z_lam = z_sigma
+    G_sigma, the inverse needs no solve: w_sigma = (sum_lam chi^lam_sigma
+    Z_lam - z_sigma tail(G_sigma)) / pi(sigma), the rows already known
+    taking the tail, of degree below n, to the Z basis.
+    """
     rank = ring.rank()
     arg = RingSeries.one(ring, degree) + RingSeries(
         ring, degree, {mp_single(rank, u, (1,)): {u: 1} for u in range(rank)}
@@ -355,86 +385,64 @@ def _grow_ztable(ring: BaseRing, done: int, degree: int) -> dict:
             w = lift(l, w)
             pieces[l].setdefault(tuple(map(len, key)), []).append((intern(w, w), c))
     key_row = _key_rows(p_to_schur_row)
-    out = {}
-    for n in range(done + 1, degree + 1):
+    word_deg = _word_degrees(ring)
+    done = done or _ZData(-1, [], {}, {})
+    keys, ztable, word_to_z = list(done.keys), dict(done.ztable), dict(done.word_to_z)
+    for n in range(done.degree + 1, degree + 1):
         den = prod(dens[:n + 1])
+        mps = multipartitions(rank, n)
+        at = {lam: len(keys) + i for i, lam in enumerate(mps)}
+        keys.extend(mps)
         table: dict[MultiPartition, dict[tuple, int]] = {}
-        for rho in multipartitions(rank, n):
+        # the top parts by characters: per lam, (w_sigma, z_sigma, chi pi(sigma))
+        want: dict[MultiPartition, list] = {lam: [] for lam in mps}
+        for rho in mps:
             sizes = sorted(set().union(*rho))
             coeff = {(): den // prod(dens[l] for l in sizes)}
             for l in sizes:
                 piece = pieces[l].get(tuple(p.count(l) for p in rho), ())
                 coeff = {w1 + w2: c1 * c2 for w1, c1 in coeff.items() for w2, c2 in piece}
             coeff = {intern(w, w): c for w, c in coeff.items()}
+            w, z, pi = word_for_mp(rho), prod(map(z_factor, rho)), prod(map(prod, rho))
+            inverse, d = _z_numerators(
+                word_to_z, {v: -z * c for v, c in coeff.items() if word_deg[v] < n}, den
+            )
             for lam, chi in key_row(rho):
                 row = table.setdefault(lam, {})
                 get = row.get
-                for w, c in coeff.items():
-                    row[w] = get(w, 0) + chi * c
+                for v, c in coeff.items():
+                    row[v] = get(v, 0) + chi * c
+                want[lam].append((w, z, chi * pi))
+                inverse[at[lam]] = inverse.get(at[lam], 0) + chi * d
+            word_to_z[w] = _lowest_terms(inverse, d * pi)
         for lam, row in table.items():
-            row = {w: c for w, c in row.items() if c}
-            if row:
-                out[lam] = _lowest_terms(row, den)
-    return out
+            entry = _lowest_terms(row, den)
+            if entry[0]:
+                ztable[lam] = entry
+        _check_top_parts(ring, ztable, want, n)
+    return _ZData(degree, keys, ztable, word_to_z)
 
 
 def _lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
     g = gcd(den, *nums.values())
-    return {k: c // g for k, c in nums.items()}, den // g
+    return {k: c // g for k, c in nums.items() if c}, den // g
 
 
-def _invert_ztable(ring, ztable, degree, done: _ZData | None = None):
-    """Triangular inversion: expansion of every normal word in the Z basis.
-
-    The top part of Z_lam, the image of prod_U s_{lam(U)} under p_l -> l T_l
-    (Macdonald, I.7), is sum_sigma prod_U chi^{lam(U)}_{sigma(U)} pi(sigma)
-    / z_sigma w_sigma over the sigma with lam's slot sizes, w_sigma being
-    ``word_for_mp(sigma)`` and pi(sigma) the product of its parts.  Each
-    new Z_lam is checked against it, and character orthogonality inverts it:
-    w_sigma = sum_lam prod_U chi^{lam(U)}_{sigma(U)} / pi(sigma) top(Z_lam).
-    The top part is Z_lam minus its tail, which the rows of lower degrees
-    expand.  The rows of an earlier inversion ``done`` are kept and only the
-    blocks above its degree are solved.
-    """
-    if done is None:
-        word_to_z = {(): ({mp_empty(ring.rank()): 1}, 1)}
-        start = 1
-    else:
-        word_to_z = dict(done.word_to_z)
-        start = done.degree + 1
+def _check_top_parts(ring: BaseRing, ztable: dict, want: dict, n: int) -> None:
+    """Each Z_lam of degree n against its top part by characters, ``want[lam]``
+    listing (w_sigma, z_sigma, chi^lam_sigma pi(sigma)) as in ``_grow_ztable``."""
     word_deg = _word_degrees(ring)
-    key_row = _key_rows(p_to_schur_row)
-    for n in range(start, degree + 1):
-        mps = multipartitions(ring.rank(), n)
-        # the top parts by characters: per lam, (w_sigma, z_sigma, chi pi(sigma))
-        want: dict[MultiPartition, list] = {lam: [] for lam in mps}
-        for sigma in mps:
-            w, z, pi = word_for_mp(sigma), prod(map(z_factor, sigma)), prod(map(prod, sigma))
-            for lam, chi in key_row(sigma):
-                want[lam].append((w, z, chi * pi))
-        top_in_z = {}
-        for lam in mps:
-            nums, den = ztable[lam]
-            top = {w: c for w, c in nums.items() if word_deg[w] == n}
-            if len(top) != len(want[lam]) or any(top.get(w, 0) * z != den * c for w, z, c in want[lam]):
-                w, got, chi = first_difference(
-                    from_numerators(top, den), {w: exact(Fraction(c, z)) for w, z, c in want[lam]}
-                )
-                raise IntegralityError(
-                    f"top part of Z{format_multipartition(lam, ring.labels)} differs at word "
-                    f"{format_word(w, ring)}: the series gives {got}, the characters give {chi}"
-                )
-            # the top part of Z_lam in the Z basis: Z_lam minus its
-            # lower-degree tail, whose rows are already known
-            tail = {w: c for w, c in nums.items() if word_deg[w] < n}
-            tail, tail_den = _z_numerators(word_to_z, tail, den)
-            tail = {mu: -c for mu, c in tail.items()}
-            tail[lam] = tail_den
-            top_in_z[lam] = (tail, tail_den)
-        for sigma in mps:
-            nums, den = _z_numerators(top_in_z, dict(key_row(sigma)), prod(map(prod, sigma)))
-            word_to_z[word_for_mp(sigma)] = _lowest_terms({mu: c for mu, c in nums.items() if c}, den)
-    return word_to_z
+    for lam, terms in want.items():
+        nums, den = ztable[lam]
+        top = {w: c for w, c in nums.items() if word_deg[w] == n}
+        if len(top) != len(terms) or any(top.get(w, 0) * z != den * c for w, z, c in terms):
+            w, got, chi = first_difference(
+                from_numerators(top, den), {w: exact(Fraction(c, z)) for w, z, c in terms}
+            )
+            raise IntegralityError(
+                f"top part of Z{format_multipartition(lam, ring.labels)} differs at word "
+                f"{format_word(w, ring)}: the series gives {got}, the characters give {chi}"
+            )
 
 
 def _z_numerators(rows: dict, nums: dict, den: int) -> tuple[dict, int]:
@@ -453,12 +461,15 @@ def _z_numerators(rows: dict, nums: dict, den: int) -> tuple[dict, int]:
 
 def _in_z_basis(ring: BaseRing, nums: dict, den: int) -> GrothElement:
     """The combination nums / den of normal words in the Z basis: the one
-    change of basis, on integer numerators, with one coefficient per Z key.
-    The table is sized by the words present, not by a truncation bound, so
-    sparse elements with generous truncations stay cheap."""
+    change of basis, on integer numerators and Z positions, each output
+    position decoded to its Z key once.  The table is sized by the words
+    present, not by a truncation bound, so sparse elements with generous
+    truncations stay cheap."""
     word_deg = _word_degrees(ring)
     data = _zdata(ring, max((word_deg[w] for w in nums), default=0))
-    return GrothElement(ring, from_numerators(*_z_numerators(data.word_to_z, nums, den)))
+    keys = data.keys
+    out = from_numerators(*_z_numerators(data.word_to_z, nums, den))
+    return GrothElement(ring, {keys[p]: c for p, c in out.items()})
 
 
 def _z_entry(ring: BaseRing, ztable: dict, mp: MultiPartition) -> tuple[dict, int]:
@@ -495,7 +506,8 @@ def oracle_multiply(ring: BaseRing, mu, nu) -> GrothElement:
     (a, da), (b, db) = (_z_entry(ring, ztable, k) for k in (mu, nu))
     prod = PBWElement.zero(ring, degree)._int_product(a, b)
     out = _in_z_basis(ring, prod, da * db)
-    out.assert_integral(f"oracle product of {mu} and {nu}")
+    out.assert_integral("oracle product of " + " and ".join(
+        f"Z{format_multipartition(k, ring.labels)}" for k in (mu, nu)))
     return out
 
 
@@ -673,5 +685,5 @@ def antipode_pbw(x: PBWElement) -> PBWElement:
     product = _word_products(x.ring)
     terms: dict = {}
     for w, c in x.terms.items():
-        accumulate(terms, dict(product[tuple(reversed(w)), ()]), -c if len(w) & 1 else c)
+        accumulate(terms, dict(product[tuple(reversed(w))][()]), -c if len(w) & 1 else c)
     return PBWElement(x.ring, x.degree, terms)

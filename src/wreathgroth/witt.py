@@ -144,7 +144,10 @@ class WittVector:
         """Inverse of the ghost map, by n e_n = sum_{k=1..n} (-1)^(k-1) e_{n-k} p_k."""
         e = [1]
         for n in range(1, len(ghosts) + 1):
-            total = sum((-1) ** (k - 1) * e[n - k] * ghosts[k - 1] for k in range(1, n + 1))
+            total = 0
+            for k in range(1, n + 1):
+                term = e[n - k] * ghosts[k - 1]
+                total += term if k & 1 else -term
             q, r = divmod(total, n)
             if r:
                 raise IntegralityError(f"ghosts not integral: {n}*e_{n} = {total}, remainder {r}")

@@ -754,7 +754,9 @@ def test_word_products_go_to_the_kernel_once_per_pair(monkeypatch):
     all_products()
     first = sum(calls.values())
     all_products()  # every word pair is a memo hit now
-    assert sum(calls.values()) == first == len(ring._caches["pbw_products"])
+    memo = ring._caches["pbw_products"]
+    assert sum(calls.values()) == first == sum(map(len, memo.values()))
+    assert set(calls) == {(w1, w2) for w1, row in memo.items() for w2 in row}
     assert calls and max(calls.values()) == 1
 
     # a ring with other commutators keeps its own memo
@@ -766,7 +768,7 @@ def test_word_products_go_to_the_kernel_once_per_pair(monkeypatch):
     assert a.terms == {(sym(1, 0), sym(1, 1)): 1, (sym(1, 1),): -1}
     assert b.terms == {(sym(1, 0), sym(1, 1)): 1}
     assert other._caches["pbw_products"] is not ring._caches["pbw_products"]
-    assert other._caches["pbw_products"][w1, w2] != ring._caches["pbw_products"][w1, w2]
+    assert other._caches["pbw_products"][w1][w2] != ring._caches["pbw_products"][w1][w2]
 
 
 def test_word_product_memo_keeps_one_tuple_per_word():
@@ -775,7 +777,9 @@ def test_word_product_memo_keeps_one_tuple_per_word():
     for mu in keys:
         for nu in keys:
             pbw.oracle_multiply(ring, mu, nu)
-    words = [w for items in ring._caches["pbw_products"].values() for w, _ in items]
+    words = [
+        w for row in ring._caches["pbw_products"].values() for items in row.values() for w, _ in items
+    ]
     distinct = {w: w for w in words}
     assert len(words) > len(distinct)
     assert all(w is distinct[w] for w in words)
@@ -801,3 +805,58 @@ def test_z_table_contents_are_pinned(ring, degree, digest):
         for w, c in pbw.z_element_pbw(ring, lam, degree).terms.items()
     )
     assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
+
+
+# sha256 over repr(sorted (word, sorted (lam, c), den)) of the word_to_z rows
+# of degree <= d, each row decoded to Z keys; taken while the rows were keyed
+# by Z key and came from a second solve over the top parts
+WORD_TO_Z_SHA256 = [
+    (Z, 6, "26fb89ec1ddcfa545efaaf2ba95bfe6a1b04ed1192cfdb04966508180ff38d05"),
+    (C2, 5, "23b6600d13e56e999efbce8e35646c825398f589e239e0038c8b456dfeab86d8"),
+    (rg.golden_ring(), 5, "e23141c96783c172ed30dd693808f05217f76d0c48dc24a8a4fb68c9c03b58cb"),
+    (M2, 4, "d5d4121bbd440ec2b103571bcb28d9c8dcd670a6ccc74485b4636f39bba4c4ce"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,degree,digest", WORD_TO_Z_SHA256, ids=[f"{r.name}-{d}" for r, d, _ in WORD_TO_Z_SHA256]
+)
+def test_inverse_rows_are_pinned(ring, degree, digest):
+    data = pbw._zdata(ring, degree)
+    rows = sorted(
+        (w, sorted((data.keys[p], c) for p, c in nums.items()), den)
+        for w, (nums, den) in data.word_to_z.items()
+        if word_degree(w) <= degree
+    )
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+INVERSE_DEGREES = {"integers": 5, "cyclic2": 5, "matrix2": 4, "golden": 5, "upper": 5}
+
+
+@pytest.mark.parametrize("name", INVERSE_DEGREES)
+def test_each_inverse_row_sums_the_z_table_back_to_its_word(name):
+    # sum_lam word_to_z[w][lam] Z_lam == w exactly, for every normal word w
+    ring = TABLE_RINGS[name]()
+    D = INVERSE_DEGREES[name]
+    data = pbw._zdata(ring, D)
+    assert data.keys == multipartitions_upto(ring.rank(), D)
+    assert set(data.word_to_z) == {pbw.word_for_mp(sigma) for sigma in data.keys}
+    for w, (row, den) in data.word_to_z.items():
+        total = {}
+        for p, c in row.items():
+            nums, d = data.ztable[data.keys[p]]
+            accumulate(total, nums, Fraction(c, den * d))
+        assert total == {w: 1}, w
+
+
+def test_a_non_integral_oracle_product_names_both_keys():
+    ring = rg.cyclic_group_algebra.__wrapped__(2)
+    data = pbw._zdata(ring, 3)
+    mu, nu = mp_single(2, 1, (1,)), mp_single(2, 0, (2,))
+    nums, den = data.ztable[mu]
+    data.ztable[mu] = (nums, 2 * den)  # Z_mu / 2 in place of Z_mu
+    with pytest.raises(IntegralityError, match=re.escape(
+        "oracle product of Z{g:[1]} and Z{e:[2]} has non-integer coefficient 1/2"
+    )):
+        pbw.oracle_multiply(ring, mu, nu)

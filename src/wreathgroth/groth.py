@@ -7,12 +7,14 @@ lam) is the coefficient of  prod_V s_{mu(V)}(x_V) prod_W s_{nu(W)}(y_W)  in
     prod_U s_{lam(U)}(x_U, y_U, (+)_{V,W} (x_V y_W)^{(+) N_{V,W}^U})
 
 computed by plethystic substitution in power sums, in integers over the
-common denominator prod_U |lam(U)|! (see ProductTable).  The table builds
-only the blocks of slot sizes that products ask for, grows to a whole degree
-when the demand is dense, and is cached on the ring, so repeated products
-are dictionary lookups; ``GrothElement._int_product``, the integer core of
-``z_multiply`` and of ``_exact.power_sum``, adds them up on integer
-numerators.
+common denominator prod_U |lam(U)|! (see ProductTable).  The table is
+cached on the ring and grows only when asked to, a whole degree at a time,
+so repeated products are dictionary lookups.  A pair above its degree goes
+through the primitive generators instead (``_primitive_row``): Z_mu =
+sum_w c_w T_w from the oracle's Z-table, each normal word T_w acting on
+Z_nu by ribbon-rule rows.  ``GrothElement._int_product``, the integer core
+of ``z_multiply`` and of ``_exact.power_sum``, adds the rows of either kind
+(``product_rows``) up on integer numerators.
 
 The module also hosts the generator family e_r(U)/h_n(W): e_n(W) and h_n(W)
 for any W, and their left products, by one Newton loop from any start
@@ -28,8 +30,7 @@ of them matrix(2)'s.
 """
 
 from fractions import Fraction
-from math import comb, factorial, gcd
-from operator import le
+from math import factorial, gcd, prod
 
 from . import kernels
 from . import symfun as sf
@@ -79,17 +80,14 @@ class GrothElement(Combination):
         return z_multiply(self, other)
 
     def _int_product(self, a: dict, b: dict) -> dict:
-        """sum c_mu c_nu Z_mu Z_nu from the ring's table, which is first made
-        to hold every pair of a key of a with a key of b."""
-        table = product_table(self.ring)
-        table.ensure(_degree(a) + _degree(b), (a, b))
-        pairs = table.pairs
+        """sum c_mu c_nu Z_mu Z_nu, each row from ``product_rows``."""
+        row = product_rows(self.ring)
         out: dict[MultiPartition, int] = {}
         get = out.get
         for mu, ca in a.items():
             for nu, cb in b.items():
                 c = ca * cb
-                for lam, k in pairs[mu, nu].items():
+                for lam, k in row(mu, nu).items():
                     out[lam] = get(lam, 0) + c * k
         return {lam: c for lam, c in out.items() if c}
 
@@ -141,129 +139,77 @@ def _substitution_plan(ring: BaseRing) -> dict:
 
 
 class ProductTable:
-    """Per-ring cache of structure constants, filled block by block.
+    """Per-ring cache of structure constants, complete to ``degree``.
 
-    ``pairs[(mu, nu)]`` maps lam to the coefficient of Z_lam in Z_mu Z_nu.
-    The block of a pair is its size vector: (|mu(U)|)_U followed by
-    (|nu(W)|)_W, 2k sizes for rank k.  Substitution, products and the
-    change to Schur keys all keep these sizes, and they only add up, so a
-    sweep over every lam with |lam| <= total that drops every term outside a
-    box of blocks yields every constant whose block lies in the box, and
-    exactly.  Per lam a sweep substitutes |kappa|! s_kappa for each slot
+    ``pairs[(mu, nu)]`` maps lam to the coefficient of Z_lam in Z_mu Z_nu,
+    for every pair with |mu| + |nu| <= ``degree``; no such pair has an empty
+    row: the top part of Z_mu Z_nu is the product of the Schur functions.
+    The table grows only through ``ensure``.  A sweep to degree D runs over
+    every lam with |lam| <= D: it substitutes |kappa|! s_kappa for each slot
     kappa = lam(U) (on integers, in power sums), multiplies, converts to
     Schur and divides every coefficient exactly by prod_U |lam(U)|!; a
-    remainder raises IntegralityError.  Lams with a slot whose factor is
-    empty in the box are skipped.  The conversion to Schur keys takes the mu
-    half and then the nu half of each power-sum key through one row each,
-    the product of ``p_to_schur_row`` over the half's filled slots
+    remainder raises IntegralityError.  Each step keeps total sizes, and
+    sizes only add, so dropping every term above D keeps each constant with
+    |mu| + |nu| <= D exact.  The conversion to Schur keys takes the mu half
+    and then the nu half of each power-sum key through one row each, the
+    product of ``p_to_schur_row`` over the half's filled slots
     (``_schur_pairs``); a sweep makes each half's row once and drops the
     rows when it ends.
-
-    The table is complete for every pair with |mu| + |nu| <= ``degree`` and
-    for every block inside one of ``boxes``; a box (caps, total) holds the
-    blocks s with s <= caps slotwise and sum(s) <= total.  A pair present in
-    ``pairs`` is always complete, and no complete pair has an empty row: the
-    top part of Z_mu Z_nu is the product of the Schur functions.
     """
 
     def __init__(self, ring: BaseRing):
         self.ring = ring
         self.degree = -1
         self.pairs: dict[tuple, dict[MultiPartition, int]] = {}
-        self.boxes: list[tuple[tuple, int]] = []
-        self.box_blocks = 0  # blocks swept in the boxes above ``degree``
 
-    def ensure(self, degree: int, pairs=None):
-        """Make the table complete for every pair with |mu| + |nu| <= degree,
-        or, given ``pairs = (lefts, rights)``, for every pair of a key of
-        lefts with a key of rights, whose totals must not exceed degree.
+    def ensure(self, degree: int):
+        """Make the table complete for every pair with |mu| + |nu| <= degree."""
+        if degree > self.degree:
+            self._sweep(degree)
+            self.degree = degree
 
-        On pairs it lacks, the table sweeps the join of the missing blocks,
-        capped at their largest total T.  Once the blocks swept in boxes
-        would exceed the C(T + 2k, 2k) blocks of total <= T (k the rank), or
-        when the caps do not bind, it grows to degree T instead, so box work
-        never exceeds a complete build."""
-        if degree <= self.degree:
-            return
-        if pairs is not None:
-            missing = self._missing(*pairs)
-            if not missing:
-                return
-            degree = max(map(sum, missing))
-            caps = tuple(map(max, zip(*missing)))
-            if min(caps) < degree:
-                blocks = _blocks_within(caps, degree)
-                if self.box_blocks + blocks <= comb(degree + len(caps), len(caps)):
-                    self._sweep(caps, degree)
-                    self.boxes.append((caps, degree))
-                    self.box_blocks += blocks
-                    return
-        self._sweep((degree,) * (2 * self.ring.rank()), degree)
-        self.degree = degree
-        self.boxes = [box for box in self.boxes if box[1] > degree]
-        self.box_blocks = sum(_blocks_within(*box) for box in self.boxes)
-
-    def _missing(self, lefts, rights) -> list[tuple]:
-        """The blocks of the pairs lefts x rights that the table lacks."""
-        sizes = {tuple(map(sum, nu)) for nu in rights}
-        out = set()
-        for sa in {tuple(map(sum, mu)) for mu in lefts}:
-            for sb in sizes:
-                block = sa + sb
-                if sum(block) > self.degree and not any(
-                    sum(block) <= total and all(map(le, block, caps))
-                    for caps, total in self.boxes
-                ):
-                    out.add(block)
-        return sorted(out)
-
-    def _sweep(self, caps: tuple, total: int):
-        """Every constant whose block lies in the box (caps, total)."""
+    def _sweep(self, degree: int):
+        """Every constant with |mu| + |nu| <= degree."""
         ring = self.ring
         k = ring.rank()
-        box = sf._Box(caps, total)
-        power = sf._power_images(_substitution_plan(ring), _doubled_labels(ring), box)
-        encoded: dict[tuple, list] = {}
+        power = sf._power_images(_substitution_plan(ring), _doubled_labels(ring), degree)
+        sized: dict[tuple, list] = {}
         schur_row = sf._key_rows(sf.p_to_schur_row)
         new: dict[tuple, dict[MultiPartition, int]] = {}
 
         def factor(u: int, kappa) -> list:
-            """|kappa|! s_kappa in slot U after the substitution, in the box."""
-            got = encoded.get((u, kappa))
+            """|kappa|! s_kappa in slot U after the substitution."""
+            got = sized.get((u, kappa))
             if got is None:
                 terms: dict[MultiPartition, int] = {}
                 for rho, c in sf.scaled_schur_to_p_row(kappa).items():
                     accumulate(terms, power(ring.labels[u], rho), c)
-                got = encoded[u, kappa] = box.encode(terms)
+                got = sized[u, kappa] = sf._sized(terms)
             return got
 
-        for lam in multipartitions_upto(k, total):
+        for lam in multipartitions_upto(k, degree):
             factors = []
             scale = 1
             for u, kappa in enumerate(lam):
                 if kappa:
-                    f = factor(u, kappa)
-                    if not f:
-                        break
-                    factors.append(f)
+                    factors.append(factor(u, kappa))
                     scale *= factorial(sum(kappa))
-            else:
-                # a lone factor is the series as it is, with nothing to multiply
-                series = {key: c for key, _, c in factors[0]} if factors else {mp_empty(2 * k): 1}
-                for f in factors[1:]:
-                    series = sf._multiply_int(series, f, box)
-                for pair, coeff in _schur_pairs(series, k, schur_row).items():
-                    mu, nu = pair
-                    c, r = divmod(coeff, scale)
-                    if r:
-                        g = gcd(coeff, scale)
-                        raise IntegralityError(
-                            f"coefficient of Z{format_multipartition(lam, ring.labels)}"
-                            f" in Z{format_multipartition(mu, ring.labels)}"
-                            f" * Z{format_multipartition(nu, ring.labels)}"
-                            f" is {coeff // g}/{scale // g}, not an integer"
-                        )
-                    new.setdefault(pair, {})[lam] = c
+            # a lone factor is the series as it is, with nothing to multiply
+            series = {key: c for key, _, c in factors[0]} if factors else {mp_empty(2 * k): 1}
+            for f in factors[1:]:
+                series = sf._multiply_int(series, f, degree)
+            for pair, coeff in _schur_pairs(series, k, schur_row).items():
+                mu, nu = pair
+                c, r = divmod(coeff, scale)
+                if r:
+                    g = gcd(coeff, scale)
+                    raise IntegralityError(
+                        f"coefficient of Z{format_multipartition(lam, ring.labels)}"
+                        f" in Z{format_multipartition(mu, ring.labels)}"
+                        f" * Z{format_multipartition(nu, ring.labels)}"
+                        f" is {coeff // g}/{scale // g}, not an integer"
+                    )
+                new.setdefault(pair, {})[lam] = c
         for key, row in new.items():  # rows already held are the same
             self.pairs.setdefault(key, row)
 
@@ -291,16 +237,56 @@ def _schur_pairs(series: dict, k: int, schur_row) -> dict:
     return {pair: c for pair, c in out.items() if c}
 
 
-def _blocks_within(caps: tuple, total: int) -> int:
-    """The number of size vectors s <= caps (slotwise) with sum(s) <= total."""
-    ways = [1] + [0] * total  # ways[t]: vectors over the slots so far summing to t
-    for cap in caps:
-        ways = [sum(ways[t - j] for j in range(min(cap, t) + 1)) for t in range(total + 1)]
-    return sum(ways)
-
-
 def product_table(ring: BaseRing) -> ProductTable:
     return ring.memo("product_table", lambda: ProductTable(ring))
+
+
+def product_rows(ring: BaseRing):
+    """The row lookup of the integer product cores, (mu, nu) -> {lam: int}
+    of Z_mu Z_nu: the table's row when it holds the pair, otherwise the row
+    through the primitive generators (``_primitive_row``)."""
+    held = product_table(ring).pairs
+
+    def row(mu, nu) -> dict:
+        got = held.get((mu, nu))
+        return _primitive_row(ring, mu, nu) if got is None else got
+
+    return row
+
+
+def _primitive_row(ring: BaseRing, mu: MultiPartition, nu: MultiPartition) -> dict:
+    """{lam: int} of Z_mu Z_nu through the primitive generators, kept in the
+    ring's ``route_rows`` memo, apart from the table.  Z_mu = sum_w c_w T_w
+    is read from the oracle's Z-table, grown to |mu| only.  A normal word
+    T_w acts on Z_nu a letter at a time from the right, T_l(U) as 1/l times
+    l T_l(U), whose row is a ribbon-rule row (``_ribbon_row``).  Each word
+    enters with the integer weight c_w |mu|! / (the product of its levels),
+    the levels being parts of a partition of at most |mu|, and the sum is
+    divided exactly by |mu|! times the entry's denominator (``_quotient``)."""
+    memo = ring.memo("route_rows", dict)
+    got = memo.get((mu, nu))
+    if got is not None:
+        return got
+    from . import pbw  # pbw imports this module
+
+    nums, den = pbw._z_entry(ring, pbw._zdata(ring, mp_total(mu)).ztable, mu)
+    scale = factorial(mp_total(mu))
+    out: dict[MultiPartition, int] = {}
+    for w, c in nums.items():
+        terms = {nu: c * (scale // prod(map(pbw.sym_level, w)))}
+        for s in reversed(w):
+            m, u = pbw.sym_level(s), pbw.sym_index(s)
+            acted: dict[MultiPartition, int] = {}
+            get = acted.get
+            for key, a in terms.items():
+                for lam, r in _ribbon_row(ring, m, u, key):
+                    acted[lam] = get(lam, 0) + a * r
+            terms = acted
+        accumulate(out, terms)
+    z = lambda k: "Z" + format_multipartition(k, ring.labels)
+    what = lambda: f"{z(mu)} * {z(nu)} through the primitive generators"
+    got = memo[mu, nu] = _quotient(ring, out, scale * den, what)
+    return got
 
 
 def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
@@ -314,6 +300,34 @@ def z_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
 def _check_degree(n: int):
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+
+
+def _quotient(ring: BaseRing, terms: dict, d: int, what) -> dict:
+    """{key: c // d} over the nonzero c of ``terms``, whose every c d must
+    divide: a remainder raises IntegralityError naming ``what()`` and the
+    least offending key in ``mp_sort_key`` order, as the CLI prints it, with
+    its coefficient."""
+    bad = [z for z, c in terms.items() if c % d]
+    if bad:
+        z = min(bad, key=mp_sort_key)
+        raise IntegralityError(
+            f"{what()} has non-integer coefficient {Fraction(terms[z], d)}"
+            f" at Z{format_multipartition(z, ring.labels)}"
+        )
+    return {z: c // d for z, c in terms.items() if c}
+
+
+def _ribbon_row(ring: BaseRing, m: int, u: int, nu: MultiPartition) -> tuple:
+    """The row (m T_m(U)) Z_nu from the ring's ``ribbon_rows`` memo,
+    memo[m, u][nu], as (lam, int) items built by ``_primitive_product`` on
+    first lookup and interned in ``ribbon_items``."""
+    rows = ring.memo("ribbon_rows", dict).setdefault((m, u), {})
+    row = rows.get(nu)
+    if row is None:
+        intern = ring.memo("ribbon_items", dict).setdefault
+        row = _primitive_product(ring, m, u, nu).items()
+        row = rows[nu] = tuple(intern(item, item) for item in row)
+    return row
 
 
 def _primitive_product(ring: BaseRing, m: int, u: int, nu: MultiPartition) -> dict:
@@ -353,13 +367,12 @@ def _newton(ring: BaseRing, n: int, W: RingElement, x: str, y=None) -> list:
     identity m x_m(W) y = sum_{k=1..m} sign^(k-1) P_k(W) x_{m-k}(W) y, x = e
     (sign -1) or h (sign 1), P_k(W) = sum_{s | k} sum_U (W^s)_U (k/s) T_{k/s}(U).
     Each level sums every (k, s, U) term into one dict of ints and divides it
-    by m exactly, a remainder raising IntegralityError.  From y = None the
-    levels are the generators x_m(W), read from and kept in the ring's
-    ``e_of``/``h_of`` memo under (W.key(), m); from a given y none is kept.
+    by m exactly (``_quotient``).  From y = None the levels are the
+    generators x_m(W), read from and kept in the ring's ``e_of``/``h_of``
+    memo under (W.key(), m); from a given y none is kept.
     The ring keeps W, W^2, ... in its ``powers`` memo under W.key(), only
-    extended, and each ribbon-rule row (m T_m(U)) Z_nu in its ``ribbon_rows``
-    memo, memo[m, u][nu], as (lam, int) items built by ``_primitive_product``
-    on first lookup and interned in ``ribbon_items``."""
+    extended, and reads each ribbon-rule row (m T_m(U)) Z_nu from its
+    ``ribbon_rows`` memo (``_ribbon_row``)."""
     sign, key = -1 if x == "e" else 1, W.key()
     store = ring.memo(x + "_of", dict) if y is None else {}
     ys = [GrothElement.one(ring) if y is None else y]
@@ -370,7 +383,6 @@ def _newton(ring: BaseRing, n: int, W: RingElement, x: str, y=None) -> list:
         got = store.get((key, m))
         if got is None:
             memo = ring.memo("ribbon_rows", dict)
-            intern = ring.memo("ribbon_items", dict).setdefault
             terms: dict[MultiPartition, int] = {}
             get = terms.get
             for k in range(1, m + 1):
@@ -380,17 +392,12 @@ def _newton(ring: BaseRing, n: int, W: RingElement, x: str, y=None) -> list:
                         for nu, a in ys[m - k].terms.items():
                             row = rows.get(nu)
                             if row is None:
-                                row = _primitive_product(ring, k // s, u, nu).items()
-                                row = rows[nu] = tuple(intern(item, item) for item in row)
+                                row = _ribbon_row(ring, k // s, u, nu)
                             a *= c
                             for lam, r in row:
                                 terms[lam] = get(lam, 0) + a * r
-            for c in terms.values():
-                if c % m:
-                    raise IntegralityError(
-                        f"{x}_{m}({W!r}) has non-integer coefficient {Fraction(c, m)}"
-                    )
-            got = store[key, m] = GrothElement(ring, {z: c // m for z, c in terms.items()})
+            what = lambda: f"{x}_{m}({W!r})"
+            got = store[key, m] = GrothElement(ring, _quotient(ring, terms, m, what))
         ys.append(got)
     return ys
 

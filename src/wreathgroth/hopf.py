@@ -33,7 +33,7 @@ from ._exact import (
     Combination, accumulate, first_difference, monomial_product, power_sum, settle, substitute
 )
 from .errors import IntegralityError
-from .groth import GrothElement, _degree, _substitution_plan, _doubled_labels, product_table
+from .groth import GrothElement, _substitution_plan, _doubled_labels, product_rows
 from .partitions import (
     MultiPartition,
     Partition,
@@ -80,17 +80,13 @@ class TensorGroth(Combination):
         return cls(a.ring, out)
 
     def _int_product(self, a: dict, b: dict) -> dict:
-        """(Z_m1 Z_m2) (x) (Z_n1 Z_n2) summed from the ring's table, which is
-        first made to hold every pair of left halves and of right halves."""
-        table = product_table(self.ring)
-        for half in (0, 1):
-            lefts, rights = {k[half] for k in a}, {k[half] for k in b}
-            table.ensure(_degree(lefts) + _degree(rights), (lefts, rights))
+        """(Z_m1 Z_m2) (x) (Z_n1 Z_n2), each half's row from ``product_rows``."""
+        row = product_rows(self.ring)
         out: dict = {}
         for (m1, n1), c1 in a.items():
             for (m2, n2), c2 in b.items():
-                right = table.pairs[n1, n2]
-                for lm, cl in table.pairs[m1, m2].items():
+                right = row(n1, n2)
+                for lm, cl in row(m1, m2).items():
                     accumulate(out, {(lm, ln): cr for ln, cr in right.items()}, c1 * c2 * cl)
         return out
 
@@ -269,19 +265,18 @@ class GroupLaw:
 
 def formal_group_law(ring: BaseRing, degree: int) -> GroupLaw:
     """The components e_i(U), 1 <= i <= degree, on integer numerators: e_i(U)
-    as ({key: int}, den) through one set of power images of the plan, boxed
-    at ``degree``; each key to e-monomials by its slots' ``_p_in_e_row`` rows
+    as ({key: int}, den) through one set of power images of the plan, truncated
+    above ``degree``; each key to e-monomials by its slots' ``_p_in_e_row`` rows
     (which keep degrees), flattened in slot order, so sorted; den divides exactly."""
     k = ring.rank()
-    box = sf._Box((degree,) * (2 * k), degree)
-    power = sf._power_images(_substitution_plan(ring), _doubled_labels(ring), box)
+    power = sf._power_images(_substitution_plan(ring), _doubled_labels(ring), degree)
     to_e = sf._key_rows(_p_in_e_row)
     fam = [(0, v) for v in range(k)] + [(1, v) for v in range(k)]
     components = {}
     for u in range(k):
         for i in range(1, degree + 1):
             nums, den = sf.e_series(ring.labels, ring.labels[u], i, degree)._ints()
-            nums = sf._convert_int(sf._substitute_int(nums, ring.labels, power, box), to_e)
+            nums = sf._convert_int(sf._substitute_int(nums, ring.labels, power, degree), to_e)
             if any(c % den for c in nums.values()):
                 raise IntegralityError(
                     f"group law component ({ring.labels[u]}, {i}) is not integral"

@@ -24,17 +24,15 @@ Truncation is strict: operations discard keys above the degree, and
 ``Combination._check``, which every +, - and * runs, refuses operands with
 different labels or truncations with a DomainError: silently combining
 series that remember different amounts of information is the main
-correctness hazard in this layer.  The cores truncate to a box of slot
-sizes (``_Box``): per-slot caps and a total cap.  The public operations use
-the box of their degree; the product table of ``groth`` sweeps smaller
-boxes.
+correctness hazard in this layer.  The cores truncate at a total degree
+too: a product keeps a pair of keys when the right key's size, kept beside
+it (``_sized``), is at most the degree less the left key's size.
 """
 
 import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
-from operator import le, mul
 
 from ._exact import (
     Combination,
@@ -134,8 +132,7 @@ class SymSeries(Combination):
         return multiply(self, other)
 
     def _int_product(self, a: dict, b: dict) -> dict:
-        box = _Box((self.degree,) * len(self.labels), self.degree)
-        return _multiply_int(a, box.encode(b), box)
+        return _multiply_int(a, _sized(b), self.degree)
 
 
 def schur_to_power(labels, degree: int, schur: dict) -> SymSeries:
@@ -197,67 +194,29 @@ def _convert_int(terms: dict, key_row) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-class _Box:
-    """A truncation: the keys whose slot sizes s satisfy s <= caps slotwise
-    and sum(s) <= total.
-
-    In a product of two keys of the box the test is one addition and one
-    mask.  A key's code is one int with a field of ``width`` value bits and
-    a guard bit for the total and for each slot whose cap binds (is below
-    the total).  Adding ``offset`` puts 2^width - 1 - cap into each field,
-    so a guard bit is set exactly when its sum exceeds its cap.  Codes add
-    up under products, and no field of two keys of the box carries into the
-    next.  With no binding cap only the total is tested.
-    """
-
-    __slots__ = ("caps", "total", "weights", "offset", "guard")
-
-    def __init__(self, caps: tuple, total: int):
-        self.caps, self.total = caps, total
-        width = max(total, 1).bit_length()
-        full = (1 << width) - 1
-        binding = [s for s, cap in enumerate(caps) if cap < total]
-        at = len(binding) * (width + 1)
-        self.weights = [1 << at] * len(caps)
-        self.offset = (full - total) << at
-        self.guard = 1 << (at + width)
-        for i, s in enumerate(binding):
-            at = i * (width + 1)
-            self.weights[s] += 1 << at
-            self.offset += (full - caps[s]) << at
-            self.guard |= 1 << (at + width)
-
-    def code(self, key) -> int:
-        return sum(map(mul, map(sum, key), self.weights))
-
-    def holds(self, key) -> bool:
-        sizes = list(map(sum, key))
-        return sum(sizes) <= self.total and all(map(le, sizes, self.caps))
-
-    def encode(self, terms: dict) -> list:
-        """The operand form of ``_multiply_int``: (key, code, coefficient)."""
-        return [(key, self.code(key), c) for key, c in terms.items()]
+def _sized(terms: dict) -> list:
+    """The operand form of ``_multiply_int``: (key, total size, coefficient)."""
+    return [(key, mp_total(key), c) for key, c in terms.items()]
 
 
-def _multiply_int(a: dict, b: list, box: _Box) -> dict:
-    """Power-sum product of two integer series in ``box``, kept to it; b in
-    the form of ``box.encode``."""
+def _multiply_int(a: dict, b: list, degree: int) -> dict:
+    """Power-sum product of two integer series, truncated above ``degree``;
+    b in the form of ``_sized``."""
     out: dict[MultiPartition, int] = {}
     get = out.get
-    offset, guard, code = box.offset, box.guard, box.code
     for ka, ca in a.items():
-        room = code(ka) + offset
-        for kb, eb, cb in b:
-            if not (room + eb) & guard:
+        room = degree - mp_total(ka)
+        for kb, size, cb in b:
+            if size <= room:
                 key = tuple(map(merge_parts, ka, kb))
                 out[key] = get(key, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
 
 
-def _power_images(plan: dict, out_labels, box: _Box):
+def _power_images(plan: dict, out_labels, degree: int):
     """The function (label, rho) -> p_rho of that variable set after the
-    substitution of ``plan`` (see ``substitute_variable_sets``), kept to
-    ``box``: an integer series over out_labels.  Each p_l is substituted
+    substitution of ``plan`` (see ``substitute_variable_sets``), truncated
+    above ``degree``: an integer series over out_labels.  Each p_l is substituted
     once, and partitions share their prefixes, p_rho = p_rho[:-1] p_rho[-1]."""
     index = {lab: i for i, lab in enumerate(out_labels)}
     nout = len(out_labels)
@@ -275,9 +234,9 @@ def _power_images(plan: dict, out_labels, box: _Box):
                 for lab in monomial:
                     key[index[lab]] = merge_parts(key[index[lab]], (l,))
                 k = tuple(key)
-                if box.holds(k):
+                if mp_total(k) <= degree:
                     expanded[k] = expanded.get(k, 0) + mult
-            got = levels[label, l] = box.encode({k: c for k, c in expanded.items() if c})
+            got = levels[label, l] = _sized({k: c for k, c in expanded.items() if c})
         return got
 
     def power(label: str, rho) -> dict:
@@ -285,23 +244,23 @@ def _power_images(plan: dict, out_labels, box: _Box):
             return {((),) * nout: 1}
         got = powers.get((label, rho))
         if got is None:
-            got = powers[label, rho] = _multiply_int(power(label, rho[:-1]), level(label, rho[-1]), box)
+            got = powers[label, rho] = _multiply_int(power(label, rho[:-1]), level(label, rho[-1]), degree)
         return got
 
     return power
 
 
-def _substitute_int(terms: dict, labels, power, box: _Box) -> dict:
+def _substitute_int(terms: dict, labels, power, degree: int) -> dict:
     """The plethystic substitution of ``substitute_variable_sets`` on a
     power-sum integer series over ``labels``, by the images ``power`` of
-    ``_power_images`` (built once per plan and box)."""
-    empty = ((),) * len(box.caps)
+    ``_power_images`` (built once per plan and degree)."""
+    (empty,) = power(None, ())  # p of the empty partition, the output's 1
     out: dict[MultiPartition, int] = {}
     for key, coeff in terms.items():
         partial = {empty: coeff}
         for label, p in zip(labels, key):
             if p:
-                partial = _multiply_int(partial, box.encode(power(label, p)), box)
+                partial = _multiply_int(partial, _sized(power(label, p)), degree)
         for k, c in partial.items():
             out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
@@ -339,8 +298,8 @@ def substitute_variable_sets(f: SymSeries, plan: dict, out_labels) -> SymSeries:
     """
     out_labels = tuple(out_labels)
     nums, den = f._ints()
-    box = _Box((f.degree,) * len(out_labels), f.degree)
-    nums = _substitute_int(nums, f.labels, _power_images(plan, out_labels, box), box)
+    power = _power_images(plan, out_labels, f.degree)
+    nums = _substitute_int(nums, f.labels, power, f.degree)
     return SymSeries(out_labels, f.degree)._from_ints(nums, den)
 
 

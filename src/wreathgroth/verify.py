@@ -206,8 +206,8 @@ def suite_oracle_crosscheck(ring: BaseRing, degree: int, seed: int) -> Report:
     keys = multipartitions_upto(ring.rank(), degree)
 
     def crosscheck():
-        # every pair of the degree is asked for: one complete build, not
-        # box sweeps pair by pair
+        # the complete table, so that each product below is a table row, not
+        # a row through the primitive generators, compared with the oracle
         gr.product_table(ring).ensure(degree)
         # keys are graded, the empty one first: the partners of mu are a slice
         totals = [mp_total(k) for k in keys]

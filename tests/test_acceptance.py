@@ -46,6 +46,9 @@ def test_criterion_01_symmetric_function_kernel():
 def test_criterion_02_oracle_equivalence():
     t0 = time.monotonic()
     for ring in RINGS:
+        # the complete table, so each z_multiply below is a table row and not
+        # a row through the primitive generators, which read the oracle's Z-table
+        gr.product_table(ring).ensure(DEGREE)
         keys = multipartitions_upto(ring.rank(), DEGREE)
         for mu in keys:
             if not mp_total(mu):

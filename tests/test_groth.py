@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from wreathgroth import groth as gr
+from wreathgroth import pbw
 from wreathgroth import ring as rg
 from wreathgroth import symfun as sf
 from wreathgroth import verify
 from wreathgroth._exact import accumulate
-from wreathgroth.errors import DomainError
+from wreathgroth.errors import DomainError, IntegralityError
 from wreathgroth.groth import GrothElement
 from wreathgroth.partitions import (
     conjugate,
@@ -322,26 +323,54 @@ def test_product_table_contents_are_pinned(ring, degree, digest):
     assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "ring,degree", [(r, d) for r, d, _ in TABLE_SHA256], ids=[f"{r.name}-{d}" for r, d, _ in TABLE_SHA256]
-)
-def test_constants_served_pair_by_pair_equal_the_complete_build(ring, degree):
-    # a fresh table asked one pair at a time, in a seeded order, sweeps boxes
-    # of blocks and grows whole degrees by turns; each row must be the one
-    # the complete build holds, and that build lacks no pair of its degree
-    full = gr.ProductTable(ring)
-    full.ensure(degree)
+UPPER_PATH = Path(__file__).parent / "rings" / "upper_triangular.json"
+
+PRIVATE_RINGS = {  # makers of private instances, whose caches start empty
+    "integers": rg.integers.__wrapped__,
+    "ZC2": lambda: rg.cyclic_group_algebra.__wrapped__(2),
+    "ZC3": lambda: rg.cyclic_group_algebra.__wrapped__(3),
+    "golden": rg.golden_ring.__wrapped__,
+    "Mat2": lambda: rg.matrix_ring.__wrapped__(2),
+    "upper_triangular": lambda: rg.load_ring(str(UPPER_PATH)),
+}
+SERVED = (("integers", 8), ("ZC2", 6), ("ZC3", 5), ("golden", 6), ("Mat2", 5), ("upper_triangular", 5))
+
+
+@pytest.mark.parametrize("name, degree", SERVED, ids=[f"{n}-{d}" for n, d in SERVED])
+def test_constants_served_pair_by_pair_equal_the_complete_build(name, degree):
+    # a fresh ring, its table empty, serves each pair through z_multiply in a
+    # seeded order, so through the primitive generators, with the oracle's
+    # Z-table grown pair by pair; each row must be the one a complete build
+    # holds, and that build lacks no pair of its degree
+    ring = PRIVATE_RINGS[name]()
     keys = multipartitions_upto(ring.rank(), degree)
     pairs = [(mu, nu) for mu in keys for nu in keys if mp_total(mu) + mp_total(nu) <= degree]
     random.Random(degree).shuffle(pairs)
-    served = gr.ProductTable(ring)
-    boxes = 0
+    served = {
+        (mu, nu): gr.z_multiply(GrothElement.basis(ring, mu), GrothElement.basis(ring, nu)).terms
+        for mu, nu in pairs
+    }
+    assert gr.product_table(ring).degree == -1
+    assert set(ring._caches["route_rows"]) == set(pairs)
+    full = gr.ProductTable(ring)
+    full.ensure(degree)
     for mu, nu in pairs:
-        served.ensure(mp_total(mu) + mp_total(nu), ((mu,), (nu,)))
-        assert served.pairs[mu, nu] == full.pairs[mu, nu], (mu, nu)
-        boxes = max(boxes, len(served.boxes))
-    assert boxes and served.degree == degree
+        assert served[mu, nu] == full.pairs[mu, nu], (mu, nu)
     assert set(full.pairs) == set(pairs)
+
+
+def test_a_non_integral_route_row_names_its_least_key():
+    # Z_(2) gains T_1(1)/2 in a private ring's Z-table, so Z_(2) Z_(1) through
+    # the primitive generators gains (Z_(2) + Z_(1,1) + Z_(1))/2: the witness
+    # is the least of the three keys in mp_sort_key order
+    ring = rg.integers.__wrapped__()
+    nums, _ = pbw._zdata(ring, 2).ztable[((2,),)]
+    nums[(pbw.sym(1, 0),)] += 1
+    with pytest.raises(IntegralityError) as exc:
+        gr.z_multiply(GrothElement.basis(ring, ((2,),)), GrothElement.basis(ring, ((1,),)))
+    assert str(exc.value) == (
+        "Z{1:[2]} * Z{1:[1]} through the primitive generators has non-integer coefficient 1/2 at Z{1:[1]}"
+    )
 
 
 def test_sparse_commutation_demand_leaves_the_table_small():
@@ -372,7 +401,7 @@ def test_integer_product_equals_the_fraction_loop():
         terms = {}
         for mu, ca in a.terms.items():
             for nu, cb in b.terms.items():
-                table.ensure(mp_total(mu) + mp_total(nu), ((mu,), (nu,)))
+                table.ensure(mp_total(mu) + mp_total(nu))
                 for lam, c in table.pairs[mu, nu].items():
                     terms[lam] = terms.get(lam, 0) + ca * cb * c
         return GrothElement(a.ring, terms)
@@ -489,7 +518,6 @@ def test_newton_loop_outputs_are_pinned(lines, digest):
     assert hashlib.sha256("\n".join(lines()).encode()).hexdigest() == digest
 
 
-UPPER_PATH = Path(__file__).parent / "rings" / "upper_triangular.json"
 UPPER = rg.load_ring(str(UPPER_PATH))
 
 
@@ -500,19 +528,50 @@ def _hooks(ring, m, u) -> GrothElement:
     })
 
 
-@pytest.mark.parametrize(
-    "ring",
-    [Z, C2, rg.cyclic_group_algebra(3), rg.golden_ring(), M2, UPPER],
-    ids=lambda r: r.name,
-)
-def test_ribbon_rule_equals_the_table_product_of_the_hook_sum(ring):
+@pytest.mark.parametrize("name", PRIVATE_RINGS)
+def test_ribbon_rule_equals_the_table_product_of_the_hook_sum(name):
+    ring = PRIVATE_RINGS[name]()
     top = 4 if ring.rank() == 4 else 5
+    gr.product_table(ring).ensure(top)  # table rows, not the ribbon rule again
     for nu in multipartitions_upto(ring.rank(), top - 1):
         for m in range(1, min(4, top - mp_total(nu)) + 1):
             for u in range(ring.rank()):
                 want = gr.z_multiply(_hooks(ring, m, u), GrothElement.basis(ring, nu))
                 got = gr._primitive_product(ring, m, u, nu)
                 assert GrothElement(ring, got) == want, (m, u, nu)
+
+
+WORD_DEGREES = {"Mat2": 4}  # 5 on the other rings
+
+
+@pytest.mark.parametrize("name", PRIVATE_RINGS)
+def test_the_z_table_and_its_inverse_act_by_ribbon_rows(name):
+    # T_l(U) is 1/l times l T_l(U), whose left product is a ribbon row, so a
+    # normal word T_w acts on Z_{} a letter at a time from the right: its row
+    # of the oracle's inverse Z-table is (1/prod of its levels) T_w Z_{}, and
+    # each Z_lam = sum_w c_w T_w of the Z-table sums back to Z_lam, for every
+    # normal word and key to the degree
+    ring = PRIVATE_RINGS[name]()
+    data = pbw._zdata(ring, WORD_DEGREES.get(name, 5))
+    acted = {(): GrothElement.one(ring)}
+
+    def on_the_unit(w) -> GrothElement:
+        if w not in acted:
+            m, u = pbw.sym_level(w[0]), pbw.sym_index(w[0])
+            terms = {}
+            for nu, a in on_the_unit(w[1:]).terms.items():
+                accumulate(terms, dict(gr._ribbon_row(ring, m, u, nu)), Fraction(a, m))
+            acted[w] = GrothElement(ring, terms)
+        return acted[w]
+
+    for w, (row, den) in data.word_to_z.items():
+        want = GrothElement(ring, {data.keys[p]: Fraction(c, den) for p, c in row.items()})
+        assert on_the_unit(w) == want, w
+    for lam, (nums, den) in data.ztable.items():
+        terms = {}
+        for w, c in nums.items():
+            accumulate(terms, on_the_unit(w).terms, Fraction(c, den))
+        assert GrothElement(ring, terms) == GrothElement.basis(ring, lam), lam
 
 
 def test_ribbon_rule_on_the_integers_squares_z1():
@@ -550,9 +609,10 @@ def test_h_element_equals_the_jacobi_trudi_route(ring, elements, top):
             assert gr.h_element(ring, n, W) == _h_by_jacobi_trudi(ring, n, W), (text, n)
 
 
-def test_h_keeps_the_table_at_degree_n():
-    # h_n(W) takes no product from the table, so a fresh ring's product
-    # table grows no further than n
+def test_e_and_h_build_no_product_table():
+    # Newton's identity applies its power sums by the ribbon rule, so neither
+    # e_n(W) nor h_n(W) asks any product table for a product, over rank 1 and
+    # rank 2, builtin and from a config, for W in the basis and outside it
     one = {"basis": ["1"], "unit": {"1": 1}, "mult": [{"left": "1", "right": "1", "out": {"1": 1}}]}
     c2 = {
         "basis": ["e", "g"],
@@ -562,20 +622,10 @@ def test_h_keeps_the_table_at_degree_n():
             for a in "eg" for b in "eg"
         ],
     }
-    for config, elem, n in ((one, "1", 4), (one, "2*1", 4), (c2, "g", 3), (c2, "e+g", 3)):
-        ring = rg.ring_from_config(config)
-        gr.h_element(ring, n, ring.element(elem))
-        assert gr.product_table(ring).degree <= n, (elem, n)
-
-
-def test_e_and_h_build_no_product_table():
-    # Newton's identity applies its power sums by the ribbon rule, so neither
-    # e_n(W) nor h_n(W) asks any product table for a product, over rank 1 and
-    # rank 2, for W in the basis and outside it
-    one = {"basis": ["1"], "unit": {"1": 1}, "mult": [{"left": "1", "right": "1", "out": {"1": 1}}]}
     cases = (
         (rg.ring_from_config(one), ("1", "2*1")),
         (rg.cyclic_group_algebra.__wrapped__(2), ("e + g", "2*e - g", "g")),  # a private instance
+        (rg.ring_from_config(c2), ("g", "e+g")),
     )
     for ring, elements in cases:
         for W in map(ring.element, elements):
@@ -595,11 +645,11 @@ LEFT_ACTION_RINGS = (
 
 @pytest.mark.parametrize("make, other, top", LEFT_ACTION_RINGS, ids=("Z", "ZC2", "golden", "Mat2"))
 def test_newton_levels_multiply_on_the_left_as_the_product_table_does(make, other, top):
-    # the levels of Newton's identity from y = Z_mu are x_m(W) Z_mu; on a
-    # fresh ring every product below goes through the table's box sweeps
-    # until its demand is dense, a route the battery no longer takes above
-    # degree 4
+    # the levels of Newton's identity from y = Z_mu are x_m(W) Z_mu; the
+    # table is made complete first, so every product below is a table row
+    # and not the ribbon rule again, through the primitive generators
     ring = make()  # a private instance: its table starts empty
+    gr.product_table(ring).ensure(top)
     for W in (ring.basis_element(ring.rank() - 1), ring.element(other)):
         for x, generator in (("e", gr.e_of), ("h", gr.h_element)):
             for mu in multipartitions_upto(ring.rank(), top):
@@ -609,15 +659,16 @@ def test_newton_levels_multiply_on_the_left_as_the_product_table_does(make, othe
                     assert got == gr.z_multiply(generator(ring, m, W), y), (W, x, m, mu)
 
 
-def test_the_commutation_suite_leaves_the_table_at_degree_4_with_no_boxes():
+def test_the_commutation_suite_leaves_the_table_at_degree_4_with_no_route_rows():
     # the crosscheck builds the complete degree-4 table; the commutation
     # checks reach bidegree (3,3), total degree 6, by left products by
-    # generators, so they sweep no box above it
+    # generators, so they take no product above it, through the primitive
+    # generators or otherwise
     for ring in (rg.cyclic_group_algebra.__wrapped__(2), rg.matrix_ring.__wrapped__(2)):
         for suite in ("oracle-crosscheck", "commutation"):
             assert verify.run_suite(suite, ring, 4, 0).passed, (ring.name, suite)
-        table = gr.product_table(ring)
-        assert (table.degree, table.boxes) == (4, []), ring.name
+        assert gr.product_table(ring).degree == 4, ring.name
+        assert "route_rows" not in ring._caches, ring.name
 
 
 LEFT_PRODUCT_RINGS = (
@@ -632,8 +683,10 @@ def test_left_products_are_the_products_on_the_table(make, other):
     # every entry against its product on the table, for U and V over the
     # basis and one element outside it: a term stored under the wrong (a, k, b)
     # can leave both sides of the commutation identity equal and every
-    # commutator in its filtration degree, so the suite alone would not see it
+    # commutator in its filtration degree, so the suite alone would not see it;
+    # the complete table holds every product below, to total degree 6
     ring = make()  # a private instance: shared caches stay clean
+    gr.product_table(ring).ensure(6)
     elements = [ring.basis_element(u) for u in range(ring.rank())] + [ring.element(other)]
     for U in elements:
         for V in elements:
@@ -649,29 +702,32 @@ def test_left_products_are_the_products_on_the_table(make, other):
 
 def test_the_commutation_tables_do_not_outlive_the_suite():
     # the suite keeps its tables for its run only: afterwards the ring holds
-    # the product table of the degree-one check, the generators' memos, the
-    # powers of each W they were taken of and the ribbon-rule rows they read
+    # an empty product table; the rows of the degree-one check, taken through
+    # the primitive generators from the oracle's Z-table to degree 1, with the
+    # commutator table and word-product memo that table keeps; the
+    # generators' memos, the powers of each W they were taken of and the
+    # ribbon-rule rows they read
     cases = (
         (
             rg.matrix_ring.__wrapped__(2),
-            {"h_of": 15, "powers": 5, "ribbon_rows": 12, "ribbon_items": 502},
+            {"route_rows": 16, "comm": 5, "pbw_products": 0, "h_of": 15, "powers": 5,
+             "ribbon_rows": 12, "ribbon_items": 502},
             394,
-            53,
         ),
         (
             rg.golden_ring.__wrapped__(),
-            {"e_of": 1, "h_of": 9, "powers": 3, "ribbon_rows": 6, "ribbon_items": 164},
+            {"route_rows": 4, "comm": 0, "pbw_products": 0, "e_of": 1, "h_of": 9, "powers": 3,
+             "ribbon_rows": 6, "ribbon_items": 164},
             107,
-            19,
         ),
     )
-    for ring, memos, rows, pairs in cases:  # private instances: their caches start empty
+    for ring, memos, rows in cases:  # private instances: their caches start empty
         assert verify.suite_commutation(ring, 4, 0).passed, ring.name
         caches = dict(ring._caches)
-        table = caches.pop("product_table")
+        table, zdata = caches.pop("product_table"), caches.pop("pbw_zdata")
         assert {name: len(memo) for name, memo in caches.items()} == memos, ring.name
         assert sum(map(len, caches["ribbon_rows"].values())) == rows, ring.name
-        assert (table.degree, len(table.pairs)) == (2, pairs), ring.name
+        assert (table.degree, len(table.pairs), zdata.degree) == (-1, 0, 1), ring.name
 
 
 WARM_RINGS = (

@@ -95,7 +95,8 @@ def test_coassociativity():
 def test_a_tensor_product_multiplies_each_half(make):
     # (a (x) b)(c (x) d) = ac (x) bd, with Fraction coefficients, on a private
     # ring whose table starts empty: a, c live in the first slot and b, d in
-    # the last, so each half makes the table sweep a box of its own
+    # the last, and each half's products go through the primitive generators,
+    # one row per pair of keys, leaving the table as it was
     ring = make()
     rng = random.Random(7)
     keys = multipartitions_upto(ring.rank(), 2)
@@ -110,7 +111,9 @@ def test_a_tensor_product_multiplies_each_half(make):
 
     a, b, c, d = element(first), element(last), element(first), element(last)
     got = TensorGroth.of(a, b) * TensorGroth.of(c, d)
-    assert len(gr.product_table(ring).boxes) == 2
+    assert gr.product_table(ring).degree == -1
+    halves = [(x, y) for p, q in ((a, c), (b, d)) for x in p.terms for y in q.terms]
+    assert set(ring._caches["route_rows"]) == set(halves)
     assert got == TensorGroth.of(a * c, b * d) and not got.is_integral()
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -360,7 +361,10 @@ def test_f_series_disagreement_names_degree_word_and_coefficients(monkeypatch):
 
 def test_a_ring_without_a_unit_is_refused_by_name():
     # every path that needs 1 in R takes it from ring.one(), whose refusal
-    # names the ring; the basis-independence check re-bases it as nounit'
+    # names the ring; the basis-independence check re-bases it as nounit'.
+    # With no product table, products go through the primitive generators,
+    # which read the oracle's Z-table, so the e_2 expansion, Delta as an
+    # algebra map and the closed subalgebra are refused too
     ring = rg.BaseRing(("a",), {(0, 0): {0: 2}}, name="nounit")
     refusal = "ring nounit has no declared unit"
     for call in (
@@ -371,7 +375,7 @@ def test_a_ring_without_a_unit_is_refused_by_name():
         with pytest.raises(DomainError) as exc:
             call()
         assert str(exc.value) == refusal
-    for suite, count in (("presentation", 2), ("hopf", 3)):
+    for suite, count in (("presentation", 3), ("hopf", 5)):
         failed = [c for c in verify.run_suite(suite, ring, 2, 0).checks if not c.passed]
         assert len(failed) == count, suite
         for check in failed:
@@ -403,12 +407,12 @@ def test_a_non_integral_e_n_is_refused_and_fails_its_check(monkeypatch):
     W = ring.element("e - g")
     with pytest.raises(IntegralityError) as exc:
         gr.e_of(ring, 2, W)
-    assert str(exc.value) == "e_2(<e - g>) has non-integer coefficient -1/2"
+    assert str(exc.value) == "e_2(<e - g>) has non-integer coefficient 3/2 at Z{g:[2]}"
 
     report = verify.run_suite("presentation", ring, 2, 0)
     check = next(c for c in report.checks if c.name == "e_n(W) of random integer combinations is integral")
     assert not check.passed
-    assert check.detail == "IntegralityError: e_2(<2*e + g>) has non-integer coefficient -1/2"
+    assert check.detail == "IntegralityError: e_2(<2*e + g>) has non-integer coefficient -1/2 at Z{g:[2]}"
 
 
 def test_a_non_integral_h_n_is_refused_and_fails_its_check(monkeypatch):
@@ -418,40 +422,41 @@ def test_a_non_integral_h_n_is_refused_and_fails_its_check(monkeypatch):
     W = ring.element("e - g")
     with pytest.raises(IntegralityError) as exc:
         gr.h_element(ring, 2, W)
-    assert str(exc.value) == "h_2(<e - g>) has non-integer coefficient 3/2"
+    assert str(exc.value) == "h_2(<e - g>) has non-integer coefficient -1/2 at Z{g:[2]}"
 
     report = verify.run_suite("commutation", ring, 2, 0)
     check = next(c for c in report.checks if c.name.startswith("E_U(u) E_{VU}(-uv)^{-1} E_V(v)"))
     assert not check.passed
-    assert check.detail == "IntegralityError: h_2(<e>) has non-integer coefficient 3/2"
+    assert check.detail == "IntegralityError: h_2(<e>) has non-integer coefficient 3/2 at Z{e:[2]}"
 
 
-@pytest.mark.parametrize(
-    "make, witnesses",
+CORRUPTED_ROW_WITNESSES = (
     (
+        lambda: rg.cyclic_group_algebra.__wrapped__(2),
         (
-            lambda: rg.cyclic_group_algebra.__wrapped__(2),
-            ("h_3(<e>) has non-integer coefficient 2/3", "e_3(<2*e + g>) has non-integer coefficient 4/3"),
-        ),
-        (
-            lambda: rg.matrix_ring.__wrapped__(2),
-            (
-                "h_3(<E11>) has non-integer coefficient 2/3",
-                "e_3(<E11 + 2*E21 - E22>) has non-integer coefficient 1/3",
-            ),
-        ),
-        (
-            rg.golden_ring.__wrapped__,
-            ("h_3(<1>) has non-integer coefficient 2/3", "e_3(<2*1 + x>) has non-integer coefficient 4/3"),
+            "h_3(<e>) has non-integer coefficient 2/3 at Z{e:[1,1,1]}",
+            "e_3(<2*e + g>) has non-integer coefficient 1/3 at Z{g:[1,1,1]}",
         ),
     ),
-    ids=("ZC2", "Mat2", "golden"),
+    (
+        lambda: rg.matrix_ring.__wrapped__(2),
+        (
+            "h_3(<E11>) has non-integer coefficient 2/3 at Z{E11:[1,1,1]}",
+            "e_3(<E11 + 2*E21 - E22>) has non-integer coefficient -2/3 at Z{E22:[1,1,1]}",
+        ),
+    ),
+    (
+        rg.golden_ring.__wrapped__,
+        (
+            "h_3(<1>) has non-integer coefficient 2/3 at Z{1:[1,1,1]}",
+            "e_3(<2*1 + x>) has non-integer coefficient 1/3 at Z{x:[1,1,1]}",
+        ),
+    ),
 )
-def test_a_corrupted_ribbon_row_fails_the_commutation_and_presentation_suites(make, witnesses, monkeypatch):
-    # add m to the first coefficient of each m = 2 row on a one-box Z_nu: the
-    # divisions by 2 stay exact, the division by 3 at level 3 does not.  The
-    # ring keeps each row once for every W and both suites, so the corrupted
-    # rows the commutation suite builds serve the presentation suite after it
+
+
+def _corrupt_ribbon_rows(monkeypatch):
+    """Add m to the first coefficient of each m = 2 row on a one-box Z_nu."""
     primitive_product = gr._primitive_product
 
     def perturbed(ring, m, u, nu):
@@ -462,12 +467,54 @@ def test_a_corrupted_ribbon_row_fails_the_commutation_and_presentation_suites(ma
         return out
 
     monkeypatch.setattr(gr, "_primitive_product", perturbed)
-    ring = make()  # a private instance: shared caches stay clean
+
+
+def _integrality_witnesses(ring) -> tuple:
+    """The witnesses of the commutation and presentation suites at degree 4."""
     checks = ("E_U(u) E_{VU}(-uv)^{-1} E_V(v)", "e_n(W) of random integer combinations is integral")
-    for suite, check, witness in zip(("commutation", "presentation"), checks, witnesses):
+    out = []
+    for suite, check in zip(("commutation", "presentation"), checks):
         report = verify.run_suite(suite, ring, 4, 0)
         assert not report.passed, suite
-        assert _detail(report, check) == f"IntegralityError: {witness}", suite
+        detail = _detail(report, check)
+        assert detail.startswith("IntegralityError: "), detail
+        out.append(detail.removeprefix("IntegralityError: "))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("make, witnesses", CORRUPTED_ROW_WITNESSES, ids=("ZC2", "Mat2", "golden"))
+def test_a_corrupted_ribbon_row_fails_the_commutation_and_presentation_suites(make, witnesses, monkeypatch):
+    # add m to the first coefficient of each m = 2 row on a one-box Z_nu: the
+    # divisions by 2 stay exact, the division by 3 at level 3 does not.  The
+    # ring keeps each row once for every W and both suites, so the corrupted
+    # rows the commutation suite builds serve the presentation suite after it
+    _corrupt_ribbon_rows(monkeypatch)
+    assert _integrality_witnesses(make()) == witnesses  # a private instance
+
+
+@pytest.mark.parametrize("make, witnesses", CORRUPTED_ROW_WITNESSES, ids=("ZC2", "Mat2", "golden"))
+def test_the_integrality_witness_does_not_depend_on_the_order_of_summation(make, witnesses, monkeypatch):
+    # the witness is the least offending key in mp_sort_key order, not the
+    # first one summed: a scratch _newton that sums k from m down to 1, and
+    # over U and the keys of the lower level in reverse too, fills each
+    # level's dict in another order and gives the same witnesses as the
+    # loop itself.  (Summing k in reverse alone leaves the first offending
+    # key summed where it was here; the reversed sums over U and the keys
+    # move it.)
+    _corrupt_ribbon_rows(monkeypatch)
+    summed = _integrality_witnesses(make())  # private instances
+    source = inspect.getsource(gr._newton)
+    for loop, reverse in (
+        ("for k in range(1, m + 1):", "for k in range(m, 0, -1):"),
+        ("for u, c in powers[s - 1].terms.items():", "for u, c in reversed(powers[s - 1].terms.items()):"),
+        ("for nu, a in ys[m - k].terms.items():", "for nu, a in reversed(ys[m - k].terms.items()):"),
+    ):
+        assert source.count(loop) == 1, loop
+        source = source.replace(loop, reverse)
+    scratch = dict(vars(gr))
+    exec(source, scratch)
+    monkeypatch.setattr(gr, "_newton", scratch["_newton"])
+    assert _integrality_witnesses(make()) == summed == witnesses
 
 
 def test_oracle_crosscheck_witness_names_first_differing_coefficient(monkeypatch):
@@ -609,17 +656,19 @@ def test_upper_triangular_ring_passes_validate_the_oracle_and_hopf():
 
 
 def test_oracle_crosscheck_builds_the_table_whole(monkeypatch):
-    # every pair of the degree is asked for, so the table is built complete
-    # up front instead of box by box; a ring file gives a fresh ring
-    boxes = []
-    sweep = gr.ProductTable._sweep
+    # the table is built complete up front, so every product the suite takes
+    # is a table row, compared with the oracle, and the route through the
+    # primitive generators keeps no row; a ring file gives a fresh ring
+    rings = []
+    table = gr.product_table
 
-    def counted(table, caps, total):
-        if min(caps) < total:
-            boxes.append(caps)
-        return sweep(table, caps, total)
+    def kept(ring):
+        rings.append(ring)
+        return table(ring)
 
-    monkeypatch.setattr(gr.ProductTable, "_sweep", counted)
+    monkeypatch.setattr(gr, "product_table", kept)
     path = os.path.join(os.path.dirname(__file__), "rings", "upper_triangular.json")
     assert _exit_code("verify", "oracle-crosscheck", "--degree", "3", "--ring", path) == 0
-    assert boxes == []
+    (ring,) = set(rings)
+    assert table(ring).degree == 3
+    assert not ring._caches.get("route_rows")

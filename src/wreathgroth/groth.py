@@ -12,9 +12,11 @@ cached on the ring and grows only when asked to, a whole degree at a time,
 so repeated products are dictionary lookups.  A pair above its degree goes
 through the primitive generators instead (``_primitive_row``): Z_mu =
 sum_w c_w T_w from the oracle's Z-table, each normal word T_w acting on
-Z_nu by ribbon-rule rows.  ``GrothElement._int_product``, the integer core
-of ``z_multiply`` and of ``_exact.power_sum``, adds the rows of either kind
-(``product_rows``) up on integer numerators.
+Z_nu by ribbon-rule rows; on a ring with no declared unit, which that
+Z-table needs, the table grows to the pair instead.
+``GrothElement._int_product``, the integer core of ``z_multiply`` and of
+``_exact.power_sum``, adds the rows of either kind (``product_rows``) up on
+integer numerators.
 
 The module also hosts the generator family e_r(U)/h_n(W): e_n(W) and h_n(W)
 for any W, and their left products, by one Newton loop from any start
@@ -244,12 +246,20 @@ def product_table(ring: BaseRing) -> ProductTable:
 def product_rows(ring: BaseRing):
     """The row lookup of the integer product cores, (mu, nu) -> {lam: int}
     of Z_mu Z_nu: the table's row when it holds the pair, otherwise the row
-    through the primitive generators (``_primitive_row``)."""
-    held = product_table(ring).pairs
+    through the primitive generators (``_primitive_row``).  That route reads
+    the oracle's Z-table, which needs R's unit, so on a ring without one the
+    table grows to |mu| + |nu| instead, as the formula needs no unit."""
+    table = product_table(ring)
+    held = table.pairs
 
     def row(mu, nu) -> dict:
         got = held.get((mu, nu))
-        return _primitive_row(ring, mu, nu) if got is None else got
+        if got is None:
+            if ring.unit is not None:
+                return _primitive_row(ring, mu, nu)
+            table.ensure(mp_total(mu) + mp_total(nu))
+            got = held[mu, nu]
+        return got
 
     return row
 

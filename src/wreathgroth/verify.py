@@ -277,6 +277,7 @@ def suite_commutation(ring: BaseRing, degree: int, seed: int) -> Report:
         return table(u, v)[i, j][1] - table(v, u)[j, i][1]
 
     def degree_one():
+        gr.product_table(ring).ensure(2)  # table rows, apart from e_n's ribbon rule
         for u in range(ring.rank()):
             for v in range(ring.rank()):
                 U, V = ring.basis_element(u), ring.basis_element(v)
@@ -396,6 +397,7 @@ def suite_presentation(ring: BaseRing, degree: int, seed: int) -> Report:
     )
 
     def sum_relations():
+        gr.product_table(ring).ensure(2)  # table rows, apart from e_n's ribbon rule
         for u in range(ring.rank()):
             for v in range(ring.rank()):
                 U, V = ring.basis_element(u), ring.basis_element(v)
@@ -483,7 +485,10 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
 
     rep.run("counit axiom on both sides", counit_axiom)
 
+    # the checks that multiply take table rows, a complete build being
+    # cheaper than rows through the primitive generators at this density
     def antipode_axiom():
+        gr.product_table(ring).ensure(d3)
         for lam in keys3:
             x = GrothElement.basis(ring, lam)
             acc = GrothElement.zero(ring)
@@ -505,6 +510,7 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
     rep.run("antipode images are integral", antipode_integral)
 
     def delta_algebra_map():
+        gr.product_table(ring).ensure(d3)
         small = [k for k in keys3 if 0 < mp_total(k)]
         for mu in small:
             for nu in small:
@@ -565,6 +571,7 @@ def suite_hopf(ring: BaseRing, degree: int, seed: int) -> Report:
 
     def sub_hopf_closure():
         k, D = 2, min(3, degree)
+        gr.product_table(ring).ensure(D)
         span = gr.gk_spanning_set(ring, k, D)
         echelon, _ = row_reduce((el.terms, {}) for _, el in span)
         for mono, el in span:
